@@ -1,8 +1,8 @@
 """The committed rate and its quadratic surrogate.
 
 For a unit-covariance Gaussian posterior, the KL divergence to the tilted
-prior depends on the posterior mean only through its norm. Gradient descent
-on that scalar finds gamma, the norm with minimum divergence; the minimum
+prior depends on the posterior mean only through its norm. A root solve on
+its analytic slope finds gamma, the norm with minimum divergence; the minimum
 itself is the committed rate, a floor on the divergence every encoded sample
 must pay. Training uses the parabola tangent at gamma instead of the exact
 curve; this script tabulates both and shows the parabola touches at gamma
@@ -27,12 +27,12 @@ for tau, d in [(10, 10), (20, 10), (30, 10), (15, 100), (25, 100), (40, 100)]:
 # --- exact curve vs the tangent parabola -----------------------------------
 prior = TiltedPrior.fit(15.0, 10)
 mu = np.linspace(0.0, 30.0, 601)
-exact = np.array([exact_kld(prior, float(m)) for m in mu])
-quad = np.array([quadratic_kld(prior, float(m)) for m in mu])
+exact = exact_kld(prior, mu)
+quad = quadratic_kld(prior, mu)
 
 with open(os.path.join(OUT, "kld_curves.csv"), "w") as fh:
     fh.write("mu_norm,exact,quadratic\n")
-    for m, e, q in zip(mu, exact, quad):
+    for m, e, q in zip(mu.tolist(), exact.tolist(), quad.tolist()):
         fh.write(f"{m!r},{e!r},{q!r}\n")
 
 gap = quad - exact

@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .specfn import LogScaled, chi_mean, laguerre_half, log_gamma_ratio, log_kummer_m
 from .tilted import (
-    GammaSolverConfig,
     SweepReport,
     TiltedPrior,
     exact_kld,
@@ -28,7 +27,6 @@ __all__ = [
     "log_gamma_ratio",
     "log_kummer_m",
     "TiltedPrior",
-    "GammaSolverConfig",
     "SweepReport",
     "log_density",
     "log_normalizer",

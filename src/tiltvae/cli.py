@@ -38,7 +38,6 @@ from .sampler import (
     save_latents_csv,
 )
 from .tilted import (
-    GammaSolverConfig,
     TiltedPrior,
     exact_kld,
     quadratic_kld,
@@ -176,19 +175,11 @@ class GammaCommand(Command):
     schema = (
         _float_opt("tau", Command.REQUIRED, "tilt parameter"),
         _int_opt("dz", Command.REQUIRED, "latent dimension"),
-        _float_opt("learning_rate", 0.1, "solver step size"),
-        _int_opt("steps", 10_000, "max solver iterations"),
-        _float_opt("fd_step", 1e-3, "central-difference half width"),
         _path_opt("out", OUT_PATH, "gamma.csv", "output CSV"),
     )
 
     def run(self, config):
-        solver = GammaSolverConfig(
-            learning_rate=config["learning_rate"],
-            steps=config["steps"],
-            fd_step=config["fd_step"],
-        )
-        prior = TiltedPrior.fit(config["tau"], config["dz"], solver)
+        prior = TiltedPrior.fit(config["tau"], config["dz"])
         with open(config["out"], "w") as fh:
             fh.write("tau,d_z,gamma,committed_rate,log_z_tau\n")
             fh.write(
@@ -213,17 +204,16 @@ class KldTableCommand(Command):
     )
 
     def run(self, config):
-        if config["points"] < 2 or config["mu_max"] <= 0:
-            raise DomainError("kld-table needs points >= 2 and mu-max > 0")
+        if config["points"] < 2 or not (np.isfinite(config["mu_max"]) and config["mu_max"] > 0):
+            raise DomainError("kld-table needs points >= 2 and a finite mu-max > 0")
         prior = TiltedPrior.fit(config["tau"], config["dz"])
         grid = np.linspace(0.0, config["mu_max"], config["points"])
+        rows = zip(grid.tolist(), exact_kld(prior, grid).tolist(),
+                   quadratic_kld(prior, grid).tolist())
         with open(config["out"], "w") as fh:
             fh.write("mu_norm,exact,quadratic\n")
-            for m in grid:
-                fh.write(
-                    f"{repr(float(m))},{repr(exact_kld(prior, float(m)))},"
-                    f"{repr(quadratic_kld(prior, float(m)))}\n"
-                )
+            for m, exact, quad in rows:
+                fh.write(f"{m!r},{exact!r},{quad!r}\n")
         print(f"wrote {config['points']} rows (gamma={prior.gamma!r})")
         return {"table": config["out"]}, None
 

@@ -23,13 +23,20 @@ _OVERFLOW_LOG = math.log(sys.float_info.max)
 # running log-sum (and past the peak); hard cap on the number of terms.
 _TAIL_NATS = 40.0
 _MAX_TERMS = 10**6
+_FIRST_CHUNK = 64
 _CHUNK = 1024
+
+# The array kernels work on slices of points whose (points x terms)
+# temporaries hold at most this many doubles (64 KiB each, under 1 MB for
+# all of them together), whatever the number of points.
+_BLOCK_ELEMS = 1 << 13
 
 # Crossover to the large-argument asymptotic expansion. The expansion is
 # only used when its own truncation check certifies the accuracy; otherwise
 # the direct series is kept (it is overflow-safe at any argument size).
 _ASYMP_Z_MIN = 700.0
 _ASYMP_MAX_TERMS = 200
+_ASYMP_CHUNK = 40
 _ASYMP_TAIL = 1e-13
 
 
@@ -90,27 +97,53 @@ class LogScaled:
         return LogScaled(-self.sign, self.log_mag)
 
 
-def _log_series_pos(a: float, b: float, z: float) -> float:
-    """log of sum_{n>=0} t_n with t_0 = 1, t_{n+1}/t_n = (a+n) z / ((b+n)(n+1)).
+def _row_slices(live, width):
+    """Split the live points into slices of rows whose (rows x width)
+    temporaries hold at most _BLOCK_ELEMS doubles."""
+    rows = max(1, _BLOCK_ELEMS // width)
+    return [live[i:i + rows] for i in range(0, live.size, rows)]
+
+
+def _log_series_pos(a: float, b: float, z):
+    """log of sum_{n>=0} t_n with t_0 = 1, t_{n+1}/t_n = (a+n) z / ((b+n)(n+1)),
+    for every point of a flat array z.
 
     Requires a > 0, b > 0, z > 0 so every term is positive; summed as a
-    chunked log-sum-exp so no intermediate can overflow.
+    chunked log-sum-exp so no intermediate can overflow. All points share one
+    term-index array per chunk; chunks double from _FIRST_CHUNK to _CHUNK
+    terms, and a point leaves the working set once its tail is negligible.
+    Each point is summed on its own, so its value does not depend on the
+    other points of the call.
     """
-    log_z = math.log(z)
-    run = 0.0  # log-sum including the n = 0 term
-    log_t = 0.0
+    zf = np.asarray(z, dtype=np.float64).reshape(-1)
+    log_z = np.log(zf)
+    run = np.zeros(zf.size)  # log-sum including the n = 0 term
+    log_t = np.zeros(zf.size)
+    live = np.arange(zf.size)
     n0 = 0
-    while n0 < _MAX_TERMS:
-        n = np.arange(n0, n0 + _CHUNK, dtype=np.float64)
-        steps = np.log(a + n) + log_z - np.log(b + n) - np.log1p(n)
-        log_terms = log_t + np.cumsum(steps)
-        m = max(run, float(log_terms.max()))
-        run = m + math.log(math.exp(run - m) + float(np.exp(log_terms - m).sum()))
-        log_t = float(log_terms[-1])
-        n0 += _CHUNK
-        if steps[-1] < 0.0 and log_t < run - _TAIL_NATS:
-            return run
-    raise ConvergenceError("series did not converge", a=a, b=b, z=z)
+    while live.size:
+        if n0 >= _MAX_TERMS:
+            raise ConvergenceError("series did not converge", a=a, b=b, z=float(zf[live[0]]))
+        n = np.arange(n0, n0 + min(_CHUNK, max(_FIRST_CHUNK, n0)), dtype=np.float64)
+        shared = np.log(a + n) - np.log(b + n) - np.log1p(n)
+        done = np.concatenate([_series_chunk(shared, log_z, run, log_t, rows)
+                               for rows in _row_slices(live, n.size)])
+        live = live[~done]
+        n0 += n.size
+    return run
+
+
+def _series_chunk(shared, log_z, run, log_t, rows):
+    """Add one chunk of terms to the points ``rows`` in place; True where the
+    tail is past the peak and 40 nats below the sum."""
+    steps = shared + log_z[rows, None]
+    log_terms = log_t[rows, None] + np.cumsum(steps, axis=1)
+    peak = np.maximum(run[rows], log_terms.max(axis=1))
+    total = peak + np.log(np.exp(run[rows] - peak)
+                          + np.exp(log_terms - peak[:, None]).sum(axis=1))
+    run[rows] = total
+    log_t[rows] = log_terms[:, -1]
+    return (steps[:, -1] < 0.0) & (log_terms[:, -1] < total - _TAIL_NATS)
 
 
 def _log_series_signed(a: float, b: float, z: float) -> LogScaled:
@@ -143,46 +176,83 @@ def _log_series_signed(a: float, b: float, z: float) -> LogScaled:
     return LogScaled(1, float(pos)) + LogScaled(-1, float(neg))
 
 
-def _log_kummer_asymptotic(a: float, b: float, z: float):
+def _log_kummer_asymptotic(a: float, b: float, z):
     """Large-z expansion M(a,b,z) ~ Gamma(b)/Gamma(a) e^z z^(a-b) sum_k c_k,
-    c_k = (b-a)^(k) (1-a)^(k) / (k! z^k).
+    c_k = (b-a)^(k) (1-a)^(k) / (k! z^k), for a flat array z.
 
-    Returns (ok, LogScaled). ``ok`` is False when optimal truncation cannot
-    certify a relative tail below the accuracy target, in which case the
-    caller falls back to the direct series.
+    Returns (ok, log M) arrays. Terms are summed while they shrink: the sum
+    stops at a term below 1e-17 of it (certified), or before the first term
+    that does not shrink (certified when the last one kept is below
+    _ASYMP_TAIL of the sum). ``ok`` is False where that cannot certify the
+    accuracy; the caller then falls back to the direct series there.
     """
-    c = 1.0
-    s = 1.0
-    ok = False
-    for k in range(_ASYMP_MAX_TERMS):
-        c_next = c * (b - a + k) * (1 - a + k) / ((k + 1) * z)
-        if abs(c_next) >= abs(c):
-            ok = abs(c) <= _ASYMP_TAIL * abs(s)
-            break
-        c = c_next
-        s += c
-        if abs(c) <= 1e-17 * abs(s):
-            ok = True
-            break
-    else:
-        ok = abs(c) <= _ASYMP_TAIL * abs(s)
-    if not ok or s <= 0.0:
-        return False, None
-    lead = math.lgamma(b) - math.lgamma(a) + z + (a - b) * math.log(z)
-    return True, LogScaled(1, lead + math.log(s))
+    z = np.asarray(z, dtype=np.float64)
+    c = np.ones(z.size)  # last term kept
+    s = np.ones(z.size)  # sum of the terms kept
+    ok = np.zeros(z.size, dtype=bool)
+    live = np.arange(z.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, _ASYMP_MAX_TERMS, _ASYMP_CHUNK):
+            if not live.size:
+                break
+            k = np.arange(k0, min(k0 + _ASYMP_CHUNK, _ASYMP_MAX_TERMS), dtype=np.float64)
+            ratio = (b - a + k) * (1 - a + k) / (k + 1)
+            stopped = np.concatenate([_asymptotic_chunk(ratio, z, c, s, ok, rows)
+                                      for rows in _row_slices(live, k.size)])
+            live = live[~stopped]
+    ok[live] = np.abs(c[live]) <= _ASYMP_TAIL * np.abs(s[live])
+    ok &= s > 0.0
+    log_m = np.full(z.shape, math.nan)
+    log_m[ok] = (math.lgamma(b) - math.lgamma(a) + z[ok] + (a - b) * np.log(z[ok])
+                 + np.log(s[ok]))
+    return ok, log_m
+
+
+def _asymptotic_chunk(ratio, z, c, s, ok, rows):
+    """Take up to ratio.size more terms for the points ``rows``, updating c, s
+    and ok in place; True where the sum stopped."""
+    c_next = c[rows, None] * np.cumprod(ratio / z[rows, None], axis=1)
+    s_next = s[rows, None] + np.cumsum(c_next, axis=1)
+    c_prev = np.concatenate([c[rows, None], c_next[:, :-1]], axis=1)
+    s_prev = np.concatenate([s[rows, None], s_next[:, :-1]], axis=1)
+    grow = np.abs(c_next) >= np.abs(c_prev)
+    stop = grow | (np.abs(c_next) <= 1e-17 * np.abs(s_next))
+    j = stop.argmax(axis=1)
+    i = np.arange(rows.size)
+    hit, grew = stop[i, j], grow[i, j]
+    # A stopped point keeps the sum before its growing term, or through its
+    # tiny one; a running point carries its last term and sum to the next chunk.
+    c[rows] = np.where(hit, c_prev[i, j], c_next[:, -1])
+    s[rows] = np.where(hit & grew, s_prev[i, j], np.where(hit, s_next[i, j], s_next[:, -1]))
+    ok[rows] = hit & (~grew | (np.abs(c_prev[i, j]) <= _ASYMP_TAIL * np.abs(s_prev[i, j])))
+    return hit
+
+
+def _log_kummer_pos(a: float, b: float, z):
+    """log M(a, b, z) for a > 0, b > 0 and every point of an array z >= 0:
+    the asymptotic expansion where it certifies itself, else the series."""
+    z = np.asarray(z, dtype=np.float64)
+    zf = z.reshape(-1)
+    out = np.zeros(zf.size)  # M(a, b, 0) = 1
+    pending = zf > 0.0
+    big = np.flatnonzero(zf > _ASYMP_Z_MIN)
+    if big.size:
+        ok, log_m = _log_kummer_asymptotic(a, b, zf[big])
+        out[big[ok]] = log_m[ok]
+        pending[big[ok]] = False
+    rest = np.flatnonzero(pending)
+    if rest.size:
+        out[rest] = _log_series_pos(a, b, zf[rest])
+    return out.reshape(z.shape)
 
 
 def _kummer_core(a: float, b: float, z: float) -> LogScaled:
-    """Dispatch for z >= 0: positive-term series, signed series, or asymptotic."""
+    """Dispatch for z >= 0: signed series, or the positive-term kernel."""
     if z == 0.0:
         return LogScaled(1, 0.0)
     if a <= 0.0 or b < 0.0:
         return _log_series_signed(a, b, z)
-    if z > _ASYMP_Z_MIN:
-        ok, val = _log_kummer_asymptotic(a, b, z)
-        if ok:
-            return val
-    return LogScaled(1, _log_series_pos(a, b, z))
+    return LogScaled(1, float(_log_kummer_pos(a, b, z)))
 
 
 def log_kummer_m(a: float, b: float, z: float) -> LogScaled:
@@ -217,8 +287,33 @@ def chi_mean(d: int) -> float:
     return math.sqrt(2.0) * math.exp(log_gamma_ratio((d + 1) / 2, d / 2))
 
 
-def laguerre_half(alpha: float, x: float) -> float:
-    """Generalized Laguerre function of order 1/2, L_{1/2}^(alpha)(x), x <= 0.
+def _like(x, values):
+    """``values`` as a Python float when ``x`` is a scalar, else the array."""
+    return float(values) if np.ndim(x) == 0 else values
+
+
+def _checked_x(alpha, x, name):
+    """x as an array, after checking alpha > -1 and every x finite and <= 0."""
+    if alpha <= -1.0:
+        raise DomainError(f"alpha={alpha} must exceed -1")
+    xa = np.asarray(x, dtype=np.float64)
+    bad = ~(np.isfinite(xa) & (xa <= 0.0))
+    if bad.any():
+        raise DomainError(f"{name} is only supported for finite x <= 0, got x={float(xa[bad][0])}")
+    return xa
+
+
+def _exp_checked(log_val):
+    if np.any(log_val >= _OVERFLOW_LOG):
+        raise OverflowError(
+            f"log-magnitude {float(np.max(log_val)):.6g} exceeds the native float range"
+        )
+    return np.exp(log_val)
+
+
+def laguerre_half(alpha: float, x):
+    """Generalized Laguerre function of order 1/2, L_{1/2}^(alpha)(x), x <= 0,
+    for a scalar x (returns a float) or an array of them (returns an array).
 
     Defined through the gamma-extended binomial coefficient:
         L_{1/2}^(alpha)(x) = [Gamma(alpha+3/2) / (Gamma(3/2) Gamma(alpha+1))]
@@ -226,14 +321,24 @@ def laguerre_half(alpha: float, x: float) -> float:
     sqrt(pi/2) times this value is the mean of a noncentral chi variable with
     d = 2(alpha+1) degrees of freedom and noncentrality sqrt(-2x).
     """
-    if x > 0.0:
-        raise DomainError(f"laguerre_half is only supported for x <= 0, got x={x}")
-    if alpha <= -1.0:
-        raise DomainError(f"alpha={alpha} must exceed -1")
+    xa = _checked_x(alpha, x, "laguerre_half")
     log_binom = log_gamma_ratio(alpha + 1.5, 1.5) - math.lgamma(alpha + 1.0)
-    if x == 0.0:
-        return math.exp(log_binom)
     # Reflected series: M(-1/2, alpha+1, x) = e^x M(alpha+3/2, alpha+1, -x),
     # all terms positive for x < 0.
-    m = LogScaled(1, x) * _kummer_core(alpha + 1.5, alpha + 1.0, -x)
-    return (LogScaled(1, log_binom) * m).to_float()
+    log_m = xa + _log_kummer_pos(alpha + 1.5, alpha + 1.0, -xa)
+    return _like(x, _exp_checked(log_binom + log_m))
+
+
+def laguerre_half_prime(alpha: float, x):
+    """d/dx L_{1/2}^(alpha)(x) for x <= 0, scalar or array like laguerre_half.
+
+    From dM(a,b,x)/dx = (a/b) M(a+1, b+1, x) (DLMF 13.3.15):
+        d/dx L_{1/2}^(alpha)(x) = -binom / (2(alpha+1)) * M(1/2, alpha+2, x),
+    and M(1/2, alpha+2, x) = e^x M(alpha+3/2, alpha+2, -x) is one call to the
+    positive-term kernel. The value is negative: the function decreases in x.
+    """
+    xa = _checked_x(alpha, x, "laguerre_half_prime")
+    log_coef = (log_gamma_ratio(alpha + 1.5, 1.5) - math.lgamma(alpha + 1.0)
+                - math.log(2.0 * (alpha + 1.0)))
+    log_m = xa + _log_kummer_pos(alpha + 1.5, alpha + 2.0, -xa)
+    return _like(x, -_exp_checked(log_coef + log_m))

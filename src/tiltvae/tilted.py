@@ -4,9 +4,10 @@ The distribution on R^d with density proportional to
 ``exp(tau * ||z||) * exp(-||z||^2 / 2)``: a standard Gaussian pushed radially
 outward, with its mode on the sphere of radius tau. Provides the exact
 normalization constant and KL divergence from a unit-covariance Gaussian
-posterior, the quadratic surrogate used during training, the gradient-descent
-solver for the divergence-minimizing posterior norm, and a grid sweep that
-reports the margin between the exact divergence and the surrogate.
+posterior (array-valued over posterior-mean norms), the quadratic surrogate
+used during training, the root solver for the divergence-minimizing posterior
+norm, and a grid sweep that reports the margin between the exact divergence
+and the surrogate.
 """
 
 import csv
@@ -14,15 +15,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
-from .specfn import LogScaled, laguerre_half, log_gamma_ratio, log_kummer_m
+from .specfn import LogScaled, laguerre_half, laguerre_half_prime, log_gamma_ratio, log_kummer_m
 
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Stationarity acceptance for the gamma solver.
-_GRAD_STOP = 1e-8
+# Root tolerances, stationarity acceptance and minimum probe for the gamma
+# solver.
+_ROOT_XTOL = 1e-12
+_ROOT_MAXITER = 100
 _GRAD_OK = 1e-5
 _MIN_PROBE = 1e-3
 
@@ -49,55 +53,61 @@ def log_normalizer(tau: float, d_z: int) -> float:
     return (even + odd).log()
 
 
-def mean_norm(d_z: int, mu_norm: float) -> float:
-    """E[||z||] for z ~ N(mu, I) on R^d_z with ||mu|| = mu_norm."""
-    return _SQRT_PI_OVER_2 * laguerre_half(d_z / 2.0 - 1.0, -0.5 * mu_norm * mu_norm)
+def _norms(mu_norm):
+    m = np.asarray(mu_norm, dtype=np.float64)
+    bad = ~(np.isfinite(m) & (m >= 0.0))
+    if bad.any():
+        raise DomainError(f"mu_norm must be finite and non-negative, got {float(m[bad][0])}")
+    return m
 
 
-def _kld_value(tau: float, d_z: int, log_z: float, mu_norm: float) -> float:
-    return log_z - tau * mean_norm(d_z, mu_norm) + 0.5 * mu_norm * mu_norm
+def mean_norm(d_z: int, mu_norm):
+    """E[||z||] for z ~ N(mu, I) on R^d_z with ||mu|| = mu_norm; a float for a
+    scalar norm, an array for an array of norms."""
+    m = _norms(mu_norm)
+    return _SQRT_PI_OVER_2 * laguerre_half(d_z / 2.0 - 1.0, -0.5 * m * m)
 
 
-@dataclass(frozen=True)
-class GammaSolverConfig:
-    """Settings for the scalar gradient descent that locates gamma."""
+def _norm_slope(d_z, mu_norm):
+    """E'(m) / m for the mean norm E of mean_norm: -sqrt(pi/2) L_{1/2}'(-m^2/2).
 
-    learning_rate: float = 0.1
-    steps: int = 10_000
-    fd_step: float = 1e-3
-
-    def __post_init__(self):
-        if self.learning_rate <= 0 or self.steps < 1 or self.fd_step <= 0:
-            raise DomainError(f"invalid solver config {self}")
-
-
-def _solve_gamma(tau, d_z, log_z, config):
-    """Minimize the exact KLD over the posterior-mean norm.
-
-    Central-difference gradient descent started at sqrt(max(tau^2 - d_z, 0)).
-    The objective is even in its argument, so the iterate may roam the whole
-    real line and the returned gamma is its absolute value.
+    Proportional to M(1/2, d_z/2 + 1, -m^2/2), so positive and decreasing in
+    m; at m = 0 it is the curvature E''(0).
     """
-    lr, dx = config.learning_rate, config.fd_step
+    m = _norms(mu_norm)
+    return -_SQRT_PI_OVER_2 * laguerre_half_prime(d_z / 2.0 - 1.0, -0.5 * m * m)
 
-    def g(x):
-        return _kld_value(tau, d_z, log_z, abs(x))
 
-    x = math.sqrt(max(tau * tau - d_z, 0.0))
-    grad = math.inf
-    for _ in range(config.steps):
-        grad = (g(x + dx) - g(x - dx)) / (2.0 * dx)
-        if abs(grad) < _GRAD_STOP:
-            break
-        x -= lr * grad
+def _kld_value(tau, d_z, log_z, mu_norm):
+    m = _norms(mu_norm)
+    kld = log_z - tau * mean_norm(d_z, m) + 0.5 * m * m
+    return float(kld) if np.ndim(mu_norm) == 0 else kld
 
-    gamma = abs(x)
-    slope = (g(gamma + dx) - g(gamma - dx)) / (2.0 * dx)
-    stationary = abs(slope) < _GRAD_OK
-    is_min = g(gamma + _MIN_PROBE) >= g(gamma) and (
-        gamma < _MIN_PROBE or g(gamma - _MIN_PROBE) >= g(gamma)
-    )
-    if not (stationary and is_min):
+
+def _solve_gamma(tau, d_z, log_z):
+    """The exact KLD's minimizer over the posterior-mean norm, and its value.
+
+    The KLD's slope is m - tau E'(m) = m h(m) with h(m) = 1 - tau E'(m)/m,
+    which increases in m (see _norm_slope). So gamma = 0 when h(0) >= 0;
+    otherwise gamma is the root of h, which lies in (0, tau] because E' <= 1
+    makes h(tau) >= 0. Brent's method stops once the bracket is narrower than
+    its tolerance. The analytic slope and a probe on either side of gamma
+    then certify a stationary minimum.
+    """
+    def h(m):
+        return 1.0 - tau * _norm_slope(d_z, m)
+
+    gamma, h_gamma = 0.0, h(0.0)
+    if not h_gamma >= 0.0:
+        gamma, h_gamma = tau, h(tau)
+        if h_gamma >= 0.0:
+            gamma, res = brentq(h, 0.0, tau, xtol=_ROOT_XTOL, maxiter=_ROOT_MAXITER,
+                                full_output=True, disp=False)
+            h_gamma = h(gamma) if res.converged else math.nan
+    slope = gamma * h_gamma
+    probes = [gamma, gamma + _MIN_PROBE] + ([gamma - _MIN_PROBE] if gamma >= _MIN_PROBE else [])
+    kld = _kld_value(tau, d_z, log_z, np.array(probes))
+    if not (abs(slope) < _GRAD_OK and np.all(kld[1:] >= kld[0])):
         raise ConvergenceError(
             "gamma solver did not converge",
             tau=tau,
@@ -105,14 +115,13 @@ def _solve_gamma(tau, d_z, log_z, config):
             final_iterate=gamma,
             gradient=slope,
         )
-    return gamma
+    return gamma, float(kld[0])
 
 
-def solve_gamma(tau: float, d_z: int, config: GammaSolverConfig | None = None) -> float:
+def solve_gamma(tau: float, d_z: int) -> float:
     """The posterior-mean norm minimizing the exact KLD against the tilted prior."""
     _check_tau_d(tau, d_z)
-    config = config or GammaSolverConfig()
-    return _solve_gamma(tau, d_z, log_normalizer(tau, d_z), config)
+    return _solve_gamma(tau, d_z, log_normalizer(tau, d_z))[0]
 
 
 @dataclass(frozen=True)
@@ -131,20 +140,13 @@ class TiltedPrior:
     committed_rate: float
 
     @classmethod
-    def fit(cls, tau: float, d_z: int, config: GammaSolverConfig | None = None) -> "TiltedPrior":
+    def fit(cls, tau: float, d_z: int) -> "TiltedPrior":
         _check_tau_d(tau, d_z)
         log_z = log_normalizer(tau, d_z)
         if tau == 0.0:
             return cls(tau=0.0, d_z=d_z, log_z_tau=log_z, gamma=0.0, committed_rate=0.0)
-        config = config or GammaSolverConfig()
-        gamma = _solve_gamma(tau, d_z, log_z, config)
-        return cls(
-            tau=tau,
-            d_z=d_z,
-            log_z_tau=log_z,
-            gamma=gamma,
-            committed_rate=_kld_value(tau, d_z, log_z, gamma),
-        )
+        gamma, rate = _solve_gamma(tau, d_z, log_z)
+        return cls(tau=tau, d_z=d_z, log_z_tau=log_z, gamma=gamma, committed_rate=rate)
 
 
 def log_density(prior: TiltedPrior, z) -> float:
@@ -156,15 +158,17 @@ def log_density(prior: TiltedPrior, z) -> float:
     return prior.tau * r - 0.5 * r * r - 0.5 * prior.d_z * _LOG_2PI - prior.log_z_tau
 
 
-def exact_kld(prior: TiltedPrior, mu_norm: float) -> float:
+def exact_kld(prior: TiltedPrior, mu_norm):
     """KL(N(mu, I) || tilted prior), a function of ||mu|| only:
-    log Z_tau - tau E[||z||] + ||mu||^2 / 2."""
-    if mu_norm < 0:
-        raise DomainError(f"mu_norm must be non-negative, got {mu_norm}")
+    log Z_tau - tau E[||z||] + ||mu||^2 / 2.
+
+    Takes a scalar norm (returns a float) or an array of norms (returns an
+    array); a norm that is negative or not finite is a DomainError.
+    """
     return _kld_value(prior.tau, prior.d_z, prior.log_z_tau, mu_norm)
 
 
-def quadratic_kld(prior: TiltedPrior, mu_norm: float) -> float:
+def quadratic_kld(prior: TiltedPrior, mu_norm):
     """Quadratic surrogate (||mu|| - gamma)^2 / 2 + committed_rate.
 
     Tangent to the exact KLD at gamma, where both equal the committed rate.
@@ -224,6 +228,8 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float,
         raise DomainError("d_grid and w_grid must be non-empty")
     if mu_points < 2:
         raise DomainError(f"mu_points must be >= 2, got {mu_points}")
+    if not (math.isfinite(mu_max) and mu_max > 0.0):
+        raise DomainError(f"mu_max must be finite and positive, got {mu_max}")
     mu = np.linspace(0.0, mu_max, mu_points)
     cells = []
     for d in d_grid:
@@ -231,9 +237,7 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float,
             tau = 1.2 ** w
             try:
                 prior = TiltedPrior.fit(tau, d)
-                margins = np.array(
-                    [exact_kld(prior, m) - quadratic_kld(prior, m) for m in mu]
-                )
+                margins = exact_kld(prior, mu) - quadratic_kld(prior, mu)
                 k = int(np.argmin(margins))
                 status = "ok" if margins[k] >= -tolerance else "violation"
                 cells.append(SweepCell(d, w, tau, float(margins[k]), float(mu[k]), status))
@@ -243,7 +247,7 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float,
 
 
 def _check_tau_d(tau, d_z):
-    if tau < 0:
-        raise DomainError(f"tau must be non-negative, got {tau}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise DomainError(f"tau must be finite and non-negative, got {tau}")
     if int(d_z) != d_z or d_z < 1:
         raise DomainError(f"d_z must be a positive integer, got {d_z}")

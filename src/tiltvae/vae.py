@@ -359,8 +359,7 @@ def exact_elbo(model: VaeModel, dataset: Dataset):
         mu, _ = encode(model, x)
         xhat = decode(model, mu)
         recons[i:i + x.shape[0]] = np.sum((xhat - x) ** 2, axis=1)
-        norms = np.linalg.norm(mu, axis=1)
-        klds[i:i + x.shape[0]] = [exact_kld(model.prior, float(r)) for r in norms]
+        klds[i:i + x.shape[0]] = exact_kld(model.prior, np.linalg.norm(mu, axis=1))
     return recons, klds
 
 
@@ -399,39 +398,70 @@ def save_checkpoint(model: VaeModel, path, z_bar: float | None = None) -> None:
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (model, z_bar or None)."""
+    """Inverse of save_checkpoint; returns (model, z_bar or None).
+
+    Every inconsistency (truncation, trailing bytes, an unknown prior tag, a
+    non-finite tilted-prior header, layer shapes that disagree with d_x and
+    d_z) is a DomainError naming the file.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _CHECKPOINT_MAGIC:
         raise DomainError(f"{path}: not a checkpoint (bad magic {raw[:4]!r})")
+    view = memoryview(raw)
+    off = 4
 
-    def read_mlp(off):
-        (n_layers,) = struct.unpack_from("<I", raw, off)
-        off += 4
+    def take(n):
+        nonlocal off
+        if n > len(raw) - off:
+            raise DomainError(
+                f"{path}: truncated checkpoint ({n} bytes needed at offset {off}, "
+                f"{len(raw) - off} left)"
+            )
+        off += n
+        return view[off - n:off]
+
+    def read_mlp():
+        (n_layers,) = struct.unpack("<I", take(4))
         weights, biases = [], []
         for _ in range(n_layers):
-            rows, cols = struct.unpack_from("<II", raw, off)
-            off += 8
-            w = np.frombuffer(raw, dtype="<f8", count=rows * cols, offset=off).reshape(rows, cols)
-            off += 8 * rows * cols
-            b = np.frombuffer(raw, dtype="<f8", count=cols, offset=off)
-            off += 8 * cols
-            weights.append(w.copy())
-            biases.append(b.copy())
-        return MlpParams(weights, biases), off
+            rows, cols = struct.unpack("<II", take(8))
+            weights.append(np.frombuffer(take(8 * rows * cols), dtype="<f8")
+                           .reshape(rows, cols).copy())
+            biases.append(np.frombuffer(take(8 * cols), dtype="<f8").copy())
+        return MlpParams(weights, biases)
 
-    try:
-        version, d_x, d_z, prior_tag = struct.unpack_from("<IIIB", raw, 4)
-        if version != _CHECKPOINT_VERSION:
-            raise DomainError(f"{path}: unsupported checkpoint version {version}")
-        tau, gamma, rate, log_z, z_bar = struct.unpack_from("<5d", raw, 17)
-        encoder, off = read_mlp(17 + 40)
-        decoder, off = read_mlp(off)
-    except struct.error as exc:
-        raise DomainError(f"{path}: truncated checkpoint ({exc})") from None
+    version, d_x, d_z, prior_tag = struct.unpack("<IIIB", take(13))
+    if version != _CHECKPOINT_VERSION:
+        raise DomainError(f"{path}: unsupported checkpoint version {version}")
+    if prior_tag not in (0, 1):
+        raise DomainError(f"{path}: unknown prior tag {prior_tag}")
+    tau, gamma, rate, log_z, z_bar = struct.unpack("<5d", take(40))
+    encoder = read_mlp()
+    decoder = read_mlp()
+    if off != len(raw):
+        raise DomainError(f"{path}: {len(raw) - off} trailing bytes after the decoder")
+    _check_widths(path, "encoder", encoder, d_x, d_z if prior_tag == 1 else 2 * d_z)
+    _check_widths(path, "decoder", decoder, d_z, d_x)
     if prior_tag == 1:
+        if not (all(math.isfinite(v) for v in (tau, gamma, rate, log_z)) and tau >= 0.0):
+            raise DomainError(
+                f"{path}: invalid tilted-prior header (tau={tau}, gamma={gamma}, "
+                f"committed_rate={rate}, log_z_tau={log_z})"
+            )
         prior = TiltedPrior(tau=tau, d_z=d_z, log_z_tau=log_z, gamma=gamma, committed_rate=rate)
     else:
         prior = StandardGaussian()
     model = VaeModel(encoder, decoder, prior, d_x=d_x, d_z=d_z)
     return model, (None if math.isnan(z_bar) else z_bar)
+
+
+def _check_widths(path, name, mlp, n_in, n_out):
+    """The layers must chain from n_in inputs to n_out outputs."""
+    widths = [n_in] + [w.shape[1] for w in mlp.weights]
+    inputs = [w.shape[0] for w in mlp.weights]
+    if not mlp.weights or inputs != widths[:-1] or widths[-1] != n_out:
+        shapes = [w.shape for w in mlp.weights]
+        raise DomainError(
+            f"{path}: {name} layer shapes {shapes} do not map {n_in} inputs to {n_out} outputs"
+        )

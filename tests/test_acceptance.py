@@ -57,9 +57,7 @@ def sweep_margins():
     for d in SWEEP_D:
         for w in SWEEP_W:
             prior = TiltedPrior.fit(1.2 ** w, d)
-            margins = np.array(
-                [exact_kld(prior, float(m)) - quadratic_kld(prior, float(m)) for m in mu]
-            )
+            margins = exact_kld(prior, mu) - quadratic_kld(prior, mu)
             cells.append((d, w, float(margins.min()), float(margins.max())))
     return cells
 

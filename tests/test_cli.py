@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import tiltvae.tilted
 from tiltvae.cli import main
 
 
@@ -49,12 +50,33 @@ class TestGamma:
         assert float(rows[0][2]) == 0.0
         assert float(rows[0][3]) == 0.0
 
-    def test_non_convergence_exit_code(self, tmp_path):
-        code = main([
-            "gamma", "--tau", "10", "--dz", "10", "--steps", "2",
-            "--learning-rate", "1e-9", "--out", str(tmp_path / "g.csv"),
-        ])
+    def test_non_convergence_exit_code(self, tmp_path, monkeypatch):
+        # A slope kernel with no root on [0, tau] makes the solver fail.
+        monkeypatch.setattr(tiltvae.tilted, "_norm_slope", lambda d_z, m: 1.0)
+        code = main(["gamma", "--tau", "10", "--dz", "10", "--out", str(tmp_path / "g.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_is_domain_error(self, tmp_path, tau):
+        assert main(["gamma", "--tau", tau, "--dz", "10",
+                     "--out", str(tmp_path / "g.csv")]) == 1
+
+    def test_old_manifest_with_descent_options_replays(self, tmp_path):
+        # Manifests written when gamma still took --learning-rate, --steps and
+        # --fd-step carry those keys; replay ignores them.
+        manifest = tmp_path / "gamma.manifest"
+        manifest.write_text(
+            "command = gamma\nversion = 0.1.0\nseed = \nduration_s = 9.0\n"
+            "config.dz = 10\nconfig.fd_step = 0.001\nconfig.learning_rate = 0.1\n"
+            f"config.out = {tmp_path / 'gamma.csv'}\nconfig.steps = 10000\n"
+            "config.tau = 10.0\n"
+            f"output.table = {tmp_path / 'gamma.csv'}\n"
+        )
+        out_dir = tmp_path / "replay"
+        assert main(["replay", str(manifest), "--out-dir", str(out_dir)]) == 0
+        _, rows = _read_csv(out_dir / "gamma.csv")
+        assert float(rows[0][2]) == pytest.approx(9.53, abs=0.05)
+        assert "config.steps" not in (out_dir / "gamma.manifest").read_text()
 
 
 class TestKldTable:
@@ -79,6 +101,13 @@ class TestKldTable:
         assert main(["kld-table", "--tau", "1", "--dz", "2", "--points", "2",
                      "--mu-max", "0", "--out", str(tmp_path / "k.csv")]) == 1
 
+    @pytest.mark.parametrize("mu_max", ["inf", "nan"])
+    def test_non_finite_mu_max_is_usage_error_and_writes_nothing(self, tmp_path, mu_max):
+        out = tmp_path / "k.csv"
+        assert main(["kld-table", "--tau", "1", "--dz", "2", "--points", "5",
+                     "--mu-max", mu_max, "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestSweep:
     def test_report_and_exit_code(self, tmp_path):
@@ -92,6 +121,13 @@ class TestSweep:
         # the lower-bound violation flag trips and the exit code signals it
         assert code == 1
         assert all(r[5] == "violation" for r in rows)
+
+    @pytest.mark.parametrize("mu_max", ["inf", "nan", "-1"])
+    def test_bad_mu_max_is_usage_error_and_writes_nothing(self, tmp_path, mu_max):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--d-grid", "2", "--w-grid", "0", "--points", "10",
+                     f"--mu-max={mu_max}", "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestTrain:

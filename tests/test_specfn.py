@@ -21,6 +21,7 @@ from tiltvae.specfn import (
     _log_series_pos,
     chi_mean,
     laguerre_half,
+    laguerre_half_prime,
     log_gamma_ratio,
     log_kummer_m,
 )
@@ -126,11 +127,11 @@ class TestLogKummerM:
 
     def test_series_asymptotic_overlap(self):
         # Crossover validation on z in [600, 800].
-        for z in np.linspace(600.0, 800.0, 9):
-            series = _log_series_pos(2.5, 1.5, float(z))
-            ok, asym = _log_kummer_asymptotic(2.5, 1.5, float(z))
-            assert ok
-            assert asym.log_mag == pytest.approx(series, rel=1e-10)
+        z = np.linspace(600.0, 800.0, 9)
+        series = _log_series_pos(2.5, 1.5, z)
+        ok, asym = _log_kummer_asymptotic(2.5, 1.5, z)
+        assert ok.all()
+        assert asym == pytest.approx(series, rel=1e-10)
 
     @pytest.mark.parametrize("a,b,z", [
         (1.5, -0.5, 2.0),    # negative non-integer b: sign-tracked series
@@ -261,3 +262,31 @@ class TestLaguerreHalf:
             laguerre_half(4.0, 1.0)
         with pytest.raises(DomainError):
             laguerre_half(-1.0, -1.0)
+        for bad in [math.nan, -math.inf]:
+            with pytest.raises(DomainError):
+                laguerre_half(4.0, bad)
+            with pytest.raises(DomainError):
+                laguerre_half_prime(4.0, np.array([-1.0, bad]))
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 4.0, 49.0, 99.0])
+    def test_array_against_high_precision(self, alpha):
+        # one array call across the series/asymptotic crossover at -x = 700
+        x = np.array([0.0, -1e-3, -0.5, -10.0, -100.0, -699.9, -700.1, -2000.0, -20000.0])
+        values = laguerre_half(alpha, x)
+        binom = mpmath.gamma(alpha + 1.5) / (mpmath.gamma(1.5) * mpmath.gamma(alpha + 1))
+        for xi, v in zip(x, values):
+            ref = float(binom * mpmath.hyp1f1(-0.5, alpha + 1, xi))
+            assert v == pytest.approx(ref, rel=1e-10)
+        # element-wise scalar calls reproduce the array bit for bit
+        assert [laguerre_half(alpha, float(xi)) for xi in x] == values.tolist()
+        assert isinstance(laguerre_half(alpha, -3.0), float)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 4.0, 49.0, 99.0])
+    def test_derivative_against_high_precision(self, alpha):
+        x = np.array([0.0, -0.5, -10.0, -699.9, -700.1, -20000.0])
+        values = laguerre_half_prime(alpha, x)
+        binom = mpmath.gamma(alpha + 1.5) / (mpmath.gamma(1.5) * mpmath.gamma(alpha + 1))
+        for xi, v in zip(x, values):
+            ref = float(mpmath.diff(lambda t: binom * mpmath.hyp1f1(-0.5, alpha + 1, t), xi))
+            assert v == pytest.approx(ref, rel=1e-10)
+        assert [laguerre_half_prime(alpha, float(xi)) for xi in x] == values.tolist()

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import tiltvae.specfn
+import tiltvae.tilted
 from tiltvae.errors import ConvergenceError, DomainError
 from tiltvae.specfn import chi_mean
 from tiltvae.tilted import (
-    GammaSolverConfig,
     TiltedPrior,
+    _norm_slope,
     exact_kld,
     log_density,
     log_normalizer,
@@ -61,6 +63,13 @@ class TestLogNormalizer:
             log_normalizer(-1.0, 10)
         with pytest.raises(DomainError):
             log_normalizer(1.0, 0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tilt_is_domain_error(self, tau):
+        with pytest.raises(DomainError):
+            log_normalizer(tau, 10)
+        with pytest.raises(DomainError):
+            TiltedPrior.fit(tau, 10)
 
 
 class TestLogDensity:
@@ -116,10 +125,10 @@ class TestExactKld:
         assert exact_kld(prior, 3.0) == pytest.approx(float(vals.mean()), abs=3 * se)
 
     def test_committed_rate_is_global_minimum(self, prior_10_10):
-        # Dense grid plus local refinement, independent of the descent solver.
+        # Dense grid plus local refinement, independent of the root solver.
         prior = prior_10_10
         grid = np.linspace(0.0, 200.0, 20_001)
-        vals = np.array([exact_kld(prior, float(m)) for m in grid])
+        vals = exact_kld(prior, grid)
         k = int(np.argmin(vals))
         res = minimize_scalar(
             lambda m: exact_kld(prior, m),
@@ -135,6 +144,27 @@ class TestExactKld:
     def test_domain(self, prior_10_10):
         with pytest.raises(DomainError):
             exact_kld(prior_10_10, -0.1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_non_finite_norm_rejected_before_any_series(self, prior_10_10, monkeypatch, bad):
+        def no_series(*args):
+            raise AssertionError("a series ran on an invalid norm")
+
+        monkeypatch.setattr(tiltvae.specfn, "_log_kummer_pos", no_series)
+        with pytest.raises(DomainError):
+            exact_kld(prior_10_10, bad)
+        with pytest.raises(DomainError):
+            exact_kld(prior_10_10, np.array([1.0, bad]))
+        with pytest.raises(DomainError):
+            mean_norm(10, np.array([bad, 2.0]))
+
+    def test_array_matches_elementwise_scalar_calls(self, prior_10_10):
+        mu = np.concatenate([np.linspace(0.0, 200.0, 501), [37.41, 37.42, 37.43]])
+        values = exact_kld(prior_10_10, mu)
+        assert isinstance(exact_kld(prior_10_10, 3.0), float)
+        assert values.shape == mu.shape
+        assert all(exact_kld(prior_10_10, float(m)) == v for m, v in zip(mu, values))
+        assert mean_norm(10, mu.reshape(4, -1)).shape == (4, 126)
 
 
 class TestQuadraticKld:
@@ -152,9 +182,7 @@ class TestQuadraticKld:
         # below it anywhere on the grid.
         prior = prior_15_10
         grid = np.linspace(0.0, 200.0, 4001)
-        margins = np.array(
-            [exact_kld(prior, float(m)) - quadratic_kld(prior, float(m)) for m in grid]
-        )
+        margins = exact_kld(prior, grid) - quadratic_kld(prior, grid)
         assert margins.max() <= 1e-9
         near = np.abs(grid - prior.gamma) < 0.05
         assert margins[near].max() > -1e-3
@@ -168,10 +196,29 @@ class TestSolveGamma:
     def test_zero_tilt(self):
         assert solve_gamma(0.0, 10) == 0.0
 
-    def test_invariant_to_halving_fd_step(self):
-        base = solve_gamma(10.0, 10, GammaSolverConfig(fd_step=1e-3))
-        halved = solve_gamma(10.0, 10, GammaSolverConfig(fd_step=5e-4))
-        assert halved == pytest.approx(base, abs=1e-6)
+    def test_analytic_slope_matches_central_difference(self, prior_10_10):
+        # The solver's KLD slope m - tau E'(m) against a fourth-order central
+        # difference of exact_kld, on both sides of the series/asymptotic
+        # crossover (m^2/2 = 700).
+        prior = prior_10_10
+        h = 1e-2
+        f = lambda m: exact_kld(prior, m)
+        for m in [0.5, 5.0, prior.gamma, 15.0, 37.0, 38.0, 150.0]:
+            analytic = m - prior.tau * m * _norm_slope(prior.d_z, m)
+            fd = (f(m - 2 * h) - 8 * f(m - h) + 8 * f(m + h) - f(m + 2 * h)) / (12 * h)
+            assert analytic == pytest.approx(fd, abs=1e-6)
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 50, 100, 200])
+    def test_mean_norm_derivative_against_high_precision(self, d):
+        # E'(m) = m * E'(m)/m against mpmath's derivative of E at 40 digits;
+        # m^2/2 = 700 (m = 37.417) is the series/asymptotic crossover.
+        b = mpmath.mpf(d) / 2
+        coef = mpmath.sqrt(mpmath.pi / 2) * mpmath.gamma(b + 0.5) / (
+            mpmath.gamma(1.5) * mpmath.gamma(b))
+        e = lambda t: coef * mpmath.hyp1f1(-0.5, b, -t * t / 2)
+        for m in [0.3, 5.0, 37.40, 37.43, 60.0, 200.0]:
+            ref = float(mpmath.diff(e, m))
+            assert m * _norm_slope(d, m) == pytest.approx(ref, rel=1e-10)
 
     def test_stationarity_at_solution(self, prior_10_10):
         g = prior_10_10.gamma
@@ -181,16 +228,44 @@ class TestSolveGamma:
         assert f(g - eps) >= f(g)
         assert abs((f(g + eps) - f(g - eps)) / (2 * eps)) < 1e-5
 
-    def test_non_convergence_error_carries_iterate(self):
-        with pytest.raises(ConvergenceError) as err:
-            solve_gamma(10.0, 10, GammaSolverConfig(learning_rate=1e-9, steps=2))
-        assert "final_iterate" in err.value.context
+    @pytest.mark.parametrize("tau,d", [
+        (10.0, 10), (20.0, 10), (30.0, 10), (15.0, 100), (25.0, 100), (40.0, 100),
+    ])
+    def test_root_is_stationary_to_tolerance(self, tau, d):
+        # criterion 1's rows: the analytic slope vanishes at gamma
+        gamma = solve_gamma(tau, d)
+        e_prime = gamma * _norm_slope(d, gamma)
+        assert abs(gamma - tau * e_prime) <= 1e-10 * max(1.0, gamma)
 
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            GammaSolverConfig(learning_rate=-1.0)
-        with pytest.raises(DomainError):
-            GammaSolverConfig(steps=0)
+    def test_zero_gamma_regime(self):
+        prior = TiltedPrior.fit(12.8, 200)
+        assert prior.gamma == 0.0
+        assert prior.committed_rate == exact_kld(prior, 0.0)
+
+    def test_kernel_calls_per_fit_on_the_sweep_grid(self, monkeypatch):
+        calls = []
+        original = tiltvae.tilted._norm_slope
+
+        def counted(d_z, m):
+            calls[-1] += 1
+            return original(d_z, m)
+
+        monkeypatch.setattr(tiltvae.tilted, "_norm_slope", counted)
+        for d in [2, 5, 10, 25, 50, 100, 200]:
+            for w in range(-20, 26):
+                calls.append(0)
+                TiltedPrior.fit(1.2 ** w, d)
+        assert len(calls) == 322
+        assert max(calls) <= 100
+
+    def test_non_convergence_error_carries_iterate(self, monkeypatch):
+        # A slope kernel with E'(m)/m = 1 leaves 1 - tau E'/m < 0 on all of
+        # [0, tau]: no root, so the solver must fail with context.
+        monkeypatch.setattr(tiltvae.tilted, "_norm_slope", lambda d_z, m: 1.0)
+        with pytest.raises(ConvergenceError) as err:
+            solve_gamma(10.0, 10)
+        assert "final_iterate" in err.value.context
+        assert "gradient" in err.value.context
 
 
 class TestUnimodality:
@@ -198,7 +273,7 @@ class TestUnimodality:
     def test_single_slope_sign_change(self, tau, d):
         prior = TiltedPrior.fit(tau, d)
         grid = np.linspace(0.0, 200.0, 400)
-        vals = np.array([exact_kld(prior, float(m)) for m in grid])
+        vals = exact_kld(prior, grid)
         slopes = np.sign(np.diff(vals))
         changes = np.count_nonzero(np.diff(slopes[slopes != 0]))
         assert changes <= 1
@@ -235,6 +310,11 @@ class TestSweep:
             verify_bound_sweep([], [0], 10, 1.0)
         with pytest.raises(DomainError):
             verify_bound_sweep([2], [0], 1, 1.0)
+
+    @pytest.mark.parametrize("mu_max", [math.inf, math.nan, 0.0, -1.0])
+    def test_mu_max_must_be_finite_and_positive(self, mu_max):
+        with pytest.raises(DomainError):
+            verify_bound_sweep([2], [0], 10, mu_max)
 
     def test_csv_schema(self, tmp_path):
         report = verify_bound_sweep([2], [0], 50, 10.0)

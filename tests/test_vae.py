@@ -1,6 +1,9 @@
 """VAE tests: encoder/decoder contracts, finite-difference gradient checks,
 training behavior, and checkpoint round trips."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -318,3 +321,50 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(DomainError):
             V.load_checkpoint(path)
+
+
+class TestStrictCheckpointHeader:
+    """Byte-level corruptions of a valid checkpoint: each is a DomainError
+    that names the file. Header layout: magic (0-3), version (4-7), d_x
+    (8-11), d_z (12-15), prior tag (16), then tau at 17."""
+
+    @pytest.fixture()
+    def raw(self, tmp_path, tilted_prior):
+        model = V.build_model(RngStream(26), 8, 10, tilted_prior, hidden=(5,))
+        path = tmp_path / "model.ckpt"
+        V.save_checkpoint(model, path, z_bar=10.2)
+        return bytearray(path.read_bytes())
+
+    @staticmethod
+    def _load(tmp_path, data):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(DomainError) as err:
+            V.load_checkpoint(path)
+        assert str(path) in str(err.value)
+        return str(err.value)
+
+    def test_d_x_disagreeing_with_encoder(self, tmp_path, raw):
+        raw[8:12] = struct.pack("<I", 99)
+        assert "encoder" in self._load(tmp_path, raw)
+
+    def test_d_z_disagreeing_with_decoder(self, tmp_path, raw):
+        raw[12:16] = struct.pack("<I", 3)
+        self._load(tmp_path, raw)
+
+    def test_trailing_bytes(self, tmp_path, raw):
+        assert "trailing" in self._load(tmp_path, raw + b"\x00")
+
+    def test_unknown_prior_tag(self, tmp_path, raw):
+        raw[16] = 7
+        assert "prior tag" in self._load(tmp_path, raw)
+
+    def test_nan_tau_on_tilted_prior(self, tmp_path, raw):
+        raw[17:25] = struct.pack("<d", math.nan)
+        assert "tau" in self._load(tmp_path, raw)
+
+    def test_truncated_tensor(self, tmp_path, raw):
+        assert "truncated" in self._load(tmp_path, raw[:-5])
+
+    def test_truncated_header(self, tmp_path, raw):
+        assert "truncated" in self._load(tmp_path, raw[:20])
