@@ -135,16 +135,23 @@ def roc(in_scores, out_scores) -> RocCurve:
     out_s = np.asarray(out_scores, dtype=np.float64)
     if in_s.size == 0 or out_s.size == 0:
         raise DomainError("both score lists must be non-empty")
+    if np.isnan(in_s).any() or np.isnan(out_s).any():
+        raise DomainError("scores must not be NaN")
     thr = np.unique(np.concatenate([in_s, out_s]))[::-1]
     thresholds = np.concatenate([[np.inf], thr, [-np.inf]])
-    fpr = [(in_s > t).mean() for t in thresholds]
-    tpr = [(out_s > t).mean() for t in thresholds]
-    points = np.column_stack([fpr, tpr])
+    points = np.column_stack([_frac_above(in_s, thresholds), _frac_above(out_s, thresholds)])
     ranks = rankdata(np.concatenate([in_s, out_s]))
     r_out = ranks[in_s.size:].sum()
     u = r_out - out_s.size * (out_s.size + 1) / 2.0
     auroc = u / (in_s.size * out_s.size)
     return RocCurve(thresholds=thresholds, points=points, auroc=float(auroc))
+
+
+def _frac_above(scores, thresholds):
+    """(scores > t).mean() for every threshold t, from one sort: the count
+    above t is n minus the number of sorted scores at or below it."""
+    ordered = np.sort(scores)
+    return (ordered.size - np.searchsorted(ordered, thresholds, side="right")) / ordered.size
 
 
 def threshold_classify(scores, threshold: float):

@@ -159,5 +159,5 @@ def save_latents_csv(path, latents) -> None:
     latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
     with open(path, "w") as fh:
         for row in latents:
-            fh.write(",".join(repr(float(v)) for v in row))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")

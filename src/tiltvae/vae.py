@@ -12,7 +12,7 @@ error (differentiable least squares); the OOD score uses the plain l2 norm.
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,9 @@ _WEIGHT_STD = 0.2
 # The Gaussian head exponentiates its output twice over; clamping keeps a
 # freshly initialized network finite without touching trained-scale values.
 _LOG_SIGMA_CLAMP = 15.0
+# encode/decode run the network on this many rows at a time, so inference
+# holds one chunk's activations however many rows it is given.
+_INFER_ROWS = 1024
 _CHECKPOINT_MAGIC = b"TVAE"
 _CHECKPOINT_VERSION = 1
 
@@ -53,24 +56,49 @@ class MlpParams:
         biases = [np.zeros(n_out) for n_out in widths[1:]]
         return cls(weights=weights, biases=biases)
 
-    def copy(self):
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+    def tensors(self):
+        """Weight then bias of each layer, in layer order."""
+        return [p for wb in zip(self.weights, self.biases) for p in wb]
+
+
+def _carve(flat, mlps):
+    """MlpParams of views into the flat buffer, one per MLP, laid out in the
+    order of ``MlpParams.tensors`` and shaped like ``mlps``."""
+    out, off = [], 0
+    for mlp in mlps:
+        views = []
+        for p in mlp.tensors():
+            views.append(flat[off:off + p.size].reshape(p.shape))
+            off += p.size
+        out.append(MlpParams(views[0::2], views[1::2]))
+    return out
 
 
 @dataclass
 class VaeModel:
+    """Encoder and decoder whose layer tensors are views into one contiguous
+    float64 buffer, ``params``; constructing a model copies the given tensors
+    into a fresh buffer."""
+
     encoder: MlpParams
     decoder: MlpParams
     prior: object  # TiltedPrior | StandardGaussian
     d_x: int
     d_z: int
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        given = (self.encoder, self.decoder)
+        self.params = np.concatenate(
+            [p.ravel() for mlp in given for p in mlp.tensors()], dtype=np.float64)
+        self.encoder, self.decoder = _carve(self.params, given)
 
     @property
     def is_tilted(self) -> bool:
         return isinstance(self.prior, TiltedPrior)
 
     def copy(self):
-        return VaeModel(self.encoder.copy(), self.decoder.copy(), self.prior, self.d_x, self.d_z)
+        return VaeModel(self.encoder, self.decoder, self.prior, self.d_x, self.d_z)
 
 
 def build_model(rng: RngStream, d_x: int, d_z: int, prior,
@@ -84,42 +112,54 @@ def build_model(rng: RngStream, d_x: int, d_z: int, prior,
 
 
 def _softplus(a):
-    return np.logaddexp(0.0, a)
+    """(softplus(a), e) with e = exp(-|a|): softplus(a) = max(a, 0) + log1p(e),
+    one exp per element and no overflow."""
+    e = np.exp(-np.abs(a))
+    return np.maximum(a, 0.0) + np.log1p(e), e
 
 
-def _sigmoid(a):
-    return 0.5 * (1.0 + np.tanh(0.5 * a))
+def _sigmoid(a, e):
+    """sigmoid(a), the softplus slope, from e = exp(-|a|): 1/(1+e) for a >= 0
+    and e/(1+e) below."""
+    s = np.where(a < 0.0, e, 1.0)
+    s /= 1.0 + e
+    return s
 
 
-def _mlp_forward(params, x, where):
-    """Returns (output, caches); raises NumericalError naming the layer on
-    non-finite activations."""
+def _mlp_forward(params, x, where, caches=None):
+    """Output of the MLP; raises NumericalError naming the layer on non-finite
+    activations. When a caches list is given, appends (input, pre-activation,
+    exp(-|pre-activation|)) per layer for the backward pass."""
     h = x
-    caches = []
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         a = h @ w + b
         if not np.all(np.isfinite(a)):
             raise NumericalError(f"non-finite activations in {where}", layer=i)
-        caches.append((h, a))
-        h = _softplus(a) if i < last else a
-    return h, caches
+        h_in = h
+        h, e = _softplus(a) if i < last else (a, None)
+        if caches is not None:
+            caches.append((h_in, a, e))
+    return h
 
 
-def _mlp_backward(params, caches, dout):
-    """Gradient of a scalar loss w.r.t. inputs and parameters."""
-    d_weights = [None] * len(params.weights)
-    d_biases = [None] * len(params.biases)
+def _mlp_backward(params, caches, dout, grads, input_grad=True):
+    """Writes the parameter gradients of a scalar loss into grads (MlpParams
+    views of a flat gradient buffer). Returns the gradient w.r.t. the input,
+    or None when input_grad is false, which skips the first layer's
+    input-side matmul."""
     last = len(params.weights) - 1
     da = dout
     for i in range(last, -1, -1):
-        h_in, a = caches[i]
+        h_in, a, e = caches[i]
         if i < last:
-            da = da * _sigmoid(a)
-        d_weights[i] = h_in.T @ da
-        d_biases[i] = da.sum(axis=0)
+            da *= _sigmoid(a, e)
+        np.matmul(h_in.T, da, out=grads.weights[i])
+        da.sum(axis=0, out=grads.biases[i])
+        if i == 0 and not input_grad:
+            return None
         da = da @ params.weights[i].T
-    return da, (d_weights, d_biases)
+    return da
 
 
 def _as_batch(x, d_x):
@@ -132,10 +172,18 @@ def _as_batch(x, d_x):
     return x, single
 
 
+def _infer(params, x, where):
+    """Forward pass without caches, _INFER_ROWS rows at a time."""
+    out = np.empty((x.shape[0], params.weights[-1].shape[1]))
+    for i in range(0, x.shape[0], _INFER_ROWS):
+        out[i:i + _INFER_ROWS] = _mlp_forward(params, x[i:i + _INFER_ROWS], where)
+    return out
+
+
 def encode(model: VaeModel, x):
     """Deterministic encoder pass: mu, and log sigma when the prior is Gaussian."""
     xb, single = _as_batch(x, model.d_x)
-    out, _ = _mlp_forward(model.encoder, xb, "encoder")
+    out = _infer(model.encoder, xb, "encoder")
     if model.is_tilted:
         mu, log_sigma = out, None
     else:
@@ -150,7 +198,7 @@ def encode(model: VaeModel, x):
 def decode(model: VaeModel, z):
     """Deterministic decoder pass."""
     zb, single = _as_batch(z, model.d_z)
-    out, _ = _mlp_forward(model.decoder, zb, "decoder")
+    out = _infer(model.decoder, zb, "decoder")
     return out[0] if single else out
 
 
@@ -179,14 +227,16 @@ def _kld_terms(model, mu, log_sigma):
 
 
 def _elbo_forward_backward(model, x, eps, want_grads=True):
-    """Mean (recon, kld) over a batch with fixed noise, plus parameter grads.
+    """Mean (recon, kld) over a batch with fixed noise, plus the parameter
+    gradients as a flat buffer laid out like model.params.
 
     Keeping the noise an explicit argument makes the function a deterministic
     map of (parameters, batch, noise), which is what both the optimizer step
     and the finite-difference gradient checks need.
     """
     b = x.shape[0]
-    enc_out, enc_caches = _mlp_forward(model.encoder, x, "encoder")
+    enc_caches, dec_caches = [], []
+    enc_out = _mlp_forward(model.encoder, x, "encoder", enc_caches)
     if model.is_tilted:
         mu, log_sigma = enc_out, None
         z = mu + eps
@@ -196,7 +246,7 @@ def _elbo_forward_backward(model, x, eps, want_grads=True):
         unclamped = np.abs(raw) < _LOG_SIGMA_CLAMP
         sigma = np.exp(log_sigma)
         z = mu + eps * sigma
-    xhat, dec_caches = _mlp_forward(model.decoder, z, "decoder")
+    xhat = _mlp_forward(model.decoder, z, "decoder", dec_caches)
     diff = xhat - x
     recon = np.sum(diff * diff, axis=1)
     kld, dmu_kld, dlog_sigma_kld = _kld_terms(model, mu, log_sigma)
@@ -205,15 +255,17 @@ def _elbo_forward_backward(model, x, eps, want_grads=True):
     if not want_grads:
         return recon_mean, kld_mean, None
 
-    dz, dec_grads = _mlp_backward(model.decoder, dec_caches, 2.0 * diff / b)
+    grads = np.empty_like(model.params)
+    enc_grads, dec_grads = _carve(grads, (model.encoder, model.decoder))
+    dz = _mlp_backward(model.decoder, dec_caches, 2.0 * diff / b, dec_grads)
     dmu = dz + dmu_kld / b
     if model.is_tilted:
         denc = dmu
     else:
         dlog_sigma = (dz * eps * sigma + dlog_sigma_kld / b) * unclamped
         denc = np.concatenate([dmu, dlog_sigma], axis=1)
-    _, enc_grads = _mlp_backward(model.encoder, enc_caches, denc)
-    return recon_mean, kld_mean, (enc_grads, dec_grads)
+    _mlp_backward(model.encoder, enc_caches, denc, enc_grads, input_grad=False)
+    return recon_mean, kld_mean, grads
 
 
 def elbo_terms(model: VaeModel, rng: RngStream, x):
@@ -242,24 +294,14 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators for every parameter tensor."""
+    """First/second moment accumulators over the model's flat parameter
+    buffer, and one scratch buffer for the update."""
 
     def __init__(self, model: VaeModel):
         self.t = 0
-        self.m = [np.zeros_like(p) for p in _param_list(model)]
-        self.v = [np.zeros_like(p) for p in _param_list(model)]
-
-
-def _param_list(model):
-    return (
-        model.encoder.weights + model.encoder.biases
-        + model.decoder.weights + model.decoder.biases
-    )
-
-
-def _grad_list(model, grads):
-    (enc_w, enc_b), (dec_w, dec_b) = grads[0], grads[1]
-    return enc_w + enc_b + dec_w + dec_b
+        self.m = np.zeros_like(model.params)
+        self.v = np.zeros_like(model.params)
+        self.scratch = np.empty_like(model.params)
 
 
 def grad_step(model: VaeModel, opt: AdamState, rng: RngStream, batch, config: TrainConfig):
@@ -272,25 +314,30 @@ def grad_step(model: VaeModel, opt: AdamState, rng: RngStream, batch, config: Tr
     if x.ndim != 2 or x.shape[0] < 1:
         raise DomainError("batch must be a non-empty (n, d_x) array")
     eps = rng.generator.standard_normal((x.shape[0], model.d_z))
-    recon, kld, grads = _elbo_forward_backward(model, x, eps)
+    recon, kld, g = _elbo_forward_backward(model, x, eps)
     if not (math.isfinite(recon) and math.isfinite(kld)):
         raise NumericalError("non-finite loss", recon=recon, kld=kld)
-    glist = _grad_list(model, grads)
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in glist))
+    total = math.sqrt(float(g @ g))
     if total > config.grad_clip:
-        scale = config.grad_clip / total
-        glist = [g * scale for g in glist]
+        g *= config.grad_clip / total
     opt.t += 1
-    t = opt.t
-    lr = config.learning_rate
-    for p, g, m, v in zip(_param_list(model), glist, opt.m, opt.v):
-        m *= _ADAM_BETA1
-        m += (1.0 - _ADAM_BETA1) * g
-        v *= _ADAM_BETA2
-        v += (1.0 - _ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - _ADAM_BETA1**t)
-        v_hat = v / (1.0 - _ADAM_BETA2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+    m, v, tmp = opt.m, opt.v, opt.scratch
+    m *= _ADAM_BETA1
+    np.multiply(g, 1.0 - _ADAM_BETA1, out=tmp)
+    m += tmp
+    v *= _ADAM_BETA2
+    np.multiply(g, 1.0 - _ADAM_BETA2, out=tmp)
+    tmp *= g
+    v += tmp
+    # lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m / c1 and v_hat = v / c2,
+    # as one scalar step size times m / (sqrt(v) + eps sqrt(c2)).
+    c1 = 1.0 - _ADAM_BETA1**opt.t
+    root_c2 = math.sqrt(1.0 - _ADAM_BETA2**opt.t)
+    np.sqrt(v, out=tmp)
+    tmp += _ADAM_EPS * root_c2
+    np.divide(m, tmp, out=tmp)
+    tmp *= config.learning_rate * root_c2 / c1
+    model.params -= tmp
     return recon, kld
 
 
@@ -302,13 +349,10 @@ class TrainResult:
     radial_sigma: float
 
 
-def encode_norms(model: VaeModel, dataset: Dataset, chunk: int = 1024) -> np.ndarray:
-    """||mu(x)|| over a dataset, batched."""
-    norms = []
-    for i in range(0, dataset.n, chunk):
-        mu, _ = encode(model, dataset.samples[i:i + chunk])
-        norms.append(np.linalg.norm(mu, axis=1))
-    return np.concatenate(norms)
+def encode_norms(model: VaeModel, dataset: Dataset) -> np.ndarray:
+    """||mu(x)|| over a dataset."""
+    mu, _ = encode(model, dataset.samples)
+    return np.linalg.norm(mu, axis=1)
 
 
 def train(model: VaeModel, dataset: Dataset, config: TrainConfig) -> TrainResult:
@@ -351,16 +395,10 @@ def exact_elbo(model: VaeModel, dataset: Dataset):
     """
     if not model.is_tilted:
         raise UnsupportedPriorError("exact_elbo needs a tilted-prior model")
-    recons = np.empty(dataset.n)
-    klds = np.empty(dataset.n)
-    chunk = 1024
-    for i in range(0, dataset.n, chunk):
-        x = dataset.samples[i:i + chunk]
-        mu, _ = encode(model, x)
-        xhat = decode(model, mu)
-        recons[i:i + x.shape[0]] = np.sum((xhat - x) ** 2, axis=1)
-        klds[i:i + x.shape[0]] = exact_kld(model.prior, np.linalg.norm(mu, axis=1))
-    return recons, klds
+    x = dataset.samples
+    mu, _ = encode(model, x)
+    recons = np.sum((decode(model, mu) - x) ** 2, axis=1)
+    return recons, exact_kld(model.prior, np.linalg.norm(mu, axis=1))
 
 
 def save_checkpoint(model: VaeModel, path, z_bar: float | None = None) -> None:
@@ -426,9 +464,8 @@ def load_checkpoint(path):
         weights, biases = [], []
         for _ in range(n_layers):
             rows, cols = struct.unpack("<II", take(8))
-            weights.append(np.frombuffer(take(8 * rows * cols), dtype="<f8")
-                           .reshape(rows, cols).copy())
-            biases.append(np.frombuffer(take(8 * cols), dtype="<f8").copy())
+            weights.append(np.frombuffer(take(8 * rows * cols), dtype="<f8").reshape(rows, cols))
+            biases.append(np.frombuffer(take(8 * cols), dtype="<f8"))
         return MlpParams(weights, biases)
 
     version, d_x, d_z, prior_tag = struct.unpack("<IIIB", take(13))

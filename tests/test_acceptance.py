@@ -241,21 +241,18 @@ def test_criterion_05_gradient_checks():
         x = gen.random((3, 8))
         eps = gen.standard_normal((3, 3))
         _, _, grads = V._elbo_forward_backward(model, x, eps)
-        glist = V._grad_list(model, grads)
-        for p, g in zip(V._param_list(model), glist):
-            it = np.nditer(p, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                h = 1e-5 * max(1.0, abs(p[idx]))
-                orig = p[idx]
-                p[idx] = orig + h
-                r1, k1, _ = V._elbo_forward_backward(model, x, eps, want_grads=False)
-                p[idx] = orig - h
-                r2, k2, _ = V._elbo_forward_backward(model, x, eps, want_grads=False)
-                p[idx] = orig
-                fd = ((r1 + k1) - (r2 + k2)) / (2.0 * h)
-                scale = max(1e-6, abs(fd), abs(float(g[idx])))
-                worst_model = max(worst_model, abs(fd - float(g[idx])) / scale)
+        p, g = model.params, grads
+        for idx in range(p.size):
+            h = 1e-5 * max(1.0, abs(p[idx]))
+            orig = p[idx]
+            p[idx] = orig + h
+            r1, k1, _ = V._elbo_forward_backward(model, x, eps, want_grads=False)
+            p[idx] = orig - h
+            r2, k2, _ = V._elbo_forward_backward(model, x, eps, want_grads=False)
+            p[idx] = orig
+            fd = ((r1 + k1) - (r2 + k2)) / (2.0 * h)
+            scale = max(1e-6, abs(fd), abs(float(g[idx])))
+            worst_model = max(worst_model, abs(fd - float(g[idx])) / scale)
     ok = worst_term <= 1e-4 and worst_model <= 1e-4
     assert _report(
         5, ok,

@@ -168,6 +168,24 @@ class TestRoc:
             pytest.approx(base, abs=1e-12)
         )
 
+    @given(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=40),
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=40),
+    )
+    @settings(max_examples=200)
+    def test_points_equal_threshold_definition(self, in_s, out_s):
+        # Tied integer scores: every threshold has a score equal to it.
+        in_s, out_s = np.array(in_s, dtype=np.float64), np.array(out_s, dtype=np.float64)
+        curve = roc(in_s, out_s)
+        expected = [[(in_s > t).mean(), (out_s > t).mean()] for t in curve.thresholds]
+        assert np.array_equal(curve.points, expected)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            roc([1.0, np.nan], [2.0])
+        with pytest.raises(DomainError):
+            roc([1.0], [np.nan])
+
     def test_permutation_invariance(self):
         gen = RngStream(15).generator
         in_s, out_s = gen.random(31), gen.random(17)

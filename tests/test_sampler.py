@@ -199,3 +199,16 @@ def test_save_latents_csv(tmp_path):
     save_latents_csv(path, np.array([[1.0, 2.5], [-0.25, 0.0]]))
     lines = path.read_text().splitlines()
     assert lines == ["1.0,2.5", "-0.25,0.0"]
+
+
+def test_save_latents_csv_matches_float_repr(tmp_path):
+    gen = RngStream(30).generator
+    rows = [
+        np.array([0.0, -0.0, 1e-5, 1e16, 5e-324]),
+        gen.standard_normal(5) * 10.0 ** gen.integers(-300, 300, size=5),
+        gen.random(5),
+    ]
+    path = tmp_path / "latents.csv"
+    save_latents_csv(path, np.array(rows))
+    expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    assert path.read_text() == expected

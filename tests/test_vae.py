@@ -3,7 +3,9 @@ training behavior, and checkpoint round trips."""
 
 import math
 import struct
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -67,6 +69,90 @@ class TestEncodeDecode:
         with pytest.raises(NumericalError) as err:
             V.encode(model, np.ones(6))
         assert err.value.context["layer"] == 1
+
+
+class TestSoftplus:
+    """The fused softplus and its sigmoid slope, from one exp(-|a|)."""
+
+    GRID = np.concatenate([
+        [0.0, 1e-300, -1e-300, 800.0, -800.0],
+        np.linspace(-60.0, 60.0, 4801),
+        np.geomspace(1e-20, 800.0, 400),
+        -np.geomspace(1e-20, 800.0, 400),
+    ])
+
+    @staticmethod
+    def _ulps(got, ref):
+        return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+    def _fused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                value, e = V._softplus(self.GRID)
+                slope = V._sigmoid(self.GRID, e)
+        assert np.all(np.isfinite(value)) and np.all(np.isfinite(slope))
+        return value, slope
+
+    def test_softplus_matches_logaddexp(self):
+        value, _ = self._fused()
+        assert self._ulps(value, np.logaddexp(0.0, self.GRID)).max() <= 4.0
+
+    def test_sigmoid_matches_tanh_form(self):
+        # 0.5 (1 + tanh(a/2)) cancels for a < -2 (22 ULP at a = -4.8): it is
+        # compared where it is accurate, and at -800 where both are 0.
+        _, slope = self._fused()
+        a = self.GRID
+        keep = (a >= -2.0) | (a == -800.0)
+        ref = 0.5 * (1.0 + np.tanh(a[keep] / 2.0))
+        assert self._ulps(slope[keep], ref).max() <= 4.0
+
+    def test_sigmoid_and_softplus_match_mpmath(self):
+        value, slope = self._fused()
+        with mpmath.workdps(40):
+            exp_a = [mpmath.exp(mpmath.mpf(float(a))) for a in self.GRID]
+            sig = np.array([float(ea / (1 + ea)) for ea in exp_a])
+            soft = np.array([float(mpmath.log1p(ea)) for ea in exp_a])
+        assert self._ulps(slope, sig).max() <= 4.0
+        assert self._ulps(value, soft).max() <= 4.0
+
+
+class TestChunkedInference:
+    """encode/decode run 1024 rows at a time; 2500 rows cross two chunk
+    boundaries."""
+
+    N = 2500
+
+    @pytest.mark.parametrize("prior_kind", ["tilted", "gaussian"])
+    def test_encode_decode_match_per_block_calls(self, prior_kind, tilted_prior):
+        prior = tilted_prior if prior_kind == "tilted" else V.StandardGaussian()
+        model = V.build_model(RngStream(31), 12, 10, prior, hidden=(16, 8))
+        gen = RngStream(32).generator
+        x = gen.random((self.N, 12))
+        z = 3.0 * gen.standard_normal((self.N, 10))
+        blocks = range(0, self.N, 1024)
+        mu, log_sigma = V.encode(model, x)
+        mu_ref = np.concatenate([V.encode(model, x[i:i + 1024])[0] for i in blocks])
+        assert mu.shape == (self.N, 10)
+        assert np.allclose(mu, mu_ref, rtol=1e-12, atol=0.0)
+        if log_sigma is not None:
+            ls_ref = np.concatenate([V.encode(model, x[i:i + 1024])[1] for i in blocks])
+            assert np.allclose(log_sigma, ls_ref, rtol=1e-12, atol=0.0)
+        xhat = V.decode(model, z)
+        xhat_ref = np.concatenate([V.decode(model, z[i:i + 1024]) for i in blocks])
+        assert np.allclose(xhat, xhat_ref, rtol=1e-12, atol=0.0)
+        # The training-time forward pass takes the whole batch at once.
+        assert np.allclose(xhat, V._mlp_forward(model.decoder, z, "decoder"),
+                           rtol=1e-12, atol=0.0)
+
+    def test_non_finite_in_late_chunk_names_the_layer(self, tilted_prior):
+        model = V.build_model(RngStream(33), 12, 10, tilted_prior, hidden=(16, 8))
+        x = RngStream(34).generator.random((self.N, 12))
+        x[2300, 3] = np.inf
+        with pytest.raises(NumericalError) as err:
+            V.encode(model, x)
+        assert err.value.context["layer"] == 0
+        assert "encoder" in str(err.value)
 
 
 class TestReparameterize:
@@ -142,31 +228,54 @@ class TestGradients:
         x = rng.generator.random((4, 8))
         eps = rng.generator.standard_normal((4, 3))
         recon, kld, grads = V._elbo_forward_backward(model, x, eps)
-        glist = V._grad_list(model, grads)
-        for p, g in zip(V._param_list(model), glist):
-            it = np.nditer(p, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                h = 1e-5 * max(1.0, abs(p[idx]))
-                orig = p[idx]
-                p[idx] = orig + h
-                r1, k1, _ = V._elbo_forward_backward(model, x, eps, want_grads=False)
-                p[idx] = orig - h
-                r2, k2, _ = V._elbo_forward_backward(model, x, eps, want_grads=False)
-                p[idx] = orig
-                fd = ((r1 + k1) - (r2 + k2)) / (2 * h)
-                scale = max(1e-6, abs(fd), abs(float(g[idx])))
-                assert abs(fd - float(g[idx])) / scale < 1e-4
+        p, g = model.params, grads
+        for idx in range(p.size):
+            h = 1e-5 * max(1.0, abs(p[idx]))
+            orig = p[idx]
+            p[idx] = orig + h
+            r1, k1, _ = V._elbo_forward_backward(model, x, eps, want_grads=False)
+            p[idx] = orig - h
+            r2, k2, _ = V._elbo_forward_backward(model, x, eps, want_grads=False)
+            p[idx] = orig
+            fd = ((r1 + k1) - (r2 + k2)) / (2 * h)
+            scale = max(1e-6, abs(fd), abs(float(g[idx])))
+            assert abs(fd - float(g[idx])) / scale < 1e-4
 
 
 class TestGradStep:
     def test_vanishing_learning_rate_leaves_parameters(self, tilted_prior):
         model = V.build_model(RngStream(12), 6, 10, tilted_prior, hidden=(4,))
-        before = [p.copy() for p in V._param_list(model)]
+        before = model.params.copy()
         config = V.TrainConfig(epochs=1, learning_rate=1e-300, seed=0)
         V.grad_step(model, V.AdamState(model), RngStream(13), np.ones((2, 6)), config)
-        for b, p in zip(before, V._param_list(model)):
-            assert np.allclose(p, b, rtol=0.0, atol=1e-290)
+        assert np.allclose(model.params, before, rtol=0.0, atol=1e-290)
+
+    @pytest.mark.parametrize("grad_clip", [100.0, 1e-3])
+    def test_matches_textbook_adam(self, grad_clip):
+        # Adam as usually written, with the bias corrections applied to the
+        # moments; grad_clip=1e-3 makes every step clip.
+        prior = TiltedPrior.fit(3.0, 3)
+        model = V.build_model(RngStream(35), 8, 3, prior, hidden=(6, 5), weight_std=0.3)
+        ref = model.copy()
+        start = model.params.copy()
+        config = V.TrainConfig(epochs=1, learning_rate=1e-2, grad_clip=grad_clip)
+        batches = RngStream(36).generator.random((4, 5, 8))
+        opt, step_rng, ref_rng = V.AdamState(model), RngStream(37), RngStream(37)
+        m = np.zeros_like(ref.params)
+        v = np.zeros_like(ref.params)
+        for t, x in enumerate(batches, start=1):
+            V.grad_step(model, opt, step_rng, x, config)
+            eps = ref_rng.generator.standard_normal((x.shape[0], 3))
+            _, _, g = V._elbo_forward_backward(ref, x, eps)
+            g = g * min(1.0, grad_clip / math.sqrt(float(np.sum(g * g))))
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            ref.params -= 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert opt.t == len(batches)
+        assert np.all(model.params != start)
+        assert np.allclose(model.params, ref.params, rtol=1e-12, atol=1e-15)
 
     def test_empty_batch_rejected(self, tilted_prior):
         model = V.build_model(RngStream(12), 6, 10, tilted_prior, hidden=(4,))
@@ -195,9 +304,8 @@ class TestTrain:
         for _ in range(2):
             model = V.build_model(RngStream(16), 64, 10, tilted_prior, hidden=(16, 8))
             V.train(model, ds, V.TrainConfig(epochs=3, learning_rate=1e-3, seed=16))
-            runs.append([p.copy() for p in V._param_list(model)])
-        for a, b in zip(*runs):
-            assert np.array_equal(a, b)
+            runs.append(model.params.copy())
+        assert np.array_equal(*runs)
 
     def test_zero_tilt_matches_sigma_frozen_gaussian(self, monkeypatch):
         # With tau = 0 the quadratic penalty is ||mu||^2/2 + 0, exactly the
@@ -225,9 +333,9 @@ class TestTrain:
         def frozen_sigma(model, x, eps, want_grads=True):
             out = raw(model, x, eps, want_grads)
             if want_grads and not model.is_tilted:
-                enc_w, enc_b = out[2][0]
-                enc_w[-1][:, d_z:] = 0.0
-                enc_b[-1][d_z:] = 0.0
+                enc_grads, _ = V._carve(out[2], (model.encoder, model.decoder))
+                enc_grads.weights[-1][:, d_z:] = 0.0
+                enc_grads.biases[-1][d_z:] = 0.0
             return out
 
         monkeypatch.setattr(V, "_elbo_forward_backward", frozen_sigma)
@@ -296,8 +404,7 @@ class TestCheckpoint:
         assert back.prior.gamma == tilted_prior.gamma
         assert back.prior.committed_rate == tilted_prior.committed_rate
         assert back.prior.log_z_tau == tilted_prior.log_z_tau
-        for a, b in zip(V._param_list(model), V._param_list(back)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(model.params, back.params)
 
     def test_manifest_written(self, tmp_path, tilted_prior):
         model = V.build_model(RngStream(24), 6, 10, tilted_prior, hidden=(4,))
