@@ -12,6 +12,7 @@ non-convergence, 3 I/O error.
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -553,7 +554,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; each parse_args call
+    still returns a fresh namespace."""
     parser = _Parser(prog="tiltvae", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,6 +12,7 @@ and the surrogate.
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,12 @@ _ROOT_XTOL = 1e-12
 _ROOT_MAXITER = 100
 _GRAD_OK = 1e-5
 _MIN_PROBE = 1e-3
+
+# Largest norm m whose m^2 / 2 is a finite double.
+_MAX_NORM = math.sqrt(2.0) * math.sqrt(sys.float_info.max)
+
+# Failures a sweep records in a cell instead of aborting.
+_CELL_ERRORS = (ConvergenceError, DomainError, OverflowError)
 
 
 def log_normalizer(tau: float, d_z: int) -> float:
@@ -55,9 +62,10 @@ def log_normalizer(tau: float, d_z: int) -> float:
 
 def _norms(mu_norm):
     m = np.asarray(mu_norm, dtype=np.float64)
-    bad = ~(np.isfinite(m) & (m >= 0.0))
+    bad = ~((m >= 0.0) & (m <= _MAX_NORM))
     if bad.any():
-        raise DomainError(f"mu_norm must be finite and non-negative, got {float(m[bad][0])}")
+        raise DomainError(f"mu_norm must be non-negative with a finite mu_norm^2 / 2 "
+                          f"(at most {_MAX_NORM:.6g}), got {float(m[bad][0])!r}")
     return m
 
 
@@ -78,9 +86,14 @@ def _norm_slope(d_z, mu_norm):
     return -_SQRT_PI_OVER_2 * laguerre_half_prime(d_z / 2.0 - 1.0, -0.5 * m * m)
 
 
+def _kld_from_mean(tau, log_z, m, mean):
+    """The exact KLD at norms m from their mean norms ``mean`` = mean_norm(d_z, m)."""
+    return log_z - tau * mean + 0.5 * m * m
+
+
 def _kld_value(tau, d_z, log_z, mu_norm):
     m = _norms(mu_norm)
-    kld = log_z - tau * mean_norm(d_z, m) + 0.5 * m * m
+    kld = _kld_from_mean(tau, log_z, m, mean_norm(d_z, m))
     return float(kld) if np.ndim(mu_norm) == 0 else kld
 
 
@@ -223,6 +236,10 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float,
     margin is zero at gamma and negative elsewhere; the sweep quantifies how
     far the surrogate over-penalizes across the grid. Special-function or
     solver failures are recorded per cell rather than aborting the sweep.
+
+    The mean norms over the mu grid do not depend on tau, so they are
+    evaluated once per d_z, after that d_z's first successful fit; a failure
+    there is recorded in every cell of that d_z whose fit succeeds.
     """
     if not d_grid or not w_grid:
         raise DomainError("d_grid and w_grid must be non-empty")
@@ -233,16 +250,27 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float,
     mu = np.linspace(0.0, mu_max, mu_points)
     cells = []
     for d in d_grid:
+        mean = None  # mean_norm(d, mu), or the "error: ..." status it raised
         for w in w_grid:
             tau = 1.2 ** w
             try:
                 prior = TiltedPrior.fit(tau, d)
-                margins = exact_kld(prior, mu) - quadratic_kld(prior, mu)
-                k = int(np.argmin(margins))
-                status = "ok" if margins[k] >= -tolerance else "violation"
-                cells.append(SweepCell(d, w, tau, float(margins[k]), float(mu[k]), status))
-            except (ConvergenceError, DomainError, OverflowError) as exc:
+            except _CELL_ERRORS as exc:
                 cells.append(SweepCell(d, w, tau, math.nan, math.nan, f"error: {exc}"))
+                continue
+            if mean is None:
+                try:
+                    mean = mean_norm(d, mu)
+                except _CELL_ERRORS as exc:
+                    mean = f"error: {exc}"
+            if isinstance(mean, str):
+                cells.append(SweepCell(d, w, tau, math.nan, math.nan, mean))
+                continue
+            kld = _kld_from_mean(prior.tau, prior.log_z_tau, mu, mean)
+            margins = kld - quadratic_kld(prior, mu)
+            k = int(np.argmin(margins))
+            status = "ok" if margins[k] >= -tolerance else "violation"
+            cells.append(SweepCell(d, w, tau, float(margins[k]), float(mu[k]), status))
     return SweepReport(cells=cells, tolerance=tolerance)
 
 

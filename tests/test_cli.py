@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tiltvae.tilted
-from tiltvae.cli import main
+from tiltvae.cli import build_parser, main
 
 
 def _read_csv(path):
@@ -236,6 +236,44 @@ class TestScoreRocSampleBench:
         assert header == ["mode", "repeat", "seconds", "images_per_second"]
         assert [r[0] for r in rows] == ["single", "single", "avg8", "avg8"]
         assert "throughput ratio" in capsys.readouterr().out
+
+
+class TestCachedParser:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_gamma_runs_keep_their_own_options(self, tmp_path):
+        for tau, dz in (("1", "2"), ("3", "5")):
+            assert main(["gamma", "--tau", tau, "--dz", dz,
+                         "--out", str(tmp_path / f"g{tau}.csv"),
+                         "--manifest", str(tmp_path / f"g{tau}.manifest")]) == 0
+        first = (tmp_path / "g1.manifest").read_text()
+        second = (tmp_path / "g3.manifest").read_text()
+        assert "config.tau = 1.0\n" in first and "config.dz = 2\n" in first
+        assert "config.tau = 3.0\n" in second and "config.dz = 5\n" in second
+
+    def test_consecutive_set_lists_do_not_accumulate(self, tmp_path, train_cfg):
+        for name, sets in (("a", ["epochs=1", "batch_size=32"]), ("b", ["seed=3"])):
+            argv = ["train", "--config", str(train_cfg),
+                    "--checkpoint", str(tmp_path / f"{name}.ckpt"),
+                    "--log", str(tmp_path / f"{name}.csv"),
+                    "--manifest", str(tmp_path / f"{name}.manifest")]
+            for item in sets:
+                argv += ["--set", item]
+            assert main(argv) == 0
+        first = (tmp_path / "a.manifest").read_text()
+        second = (tmp_path / "b.manifest").read_text()
+        assert "config.set = epochs=1;batch_size=32\n" in first
+        assert "config.set = seed=3\n" in second
+        assert "train.epochs = 2\n" in second and "train.batch_size = 64\n" in second
+
+    def test_usage_error_after_a_successful_call_exits_1(self, tmp_path, capsys):
+        assert main(["gamma", "--tau", "1", "--dz", "2",
+                     "--out", str(tmp_path / "g.csv")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma", "--tau", "1"])
+        assert exc.value.code == 1
+        assert "--dz" in capsys.readouterr().err
 
 
 class TestManifestAndReplay:

@@ -2,6 +2,7 @@
 gamma solver, and the margin sweep machinery."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -145,7 +146,7 @@ class TestExactKld:
         with pytest.raises(DomainError):
             exact_kld(prior_10_10, -0.1)
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 1e200])
     def test_non_finite_norm_rejected_before_any_series(self, prior_10_10, monkeypatch, bad):
         def no_series(*args):
             raise AssertionError("a series ran on an invalid norm")
@@ -157,6 +158,15 @@ class TestExactKld:
             exact_kld(prior_10_10, np.array([1.0, bad]))
         with pytest.raises(DomainError):
             mean_norm(10, np.array([bad, 2.0]))
+
+    def test_largest_norm_is_where_half_square_overflows(self):
+        top = tiltvae.tilted._MAX_NORM
+        above = math.nextafter(top, math.inf)
+        assert math.isfinite(0.5 * top * top)
+        assert 0.5 * above * above == math.inf
+        tiltvae.tilted._norms(top)
+        with pytest.raises(DomainError, match=re.escape(repr(above))):
+            mean_norm(2, np.array([1.0, above]))
 
     def test_array_matches_elementwise_scalar_calls(self, prior_10_10):
         mu = np.concatenate([np.linspace(0.0, 200.0, 501), [37.41, 37.42, 37.43]])
@@ -298,12 +308,57 @@ class TestSweep:
         assert -cell.tau * 10.0 <= cell.min_margin <= 1e-9
 
     def test_cell_errors_are_isolated(self):
-        # 1.2^60 pushes the series argument past the iteration cap; the cell
-        # must record the failure while its neighbors still evaluate.
+        # At tau = 1.2^60 the mean norm near gamma carries a relative error of
+        # about ULP(m^2/2), so the solver's stationarity check fails (slope
+        # 4.3e-3 > 1e-5); the cell must record the failure while its neighbors
+        # still evaluate.
         report = verify_bound_sweep([2], [0, 60], 50, 10.0)
         statuses = sorted(c.status.split(":")[0] for c in report.cells)
         assert statuses[0] == "error"
         assert len(report.errors) == 1
+
+    def test_margins_equal_per_cell_recomputation(self):
+        # mu reaches 80, past the z = m^2/2 = 700 series/asymptotic crossover;
+        # (200, 14) has gamma = 0 and w = 60 fails its fit.
+        mu = np.linspace(0.0, 80.0, 200)
+        report = verify_bound_sweep([2, 10, 200], [-20, 5, 14, 20, 60], mu.size, 80.0)
+        assert TiltedPrior.fit(1.2 ** 14, 200).gamma == 0.0
+        for cell in report.cells:
+            if cell.w == 60:
+                assert cell.status.startswith("error: gamma solver did not converge")
+                with pytest.raises(ConvergenceError):
+                    TiltedPrior.fit(cell.tau, cell.d_z)
+                continue
+            prior = TiltedPrior.fit(cell.tau, cell.d_z)
+            margins = exact_kld(prior, mu) - quadratic_kld(prior, mu)
+            k = int(np.argmin(margins))
+            assert cell.min_margin == margins[k]
+            assert cell.argmin_mu == mu[k]
+
+    def test_one_mean_norm_evaluation_per_dimension(self, monkeypatch):
+        calls = []
+        original = tiltvae.tilted.laguerre_half
+
+        def counted(alpha, x):
+            calls.append((alpha, np.size(x)))
+            return original(alpha, x)
+
+        monkeypatch.setattr(tiltvae.tilted, "laguerre_half", counted)
+        dims = [2, 10, 200]
+        verify_bound_sweep(dims, [-20, 5, 14, 60], 50, 80.0)
+        grid_calls = [alpha for alpha, size in calls if size == 50]
+        assert grid_calls == [d / 2.0 - 1.0 for d in dims]
+
+    def test_mean_norm_error_recorded_after_fit_errors(self):
+        # Every norm past the first has an infinite m^2/2: each cell whose
+        # fit succeeds records the mean norm's error, and w = 60 keeps its
+        # fit error.
+        report = verify_bound_sweep([2], [0, 60, 5], 10, 1e200)
+        with pytest.raises(DomainError) as err:
+            exact_kld(TiltedPrior.fit(1.0, 2), np.linspace(0.0, 1e200, 10))
+        statuses = [c.status for c in report.cells]
+        assert statuses[0] == statuses[2] == f"error: {err.value}"
+        assert statuses[1].startswith("error: gamma solver did not converge")
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
