@@ -8,7 +8,7 @@ VAE with manual reverse-mode gradients (`vae`), out-of-distribution scoring
 
 __version__ = "0.1.0"
 
-from .specfn import LogScaled, chi_mean, laguerre_half, log_gamma_ratio, log_kummer_m
+from .specfn import chi_mean, laguerre_half, log_gamma_ratio, log_kummer_m
 from .tilted import (
     SweepReport,
     TiltedPrior,
@@ -21,7 +21,6 @@ from .tilted import (
 )
 
 __all__ = [
-    "LogScaled",
     "chi_mean",
     "laguerre_half",
     "log_gamma_ratio",

@@ -67,22 +67,9 @@ def sample_unit_sphere(rng: RngStream, d_z: int) -> np.ndarray:
             return v / n
 
 
-def sample_posterior_radius(rng: RngStream, law: RadialLaw) -> float:
-    """One radius from N(z_bar, sigma_r^2), redrawn until positive."""
-    while True:
-        r = law.z_bar + law.sigma_r * float(rng.generator.standard_normal())
-        if r > 0.0:
-            return r
-
-
-def sample_model_latent(rng: RngStream, law: RadialLaw, d_z: int) -> np.ndarray:
-    """One aggregated-posterior draw: radius times uniform direction."""
-    r = sample_posterior_radius(rng, law)
-    return r * sample_unit_sphere(rng, d_z)
-
-
 def sample_model_latents(rng: RngStream, law: RadialLaw, d_z: int, n: int) -> np.ndarray:
-    """Batch version of sample_model_latent, shape (n, d_z)."""
+    """n aggregated-posterior draws, shape (n, d_z): each a radius from
+    N(z_bar, sigma_r^2), redrawn until positive, times a uniform direction."""
     gen = rng.generator
     radii = np.empty(n)
     filled = 0
@@ -147,11 +134,6 @@ def sample_tilted_prior_batch(rng: RngStream, prior: TiltedPrior, n: int) -> np.
     dirs = gen.standard_normal((n, prior.d_z))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return radii[:, None] * dirs
-
-
-def sample_tilted_prior(rng: RngStream, prior: TiltedPrior) -> np.ndarray:
-    """One exact draw from the tilted prior."""
-    return sample_tilted_prior_batch(rng, prior, 1)[0]
 
 
 def save_latents_csv(path, latents) -> None:

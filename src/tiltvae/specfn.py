@@ -5,12 +5,17 @@ of the tilted Gaussian contains a factor that scales like exp(tau^2 / 2),
 which overflows double precision long before the tilt values this package
 has to support (tau up to ~100, series arguments up to ~2e4).
 
+One kernel serves every caller: log(e^-z M(a, b, z)) for a > 0, b > 0 and
+z >= 0, where every series term is positive. The e^-z scaling is what the
+Laguerre functions need after Kummer's reflection; computing it directly
+keeps their relative accuracy at huge z, where adding -z and +z separately
+would cost about ULP(z) in absolute terms.
+
 All functions are pure and thread-safe.
 """
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,63 +43,6 @@ _ASYMP_Z_MIN = 700.0
 _ASYMP_MAX_TERMS = 200
 _ASYMP_CHUNK = 40
 _ASYMP_TAIL = 1e-13
-
-
-@dataclass(frozen=True)
-class LogScaled:
-    """A real number carried as (sign, log of absolute value).
-
-    ``value = sign * exp(log_mag)``; ``log_mag`` is ignored when sign is 0.
-    Survives intermediates far beyond the double-precision overflow point.
-    """
-
-    sign: int
-    log_mag: float
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogScaled":
-        if x == 0.0:
-            return cls(0, -math.inf)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def to_float(self) -> float:
-        """Convert back to a plain double. Exact only below the overflow
-        threshold of the native format; raises OverflowError otherwise."""
-        if self.sign == 0:
-            return 0.0
-        if self.log_mag >= _OVERFLOW_LOG:
-            raise OverflowError(
-                f"log-magnitude {self.log_mag:.6g} exceeds the native float range"
-            )
-        return self.sign * math.exp(self.log_mag)
-
-    def log(self) -> float:
-        """Natural log of a positive value."""
-        if self.sign <= 0:
-            raise DomainError(f"log of non-positive log-scaled value (sign={self.sign})")
-        return self.log_mag
-
-    def __mul__(self, other: "LogScaled") -> "LogScaled":
-        sign = self.sign * other.sign
-        if sign == 0:
-            return LogScaled(0, -math.inf)
-        return LogScaled(sign, self.log_mag + other.log_mag)
-
-    def __add__(self, other: "LogScaled") -> "LogScaled":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        hi, lo = (self, other) if self.log_mag >= other.log_mag else (other, self)
-        if self.sign == other.sign:
-            return LogScaled(self.sign, hi.log_mag + math.log1p(math.exp(lo.log_mag - hi.log_mag)))
-        diff = lo.log_mag - hi.log_mag
-        if diff == 0.0:
-            return LogScaled(0, -math.inf)
-        return LogScaled(hi.sign, hi.log_mag + math.log1p(-math.exp(diff)))
-
-    def __neg__(self) -> "LogScaled":
-        return LogScaled(-self.sign, self.log_mag)
 
 
 def _row_slices(live, width):
@@ -146,41 +94,11 @@ def _series_chunk(shared, log_z, run, log_t, rows):
     return (steps[:, -1] < 0.0) & (log_terms[:, -1] < total - _TAIL_NATS)
 
 
-def _log_series_signed(a: float, b: float, z: float) -> LogScaled:
-    """Sign-tracked series for the cases where terms can change sign
-    (a <= 0 after the Kummer transformation, or negative non-integer b).
-
-    Terminates exactly when a is a non-positive integer; otherwise uses the
-    same 40-nat tail rule on the larger of the two signed partial sums.
-    """
-    pos = 0.0  # log-sum of positive terms, seeded with t_0 = 1
-    neg = -math.inf
-    log_t, sign_t = 0.0, 1
-    for n in range(_MAX_TERMS):
-        num = (a + n) * z
-        if num == 0.0:
-            break
-        den = (b + n) * (n + 1)
-        ratio = num / den
-        log_t += math.log(abs(ratio))
-        if ratio < 0:
-            sign_t = -sign_t
-        if sign_t > 0:
-            pos = np.logaddexp(pos, log_t)
-        else:
-            neg = np.logaddexp(neg, log_t)
-        if n > abs(z) + abs(a) + abs(b) and log_t < max(pos, neg) - _TAIL_NATS:
-            break
-    else:
-        raise ConvergenceError("series did not converge", a=a, b=b, z=z)
-    return LogScaled(1, float(pos)) + LogScaled(-1, float(neg))
-
-
 def _log_kummer_asymptotic(a: float, b: float, z):
     """Large-z expansion M(a,b,z) ~ Gamma(b)/Gamma(a) e^z z^(a-b) sum_k c_k,
     c_k = (b-a)^(k) (1-a)^(k) / (k! z^k), for a flat array z.
 
-    Returns (ok, log M) arrays. Terms are summed while they shrink: the sum
+    Returns (ok, log(e^-z M)) arrays. Terms are summed while they shrink: the sum
     stops at a term below 1e-17 of it (certified), or before the first term
     that does not shrink (certified when the last one kept is below
     _ASYMP_TAIL of the sum). ``ok`` is False where that cannot certify the
@@ -203,8 +121,7 @@ def _log_kummer_asymptotic(a: float, b: float, z):
     ok[live] = np.abs(c[live]) <= _ASYMP_TAIL * np.abs(s[live])
     ok &= s > 0.0
     log_m = np.full(z.shape, math.nan)
-    log_m[ok] = (math.lgamma(b) - math.lgamma(a) + z[ok] + (a - b) * np.log(z[ok])
-                 + np.log(s[ok]))
+    log_m[ok] = math.lgamma(b) - math.lgamma(a) + (a - b) * np.log(z[ok]) + np.log(s[ok])
     return ok, log_m
 
 
@@ -229,8 +146,9 @@ def _asymptotic_chunk(ratio, z, c, s, ok, rows):
 
 
 def _log_kummer_pos(a: float, b: float, z):
-    """log M(a, b, z) for a > 0, b > 0 and every point of an array z >= 0:
-    the asymptotic expansion where it certifies itself, else the series."""
+    """log(e^-z M(a, b, z)) for a > 0, b > 0 and every point of an array
+    z >= 0: the asymptotic expansion where it certifies itself, else the
+    series."""
     z = np.asarray(z, dtype=np.float64)
     zf = z.reshape(-1)
     out = np.zeros(zf.size)  # M(a, b, 0) = 1
@@ -242,34 +160,26 @@ def _log_kummer_pos(a: float, b: float, z):
         pending[big[ok]] = False
     rest = np.flatnonzero(pending)
     if rest.size:
-        out[rest] = _log_series_pos(a, b, zf[rest])
+        out[rest] = _log_series_pos(a, b, zf[rest]) - zf[rest]
     return out.reshape(z.shape)
 
 
-def _kummer_core(a: float, b: float, z: float) -> LogScaled:
-    """Dispatch for z >= 0: signed series, or the positive-term kernel."""
-    if z == 0.0:
-        return LogScaled(1, 0.0)
-    if a <= 0.0 or b < 0.0:
-        return _log_series_signed(a, b, z)
-    return LogScaled(1, float(_log_kummer_pos(a, b, z)))
-
-
-def log_kummer_m(a: float, b: float, z: float) -> LogScaled:
-    """Kummer's confluent hypergeometric M(a, b, z) in log-scaled form.
+def log_kummer_m(a: float, b: float, z):
+    """log M(a, b, z), Kummer's confluent hypergeometric function, for a > 0,
+    b > 0 and finite z >= 0; a float for a scalar z, an array for an array z.
 
     M(a,b,z) = sum_n a^(n) z^n / (b^(n) n!) with a^(n) the rising factorial.
-    For z < 0 the reflection M(a,b,z) = e^z M(b-a, b, -z) is applied first, so
-    that on the supported domain every summed term is non-negative and the
-    result carries no cancellation error.
+    On this domain every term is positive, so the result carries no
+    cancellation error. Any other argument is a DomainError.
     """
-    if b <= 0.0 and b == math.floor(b):
-        raise DomainError(f"b={b} is a non-positive integer; M(a,b,z) has a pole")
-    if a <= 0.0:
-        raise DomainError(f"a={a} must be positive")
-    if z < 0.0:
-        return LogScaled(1, z) * _kummer_core(b - a, b, -z)
-    return _kummer_core(a, b, z)
+    if not (a > 0.0 and b > 0.0):
+        raise DomainError(f"log_kummer_m needs a > 0 and b > 0, got a={a}, b={b}")
+    za = np.asarray(z, dtype=np.float64)
+    bad = ~(np.isfinite(za) & (za >= 0.0))
+    if bad.any():
+        raise DomainError(
+            f"log_kummer_m is only supported for finite z >= 0, got z={float(za[bad][0])}")
+    return _like(z, za + _log_kummer_pos(a, b, za))
 
 
 def log_gamma_ratio(p: float, q: float) -> float:
@@ -324,8 +234,8 @@ def laguerre_half(alpha: float, x):
     xa = _checked_x(alpha, x, "laguerre_half")
     log_binom = log_gamma_ratio(alpha + 1.5, 1.5) - math.lgamma(alpha + 1.0)
     # Reflected series: M(-1/2, alpha+1, x) = e^x M(alpha+3/2, alpha+1, -x),
-    # all terms positive for x < 0.
-    log_m = xa + _log_kummer_pos(alpha + 1.5, alpha + 1.0, -xa)
+    # all terms positive for x < 0, and e^x is the kernel's own scaling.
+    log_m = _log_kummer_pos(alpha + 1.5, alpha + 1.0, -xa)
     return _like(x, _exp_checked(log_binom + log_m))
 
 
@@ -340,5 +250,5 @@ def laguerre_half_prime(alpha: float, x):
     xa = _checked_x(alpha, x, "laguerre_half_prime")
     log_coef = (log_gamma_ratio(alpha + 1.5, 1.5) - math.lgamma(alpha + 1.0)
                 - math.log(2.0 * (alpha + 1.0)))
-    log_m = xa + _log_kummer_pos(alpha + 1.5, alpha + 2.0, -xa)
+    log_m = _log_kummer_pos(alpha + 1.5, alpha + 2.0, -xa)
     return _like(x, -_exp_checked(log_coef + log_m))

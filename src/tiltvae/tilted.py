@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
-from .specfn import LogScaled, laguerre_half, laguerre_half_prime, log_gamma_ratio, log_kummer_m
+from .specfn import laguerre_half, laguerre_half_prime, log_gamma_ratio, log_kummer_m
 
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -44,20 +44,17 @@ def log_normalizer(tau: float, d_z: int) -> float:
     Z_tau = M(d/2, 1/2, tau^2/2)
             + tau sqrt(2) [Gamma((d+1)/2) / Gamma(d/2)] M((d+1)/2, 3/2, tau^2/2).
 
-    Both terms are combined in log-scaled arithmetic, so no intermediate can
+    Both terms are positive and combined as logs, so no intermediate can
     overflow a double even though Z_tau itself scales like exp(tau^2 / 2).
     """
     _check_tau_d(tau, d_z)
     half_t2 = 0.5 * tau * tau
     even = log_kummer_m(d_z / 2.0, 0.5, half_t2)
     if tau == 0.0:
-        return even.log()
-    odd = (
-        LogScaled.from_float(tau * math.sqrt(2.0))
-        * LogScaled(1, log_gamma_ratio((d_z + 1) / 2.0, d_z / 2.0))
-        * log_kummer_m((d_z + 1) / 2.0, 1.5, half_t2)
-    )
-    return (even + odd).log()
+        return even
+    odd = (math.log(tau * math.sqrt(2.0)) + log_gamma_ratio((d_z + 1) / 2.0, d_z / 2.0)
+           + log_kummer_m((d_z + 1) / 2.0, 1.5, half_t2))
+    return float(np.logaddexp(even, odd))
 
 
 def _norms(mu_norm):

@@ -268,18 +268,6 @@ def _elbo_forward_backward(model, x, eps, want_grads=True):
     return recon_mean, kld_mean, grads
 
 
-def elbo_terms(model: VaeModel, rng: RngStream, x):
-    """(recon, kld) for one sample with a single reparameterized draw.
-
-    recon is the squared l2 reconstruction error; kld is the quadratic
-    surrogate for the tilted prior or the closed-form Gaussian divergence.
-    """
-    xb, _ = _as_batch(x, model.d_x)
-    eps = rng.generator.standard_normal((xb.shape[0], model.d_z))
-    recon, kld, _ = _elbo_forward_backward(model, xb, eps, want_grads=False)
-    return recon, kld
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int

@@ -11,10 +11,7 @@ from tiltvae.errors import DomainError
 from tiltvae.sampler import (
     RadialLaw,
     RngStream,
-    sample_model_latent,
     sample_model_latents,
-    sample_posterior_radius,
-    sample_tilted_prior,
     sample_tilted_prior_batch,
     sample_unit_sphere,
     save_latents_csv,
@@ -67,25 +64,24 @@ class TestUnitSphere:
         assert np.linalg.norm(total / n) < 0.02
 
 
+def _radii(seed, law, n, d_z=3):
+    """Norms of n aggregated-posterior draws: the radii the sampler drew."""
+    return np.linalg.norm(sample_model_latents(RngStream(seed), law, d_z, n), axis=1)
+
+
 class TestPosteriorRadius:
     def test_mean_matches_radial_center(self):
-        rng = RngStream(7)
-        law = RadialLaw(z_bar=10.15)
-        draws = np.array([sample_posterior_radius(rng, law) for _ in range(10**5)])
+        draws = _radii(7, RadialLaw(z_bar=10.15), 10**5)
         assert draws.mean() == pytest.approx(10.15, abs=0.01)
 
     def test_truncation_returns_positive(self):
-        rng = RngStream(8)
-        law = RadialLaw(z_bar=0.5)
-        draws = [sample_posterior_radius(rng, law) for _ in range(2000)]
+        draws = _radii(8, RadialLaw(z_bar=0.5), 2000)
         assert min(draws) > 0.0
 
     def test_large_center_rarely_truncates(self):
         # With z_bar = 30 the negative tail is ~30 sigma out: the truncated
         # law is indistinguishable from the untruncated one.
-        rng = RngStream(9)
-        law = RadialLaw(z_bar=30.0)
-        draws = np.array([sample_posterior_radius(rng, law) for _ in range(10**4)])
+        draws = _radii(9, RadialLaw(z_bar=30.0), 10**4)
         assert kstest(draws, lambda x: norm.cdf(x, loc=30.0)).statistic < 0.02
 
     def test_law_validation(self):
@@ -118,16 +114,9 @@ class TestModelLatent:
 
     def test_deterministic_on_stream_reset(self):
         law = RadialLaw(z_bar=5.0)
-        a = sample_model_latent(RngStream(12), law, 4)
-        b = sample_model_latent(RngStream(12), law, 4)
+        a = sample_model_latents(RngStream(12), law, 4, 8)
+        b = sample_model_latents(RngStream(12), law, 4, 8)
         assert np.array_equal(a, b)
-
-    def test_norm_reproduces_radius(self):
-        # ||r U|| must recover the radius drawn from the same stream state.
-        law = RadialLaw(z_bar=5.0)
-        r = sample_posterior_radius(RngStream(13), law)
-        z = sample_model_latent(RngStream(13), law, 6)
-        assert np.linalg.norm(z) == pytest.approx(r, rel=1e-12)
 
 
 class TestTiltedRejection:
@@ -180,11 +169,6 @@ class TestTiltedRejection:
         cdf_prior = np.searchsorted(r_prior, grid) / r_prior.size
         cdf_post = np.searchsorted(r_post, grid) / r_post.size
         assert np.max(np.abs(cdf_prior - cdf_post)) > 0.05
-
-    def test_single_draw_wrapper(self, prior_10_10):
-        a = sample_tilted_prior(RngStream(20), prior_10_10)
-        b = sample_tilted_prior_batch(RngStream(20), prior_10_10, 1)[0]
-        assert np.array_equal(a, b)
 
     def test_contract_corner_stays_efficient(self):
         # largest tilt and dimension the sampler promises to handle

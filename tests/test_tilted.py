@@ -230,6 +230,22 @@ class TestSolveGamma:
             ref = float(mpmath.diff(e, m))
             assert m * _norm_slope(d, m) == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("d", [1, 2, 10, 50, 200])
+    def test_mean_norm_and_slope_against_high_precision_up_to_max_norm(self, d):
+        # E(m) = c M(-1/2, d/2, -m^2/2) and E'(m)/m = c/d M(1/2, d/2 + 1, -m^2/2)
+        # at mpmath's 40 digits, over every norm _norms accepts; m = 37 and 38
+        # straddle the series/asymptotic crossover at m^2/2 = 700.
+        b = mpmath.mpf(d) / 2
+        coef = mpmath.sqrt(mpmath.pi / 2) * mpmath.gamma(b + 0.5) / (
+            mpmath.gamma(1.5) * mpmath.gamma(b))
+        for m in [0.0, 1.0, 37.0, 38.0, 1e2, 1e4, 1e7, 1e9, 1e50, 1e150,
+                  tiltvae.tilted._MAX_NORM]:
+            x = -mpmath.mpf(m) ** 2 / 2
+            assert mean_norm(d, m) == pytest.approx(
+                float(coef * mpmath.hyp1f1(-0.5, b, x)), rel=1e-12)
+            assert _norm_slope(d, m) == pytest.approx(
+                float(coef / (2 * b) * mpmath.hyp1f1(0.5, b + 1, x)), rel=1e-12)
+
     def test_stationarity_at_solution(self, prior_10_10):
         g = prior_10_10.gamma
         eps = 1e-3
@@ -308,23 +324,24 @@ class TestSweep:
         assert -cell.tau * 10.0 <= cell.min_margin <= 1e-9
 
     def test_cell_errors_are_isolated(self):
-        # At tau = 1.2^60 the mean norm near gamma carries a relative error of
-        # about ULP(m^2/2), so the solver's stationarity check fails (slope
-        # 4.3e-3 > 1e-5); the cell must record the failure while its neighbors
-        # still evaluate.
-        report = verify_bound_sweep([2], [0, 60], 50, 10.0)
+        # At tau = 1.2^80 the KLD near gamma is about 2.3e12, whose ULP
+        # (4.9e-4) exceeds its rise over the +-1e-3 minimum probe, so the
+        # solver cannot certify the minimum; the cell must record the failure
+        # while its neighbors still evaluate.
+        report = verify_bound_sweep([2], [0, 80], 50, 10.0)
         statuses = sorted(c.status.split(":")[0] for c in report.cells)
         assert statuses[0] == "error"
         assert len(report.errors) == 1
 
     def test_margins_equal_per_cell_recomputation(self):
         # mu reaches 80, past the z = m^2/2 = 700 series/asymptotic crossover;
-        # (200, 14) has gamma = 0 and w = 60 fails its fit.
+        # (200, 14) has gamma = 0, and w = 80 fails its fit because the +-1e-3
+        # minimum probe is below the ULP of its KLD.
         mu = np.linspace(0.0, 80.0, 200)
-        report = verify_bound_sweep([2, 10, 200], [-20, 5, 14, 20, 60], mu.size, 80.0)
+        report = verify_bound_sweep([2, 10, 200], [-20, 5, 14, 20, 80], mu.size, 80.0)
         assert TiltedPrior.fit(1.2 ** 14, 200).gamma == 0.0
         for cell in report.cells:
-            if cell.w == 60:
+            if cell.w == 80:
                 assert cell.status.startswith("error: gamma solver did not converge")
                 with pytest.raises(ConvergenceError):
                     TiltedPrior.fit(cell.tau, cell.d_z)
@@ -345,15 +362,15 @@ class TestSweep:
 
         monkeypatch.setattr(tiltvae.tilted, "laguerre_half", counted)
         dims = [2, 10, 200]
-        verify_bound_sweep(dims, [-20, 5, 14, 60], 50, 80.0)
+        verify_bound_sweep(dims, [-20, 5, 14, 80], 50, 80.0)
         grid_calls = [alpha for alpha, size in calls if size == 50]
         assert grid_calls == [d / 2.0 - 1.0 for d in dims]
 
     def test_mean_norm_error_recorded_after_fit_errors(self):
         # Every norm past the first has an infinite m^2/2: each cell whose
-        # fit succeeds records the mean norm's error, and w = 60 keeps its
-        # fit error.
-        report = verify_bound_sweep([2], [0, 60, 5], 10, 1e200)
+        # fit succeeds records the mean norm's error, and w = 80 keeps its
+        # fit error (its minimum probe is below the ULP of its KLD).
+        report = verify_bound_sweep([2], [0, 80, 5], 10, 1e200)
         with pytest.raises(DomainError) as err:
             exact_kld(TiltedPrior.fit(1.0, 2), np.linspace(0.0, 1e200, 10))
         statuses = [c.status for c in report.cells]
