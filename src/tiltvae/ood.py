@@ -171,14 +171,22 @@ def write_scores_csv(path, scored, tag: str) -> None:
 
 
 def read_scores_csv(path) -> np.ndarray:
-    """Score column of a CSV written by write_scores_csv."""
+    """Score column of a CSV written by write_scores_csv. A row too short for
+    that column, or a score that is not a finite number, is a DomainError
+    naming the file and the line or data row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or "score" not in header:
             raise DomainError(f"{path}: no 'score' column")
         col = header.index("score")
-        scores = [float(row[col]) for row in reader if row]
-    if not scores:
+        try:
+            scores = np.array([float(row[col]) for row in reader if row])
+        except (IndexError, ValueError):
+            raise DomainError(f"{path}:{reader.line_num}: no number in column {col + 1}") from None
+    if not scores.size:
         raise DomainError(f"{path}: no score rows")
-    return np.array(scores)
+    if not np.isfinite(scores).all():
+        raise DomainError(f"{path}: data row {np.argmin(np.isfinite(scores)) + 1} "
+                          "has a score that is not finite")
+    return scores

@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
 from .specfn import laguerre_half, laguerre_half_prime, log_gamma_ratio, log_kummer_m
@@ -24,12 +23,14 @@ from .specfn import laguerre_half, laguerre_half_prime, log_gamma_ratio, log_kum
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Root tolerances, stationarity acceptance and minimum probe for the gamma
-# solver.
-_ROOT_XTOL = 1e-12
+# Root tolerances and iteration cap, stationarity acceptance, and the
+# minimum and relative probe steps for the gamma solver.
+_ROOT_XATOL = 1e-12
+_ROOT_XRTOL = 4.0 * sys.float_info.epsilon
 _ROOT_MAXITER = 100
 _GRAD_OK = 1e-5
 _MIN_PROBE = 1e-3
+_REL_PROBE = 2.0 ** -20
 
 # Largest norm m whose m^2 / 2 is a finite double.
 _MAX_NORM = math.sqrt(2.0) * math.sqrt(sys.float_info.max)
@@ -38,8 +39,9 @@ _MAX_NORM = math.sqrt(2.0) * math.sqrt(sys.float_info.max)
 _CELL_ERRORS = (ConvergenceError, DomainError, OverflowError)
 
 
-def log_normalizer(tau: float, d_z: int) -> float:
-    """log Z_tau, the log of E[exp(tau ||z||)] under a standard Gaussian on R^d_z.
+def log_normalizer(tau, d_z: int):
+    """log Z_tau, the log of E[exp(tau ||z||)] under a standard Gaussian on R^d_z;
+    a float for a scalar tau, an array for an array of tilts.
 
     Z_tau = M(d/2, 1/2, tau^2/2)
             + tau sqrt(2) [Gamma((d+1)/2) / Gamma(d/2)] M((d+1)/2, 3/2, tau^2/2).
@@ -47,21 +49,21 @@ def log_normalizer(tau: float, d_z: int) -> float:
     Both terms are positive and combined as logs, so no intermediate can
     overflow a double even though Z_tau itself scales like exp(tau^2 / 2).
     """
-    _check_tau_d(tau, d_z)
-    half_t2 = 0.5 * tau * tau
-    even = log_kummer_m(d_z / 2.0, 0.5, half_t2)
-    if tau == 0.0:
-        return even
-    odd = (math.log(tau * math.sqrt(2.0)) + log_gamma_ratio((d_z + 1) / 2.0, d_z / 2.0)
-           + log_kummer_m((d_z + 1) / 2.0, 1.5, half_t2))
-    return float(np.logaddexp(even, odd))
+    t = np.atleast_1d(_check_tau_d(tau, d_z))
+    half_t2 = 0.5 * t * t
+    log_z = log_kummer_m(d_z / 2.0, 0.5, half_t2)
+    pos = t > 0.0
+    odd = (np.log(t[pos] * math.sqrt(2.0)) + log_gamma_ratio((d_z + 1) / 2.0, d_z / 2.0)
+           + log_kummer_m((d_z + 1) / 2.0, 1.5, half_t2[pos]))
+    log_z[pos] = np.logaddexp(log_z[pos], odd)
+    return float(log_z[0]) if np.ndim(tau) == 0 else log_z
 
 
-def _norms(mu_norm):
+def _norms(mu_norm, name="mu_norm"):
     m = np.asarray(mu_norm, dtype=np.float64)
     bad = ~((m >= 0.0) & (m <= _MAX_NORM))
     if bad.any():
-        raise DomainError(f"mu_norm must be non-negative with a finite mu_norm^2 / 2 "
+        raise DomainError(f"{name} must be non-negative with a finite {name}^2 / 2 "
                           f"(at most {_MAX_NORM:.6g}), got {float(m[bad][0])!r}")
     return m
 
@@ -88,50 +90,71 @@ def _kld_from_mean(tau, log_z, m, mean):
     return log_z - tau * mean + 0.5 * m * m
 
 
-def _kld_value(tau, d_z, log_z, mu_norm):
-    m = _norms(mu_norm)
-    kld = _kld_from_mean(tau, log_z, m, mean_norm(d_z, m))
-    return float(kld) if np.ndim(mu_norm) == 0 else kld
+def _bracketed_roots(f, x1, f1, x2, f2):
+    """Chandrupatla's method (Adv. Eng. Softw. 28:145, 1997) for f(x, k) = 0 in
+    every cell k at once, from ends x1, x2 where f1, f2 have opposite signs.
+    A cell stops once its bracket is narrower than _ROOT_XATOL + _ROOT_XRTOL |x|
+    or f is 0 at an end, and yields the end with the smaller |f| and f there
+    (NaN if _ROOT_MAXITER iterations did not stop it)."""
+    root, f_root = np.empty_like(x1), np.full_like(x1, math.nan)
+    k, x3, f3 = np.arange(x1.size), x2, f2  # x3: the end the last step dropped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(_ROOT_MAXITER + 1):
+            near = np.abs(f1) < np.abs(f2)
+            xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
+            tl = (_ROOT_XATOL + _ROOT_XRTOL * np.abs(xm)) / (2.0 * np.abs(x2 - x1))
+            done = (tl > 0.5) | (fm == 0.0)
+            root[k], f_root[k[done]] = xm, fm[done]
+            if done.all() or it == _ROOT_MAXITER:
+                return root, f_root
+            k, x1, f1, x2, f2, x3, f3, tl = (v[~done] for v in (k, x1, f1, x2, f2, x3, f3, tl))
+            # Inverse quadratic interpolation where the three points allow it,
+            # else bisection (always on the first step, where x3 = x2).
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            t = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
+                         f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+            fx = f(x, k)
+            same = np.sign(fx) == np.sign(f1)
+            x3, f3, x2, f2 = np.where(same, [x1, f1, x2, f2], [x2, f2, x1, f1])
+            x1, f1 = x, fx
 
 
-def _solve_gamma(tau, d_z, log_z):
-    """The exact KLD's minimizer over the posterior-mean norm, and its value.
+def _fit_priors(taus, d_z):
+    """For each tau of one d_z, its TiltedPrior or the ConvergenceError of its fit.
 
     The KLD's slope is m - tau E'(m) = m h(m) with h(m) = 1 - tau E'(m)/m,
-    which increases in m (see _norm_slope). So gamma = 0 when h(0) >= 0;
-    otherwise gamma is the root of h, which lies in (0, tau] because E' <= 1
-    makes h(tau) >= 0. Brent's method stops once the bracket is narrower than
-    its tolerance. The analytic slope and a probe on either side of gamma
-    then certify a stationary minimum.
+    which increases in m (see _norm_slope). So gamma = 0 where h(0) >= 0;
+    elsewhere gamma is the root of h, which lies in (0, tau] because E' <= 1
+    makes h(tau) >= 0. The analytic slope and probes max(1e-3, gamma 2^-20) on
+    either side, a step that outgrows the KLD's rounding error, then certify a
+    stationary minimum.
     """
-    def h(m):
-        return 1.0 - tau * _norm_slope(d_z, m)
-
-    gamma, h_gamma = 0.0, h(0.0)
-    if not h_gamma >= 0.0:
-        gamma, h_gamma = tau, h(tau)
-        if h_gamma >= 0.0:
-            gamma, res = brentq(h, 0.0, tau, xtol=_ROOT_XTOL, maxiter=_ROOT_MAXITER,
-                                full_output=True, disp=False)
-            h_gamma = h(gamma) if res.converged else math.nan
-    slope = gamma * h_gamma
-    probes = [gamma, gamma + _MIN_PROBE] + ([gamma - _MIN_PROBE] if gamma >= _MIN_PROBE else [])
-    kld = _kld_value(tau, d_z, log_z, np.array(probes))
-    if not (abs(slope) < _GRAD_OK and np.all(kld[1:] >= kld[0])):
-        raise ConvergenceError(
-            "gamma solver did not converge",
-            tau=tau,
-            d_z=d_z,
-            final_iterate=gamma,
-            gradient=slope,
-        )
-    return gamma, float(kld[0])
+    t = np.atleast_1d(_check_tau_d(taus, d_z))
+    log_z = log_normalizer(t, d_z)
+    h0 = 1.0 - t * _norm_slope(d_z, 0.0)
+    gamma, h = np.zeros_like(t), h0.copy()
+    up = np.flatnonzero(~(h0 >= 0.0))
+    gamma[up], h[up] = t[up], 1.0 - t[up] * _norm_slope(d_z, t[up])
+    br = up[h[up] > 0.0]
+    gamma[br], h[br] = _bracketed_roots(lambda x, k: 1.0 - t[br[k]] * _norm_slope(d_z, x),
+                                        np.zeros(br.size), h0[br], t[br], h[br])
+    step = np.maximum(_MIN_PROBE, gamma * _REL_PROBE)
+    m = np.stack([gamma, np.minimum(gamma + step, _MAX_NORM),
+                  np.where(gamma >= step, gamma - step, gamma)])
+    kld = _kld_from_mean(t, log_z, m, mean_norm(d_z, m))
+    ok = (np.abs(gamma * h) < _GRAD_OK) & np.all(kld[1:] >= kld[0], axis=0)
+    return [TiltedPrior(tau=tc, d_z=d_z, log_z_tau=lz, gamma=g, committed_rate=rate) if good
+            else ConvergenceError("gamma solver did not converge", tau=tc, d_z=d_z,
+                                  final_iterate=g, gradient=g * hg)
+            for tc, lz, g, hg, rate, good
+            in zip(*(v.tolist() for v in (t, log_z, gamma, h, kld[0], ok)))]
 
 
 def solve_gamma(tau: float, d_z: int) -> float:
     """The posterior-mean norm minimizing the exact KLD against the tilted prior."""
-    _check_tau_d(tau, d_z)
-    return _solve_gamma(tau, d_z, log_normalizer(tau, d_z))[0]
+    return TiltedPrior.fit(tau, d_z).gamma
 
 
 @dataclass(frozen=True)
@@ -151,12 +174,10 @@ class TiltedPrior:
 
     @classmethod
     def fit(cls, tau: float, d_z: int) -> "TiltedPrior":
-        _check_tau_d(tau, d_z)
-        log_z = log_normalizer(tau, d_z)
-        if tau == 0.0:
-            return cls(tau=0.0, d_z=d_z, log_z_tau=log_z, gamma=0.0, committed_rate=0.0)
-        gamma, rate = _solve_gamma(tau, d_z, log_z)
-        return cls(tau=tau, d_z=d_z, log_z_tau=log_z, gamma=gamma, committed_rate=rate)
+        (fit,) = _fit_priors(tau, d_z)
+        if isinstance(fit, Exception):
+            raise fit
+        return fit
 
 
 def log_density(prior: TiltedPrior, z) -> float:
@@ -175,7 +196,9 @@ def exact_kld(prior: TiltedPrior, mu_norm):
     Takes a scalar norm (returns a float) or an array of norms (returns an
     array); a norm that is negative or not finite is a DomainError.
     """
-    return _kld_value(prior.tau, prior.d_z, prior.log_z_tau, mu_norm)
+    m = _norms(mu_norm)
+    kld = _kld_from_mean(prior.tau, prior.log_z_tau, m, mean_norm(prior.d_z, m))
+    return float(kld) if np.ndim(mu_norm) == 0 else kld
 
 
 def quadratic_kld(prior: TiltedPrior, mu_norm):
@@ -234,9 +257,10 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float,
     far the surrogate over-penalizes across the grid. Special-function or
     solver failures are recorded per cell rather than aborting the sweep.
 
-    The mean norms over the mu grid do not depend on tau, so they are
-    evaluated once per d_z, after that d_z's first successful fit; a failure
-    there is recorded in every cell of that d_z whose fit succeeds.
+    The tilts of one d_z are fitted in one call; an error that stops it (a bad
+    d_z or tau) is recorded in every cell of that d_z. The mean norms over the
+    mu grid do not depend on tau, so they are evaluated once per d_z that has
+    a successful fit; a failure there is recorded in each such cell.
     """
     if not d_grid or not w_grid:
         raise DomainError("d_grid and w_grid must be non-empty")
@@ -245,23 +269,20 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float,
     if not (math.isfinite(mu_max) and mu_max > 0.0):
         raise DomainError(f"mu_max must be finite and positive, got {mu_max}")
     mu = np.linspace(0.0, mu_max, mu_points)
+    taus = [1.2 ** w for w in w_grid]
     cells = []
     for d in d_grid:
-        mean = None  # mean_norm(d, mu), or the "error: ..." status it raised
-        for w in w_grid:
-            tau = 1.2 ** w
-            try:
-                prior = TiltedPrior.fit(tau, d)
-            except _CELL_ERRORS as exc:
-                cells.append(SweepCell(d, w, tau, math.nan, math.nan, f"error: {exc}"))
-                continue
-            if mean is None:
-                try:
-                    mean = mean_norm(d, mu)
-                except _CELL_ERRORS as exc:
-                    mean = f"error: {exc}"
-            if isinstance(mean, str):
-                cells.append(SweepCell(d, w, tau, math.nan, math.nan, mean))
+        try:
+            fits = _fit_priors(taus, d)
+        except _CELL_ERRORS as exc:
+            fits = [exc] * len(taus)
+        try:
+            mean = mean_norm(d, mu) if any(isinstance(f, TiltedPrior) for f in fits) else None
+        except _CELL_ERRORS as exc:
+            fits = [f if isinstance(f, Exception) else exc for f in fits]
+        for w, tau, prior in zip(w_grid, taus, fits):
+            if isinstance(prior, Exception):
+                cells.append(SweepCell(d, w, tau, math.nan, math.nan, f"error: {prior}"))
                 continue
             kld = _kld_from_mean(prior.tau, prior.log_z_tau, mu, mean)
             margins = kld - quadratic_kld(prior, mu)
@@ -272,7 +293,6 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float,
 
 
 def _check_tau_d(tau, d_z):
-    if not (math.isfinite(tau) and tau >= 0):
-        raise DomainError(f"tau must be finite and non-negative, got {tau}")
     if int(d_z) != d_z or d_z < 1:
         raise DomainError(f"d_z must be a positive integer, got {d_z}")
+    return _norms(tau, "tau")

@@ -196,6 +196,14 @@ class TestScoreRocSampleBench:
         assert payload["auroc"] == 0.5
         assert payload["n_in"] == payload["n_out"] == 32
 
+    def test_roc_short_row_fails(self, tmp_path):
+        short = tmp_path / "short.csv"
+        short.write_text("sample_index,recon_term,kld_term,score,dataset_tag\n"
+                         "0,0.5,0.25,0.75,noise\n1,0.5\n")
+        assert main(["roc", "--in-scores", str(short), "--out-scores", str(short),
+                     "--out", str(tmp_path / "r.csv"),
+                     "--summary", str(tmp_path / "s.json")]) == 1
+
     def test_roc_empty_input_fails(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("sample_index,recon_term,kld_term,score,dataset_tag\n")

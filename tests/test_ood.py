@@ -1,6 +1,8 @@
 """OOD scoring tests: score composition, Mann-Whitney AUROC against
 brute-force pair counting, and threshold semantics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,9 @@ from tiltvae.ood import (
 )
 from tiltvae.sampler import RngStream
 from tiltvae.tilted import TiltedPrior
+
+
+_SCORES_HEADER = "sample_index,recon_term,kld_term,score,dataset_tag"
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +232,46 @@ class TestCsv:
         path.write_text("sample_index,recon_term,kld_term,score,dataset_tag\n")
         with pytest.raises(DomainError):
             read_scores_csv(path)
+
+    @pytest.mark.parametrize("row,where", [("0,0.5,0.25", ":3: "), ("0,0.5,0.25,high,in", ":3: "),
+                                           ("0,0.5,0.25,nan,in", ": data row 2 "),
+                                           ("0,0.5,0.25,-inf,in", ": data row 2 ")])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{_SCORES_HEADER}\n1,0.5,0.25,0.75,in\n{row}\n")
+        with pytest.raises(DomainError, match=re.escape(f"{path}{where}")):
+            read_scores_csv(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mangled_csv_loads_finite_or_is_domain_error(self, tmp_path_factory, data):
+        scores = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    max_size=5))
+        lines = [_SCORES_HEADER] + [f"{i},0.5,0.25,{v!r},in" for i, v in enumerate(scores)]
+        kind = data.draw(st.sampled_from(["truncated", "short_row", "non_numeric", "empty"]))
+        if kind in ("short_row", "non_numeric") and scores:
+            i = data.draw(st.integers(1, len(scores)))
+            fields = lines[i].split(",")
+            if kind == "short_row":
+                fields = fields[:data.draw(st.integers(1, 3))]
+            else:
+                fields[3] = data.draw(st.text(st.characters(codec="utf-8")))
+            lines[i] = ",".join(fields)
+        text = "\n".join(lines) + "\n"
+        if kind == "truncated":
+            text = text[:data.draw(st.integers(0, len(text)))]
+        elif kind == "empty":
+            text = ""
+        path = tmp_path_factory.getbasetemp() / "mangled.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            back = read_scores_csv(path)
+        except DomainError as err:
+            assert str(path) in str(err)
+        else:
+            assert kind != "short_row" or not scores
+            assert back.dtype == np.float64 and back.size >= 1
+            assert np.isfinite(back).all()
 
 
 class TestRocCurveCsv:

@@ -15,6 +15,7 @@ from tiltvae.errors import ConvergenceError, DomainError
 from tiltvae.specfn import chi_mean
 from tiltvae.tilted import (
     TiltedPrior,
+    _fit_priors,
     _norm_slope,
     exact_kld,
     log_density,
@@ -71,6 +72,21 @@ class TestLogNormalizer:
             log_normalizer(tau, 10)
         with pytest.raises(DomainError):
             TiltedPrior.fit(tau, 10)
+
+    def test_array_equals_scalar_calls(self):
+        taus = np.array([0.0] + [1.2 ** w for w in range(-20, 26)])
+        for d in [1, 2, 5, 10, 25, 50, 100, 200]:
+            column = log_normalizer(taus, d)
+            assert column.tolist() == [log_normalizer(float(t), d) for t in taus]
+        assert isinstance(log_normalizer(2.0, 3), float)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, 1e160])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_bad_tilt_anywhere_in_array_is_domain_error(self, bad, at):
+        taus = np.array([0.0, 1.0, 5.0])
+        taus[at] = bad
+        with pytest.raises(DomainError):
+            log_normalizer(taus, 10)
 
 
 class TestLogDensity:
@@ -268,7 +284,10 @@ class TestSolveGamma:
         assert prior.gamma == 0.0
         assert prior.committed_rate == exact_kld(prior, 0.0)
 
-    def test_kernel_calls_per_fit_on_the_sweep_grid(self, monkeypatch):
+    def test_iterations_per_cell_on_the_sweep_grid(self, monkeypatch):
+        # One column fit per d_z evaluates the slope at 0 and at tau once
+        # each, then once per iteration for all its running cells; so the
+        # calls past those two bound every cell's iteration count.
         calls = []
         original = tiltvae.tilted._norm_slope
 
@@ -278,11 +297,43 @@ class TestSolveGamma:
 
         monkeypatch.setattr(tiltvae.tilted, "_norm_slope", counted)
         for d in [2, 5, 10, 25, 50, 100, 200]:
-            for w in range(-20, 26):
-                calls.append(0)
-                TiltedPrior.fit(1.2 ** w, d)
-        assert len(calls) == 322
-        assert max(calls) <= 100
+            calls.append(0)
+            fits = _fit_priors([1.2 ** w for w in range(-20, 26)], d)
+            assert all(isinstance(fit, TiltedPrior) for fit in fits)
+        assert len(calls) == 7
+        assert max(calls) - 2 <= 100
+
+    def test_one_element_fits_equal_column_fits(self):
+        taus = [1.2 ** w for w in range(-20, 26)]
+        for d in [2, 5, 10, 25, 50, 100, 200]:
+            for tau, fit in zip(taus, _fit_priors(taus, d)):
+                prior = TiltedPrior.fit(tau, d)
+                assert (prior.gamma, prior.committed_rate, prior.log_z_tau) == (
+                    fit.gamma, fit.committed_rate, fit.log_z_tau)
+
+    def test_mixed_column_records_each_cell(self):
+        # For d_z = 200, w = 14 has gamma = 0, w = 20 a bracketed root, and
+        # w = 150 fails its stationarity test; each cell keeps its own outcome
+        # and context.
+        taus = [1.2 ** 14, 1.2 ** 20, 1.2 ** 150]
+        zero, root, failed = _fit_priors(taus, 200)
+        assert zero == TiltedPrior.fit(taus[0], 200) and zero.gamma == 0.0
+        assert root == TiltedPrior.fit(taus[1], 200) and root.gamma > 0.0
+        assert isinstance(failed, ConvergenceError)
+        assert failed.context["tau"] == taus[2]
+        assert failed.context["d_z"] == 200
+        assert 0.0 < failed.context["final_iterate"] <= taus[2]
+        assert abs(failed.context["gradient"]) >= 1e-5
+
+    @pytest.mark.parametrize("w", [70, 80, 100])
+    def test_large_tilts_fit(self, w):
+        # The probe step max(1e-3, gamma 2^-20) outgrows the KLD's rounding
+        # error, which a fixed +-1e-3 probe could not resolve here.
+        tau = 1.2 ** w
+        for d in [2, 10, 200]:
+            gamma = solve_gamma(tau, d)
+            e_prime = gamma * _norm_slope(d, gamma)
+            assert abs(gamma - tau * e_prime) <= 1e-10 * max(1.0, gamma)
 
     def test_non_convergence_error_carries_iterate(self, monkeypatch):
         # A slope kernel with E'(m)/m = 1 leaves 1 - tau E'/m < 0 on all of
@@ -324,24 +375,25 @@ class TestSweep:
         assert -cell.tau * 10.0 <= cell.min_margin <= 1e-9
 
     def test_cell_errors_are_isolated(self):
-        # At tau = 1.2^80 the KLD near gamma is about 2.3e12, whose ULP
-        # (4.9e-4) exceeds its rise over the +-1e-3 minimum probe, so the
-        # solver cannot certify the minimum; the cell must record the failure
-        # while its neighbors still evaluate.
-        report = verify_bound_sweep([2], [0, 80], 50, 10.0)
+        # At tau = 1.2^150 (7.5e11) a bracket of 4 eps relative width is about
+        # 6.7e-4 wide, so the slope at the root (3e-4 to 3e-3) stays above
+        # the 1e-5 stationarity bound and the solver cannot certify the
+        # minimum; the cell must record the failure while its neighbors
+        # still evaluate.
+        report = verify_bound_sweep([2], [0, 150], 50, 10.0)
         statuses = sorted(c.status.split(":")[0] for c in report.cells)
         assert statuses[0] == "error"
         assert len(report.errors) == 1
 
     def test_margins_equal_per_cell_recomputation(self):
         # mu reaches 80, past the z = m^2/2 = 700 series/asymptotic crossover;
-        # (200, 14) has gamma = 0, and w = 80 fails its fit because the +-1e-3
-        # minimum probe is below the ULP of its KLD.
+        # (200, 14) has gamma = 0, and w = 150 fails its fit because its root
+        # cannot be resolved finely enough to pass the stationarity test.
         mu = np.linspace(0.0, 80.0, 200)
-        report = verify_bound_sweep([2, 10, 200], [-20, 5, 14, 20, 80], mu.size, 80.0)
+        report = verify_bound_sweep([2, 10, 200], [-20, 5, 14, 20, 150], mu.size, 80.0)
         assert TiltedPrior.fit(1.2 ** 14, 200).gamma == 0.0
         for cell in report.cells:
-            if cell.w == 80:
+            if cell.w == 150:
                 assert cell.status.startswith("error: gamma solver did not converge")
                 with pytest.raises(ConvergenceError):
                     TiltedPrior.fit(cell.tau, cell.d_z)
@@ -362,15 +414,15 @@ class TestSweep:
 
         monkeypatch.setattr(tiltvae.tilted, "laguerre_half", counted)
         dims = [2, 10, 200]
-        verify_bound_sweep(dims, [-20, 5, 14, 80], 50, 80.0)
+        verify_bound_sweep(dims, [-20, 5, 14, 150], 50, 80.0)
         grid_calls = [alpha for alpha, size in calls if size == 50]
         assert grid_calls == [d / 2.0 - 1.0 for d in dims]
 
     def test_mean_norm_error_recorded_after_fit_errors(self):
         # Every norm past the first has an infinite m^2/2: each cell whose
-        # fit succeeds records the mean norm's error, and w = 80 keeps its
-        # fit error (its minimum probe is below the ULP of its KLD).
-        report = verify_bound_sweep([2], [0, 80, 5], 10, 1e200)
+        # fit succeeds records the mean norm's error, and w = 150 keeps its
+        # fit error (its root is too coarse to pass the stationarity test).
+        report = verify_bound_sweep([2], [0, 150, 5], 10, 1e200)
         with pytest.raises(DomainError) as err:
             exact_kld(TiltedPrior.fit(1.0, 2), np.linspace(0.0, 1e200, 10))
         statuses = [c.status for c in report.cells]
