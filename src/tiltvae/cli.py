@@ -7,8 +7,8 @@ duration. ``tiltvae replay MANIFEST --out-dir DIR`` re-executes the recorded
 command with identical configuration, redirecting artifacts into DIR; all
 derived outputs are byte-identical across replays (timings excepted).
 
-Exit codes: 0 success, 1 domain/validation error, 2 numerical
-non-convergence, 3 I/O error.
+Exit codes: 0 success, 1 domain/validation error or non-finite activations,
+2 numerical non-convergence, 3 I/O error.
 """
 
 import argparse
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .data import IdxFormatError, parse_spec
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NumericalError
 from .ood import (
     read_scores_csv,
     roc,
@@ -133,14 +133,16 @@ class Command:
         return out
 
     def parse_config(self, strings, out_dir):
+        """Config from recorded strings, every output path (defaults included)
+        moved into out_dir."""
         config = {}
         for key, kind, parse, _fmt, default, _help in self.schema:
             raw = strings.get(key, "")
-            if raw == "":
-                config[key] = None if default is Command.REQUIRED else default
-                continue
-            value = parse(raw)
-            if kind == OUT_PATH and out_dir is not None:
+            if raw:
+                value = parse(raw)
+            else:
+                value = None if default is Command.REQUIRED else default
+            if kind == OUT_PATH and value is not None:
                 value = os.path.join(out_dir, os.path.basename(value))
             config[key] = value
         return config
@@ -581,7 +583,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, IdxFormatError, ValueError) as exc:
+    except (DomainError, IdxFormatError, NumericalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -83,11 +83,6 @@ def sample_model_latents(rng: RngStream, law: RadialLaw, d_z: int, n: int) -> np
     return radii[:, None] * dirs
 
 
-def _radial_log_density(prior: TiltedPrior, x):
-    """Unnormalized log density of ||z|| under the tilted prior, x > 0."""
-    return (prior.d_z - 1) * np.log(x) + prior.tau * x - 0.5 * x * x
-
-
 def tilted_radial_mode(prior: TiltedPrior) -> float:
     """argmax of the radial density x^(d-1) exp(tau x - x^2/2)."""
     c = prior.d_z - 1

@@ -129,7 +129,8 @@ def _fit_priors(taus, d_z):
     elsewhere gamma is the root of h, which lies in (0, tau] because E' <= 1
     makes h(tau) >= 0. The analytic slope and probes max(1e-3, gamma 2^-20) on
     either side, a step that outgrows the KLD's rounding error, then certify a
-    stationary minimum.
+    stationary minimum. Near the largest tilts the probe KLDs overflow to inf
+    or NaN; such a cell fails the certificate quietly, as its own error.
     """
     t = np.atleast_1d(_check_tau_d(taus, d_z))
     log_z = log_normalizer(t, d_z)
@@ -143,7 +144,8 @@ def _fit_priors(taus, d_z):
     step = np.maximum(_MIN_PROBE, gamma * _REL_PROBE)
     m = np.stack([gamma, np.minimum(gamma + step, _MAX_NORM),
                   np.where(gamma >= step, gamma - step, gamma)])
-    kld = _kld_from_mean(t, log_z, m, mean_norm(d_z, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kld = _kld_from_mean(t, log_z, m, mean_norm(d_z, m))
     ok = (np.abs(gamma * h) < _GRAD_OK) & np.all(kld[1:] >= kld[0], axis=0)
     return [TiltedPrior(tau=tc, d_z=d_z, log_z_tau=lz, gamma=g, committed_rate=rate) if good
             else ConvergenceError("gamma solver did not converge", tau=tc, d_z=d_z,

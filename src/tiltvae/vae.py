@@ -427,8 +427,8 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (model, z_bar or None).
 
     Every inconsistency (truncation, trailing bytes, an unknown prior tag, a
-    non-finite tilted-prior header, layer shapes that disagree with d_x and
-    d_z) is a DomainError naming the file.
+    non-finite tilted-prior header or parameter, layer shapes that disagree
+    with d_x and d_z) is a DomainError naming the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -466,6 +466,9 @@ def load_checkpoint(path):
     decoder = read_mlp()
     if off != len(raw):
         raise DomainError(f"{path}: {len(raw) - off} trailing bytes after the decoder")
+    if not all(np.isfinite(p).all() for p in encoder.weights + encoder.biases
+               + decoder.weights + decoder.biases):
+        raise DomainError(f"{path}: a weight or bias is not finite")
     _check_widths(path, "encoder", encoder, d_x, d_z if prior_tag == 1 else 2 * d_z)
     _check_widths(path, "decoder", decoder, d_z, d_x)
     if prior_tag == 1:

@@ -2,12 +2,23 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import tiltvae.tilted
 from tiltvae.cli import build_parser, main
+
+
+def _run_python(args, cwd):
+    """A fresh interpreter that imports this checkout's tiltvae."""
+    src = os.path.dirname(os.path.dirname(tiltvae.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def _read_csv(path):
@@ -60,6 +71,15 @@ class TestGamma:
     def test_non_finite_tau_is_domain_error(self, tmp_path, tau):
         assert main(["gamma", "--tau", tau, "--dz", "10",
                      "--out", str(tmp_path / "g.csv")]) == 1
+
+    def test_overflowing_probe_is_only_a_convergence_error(self, tmp_path):
+        # Near the largest accepted tilt the probe KLDs overflow; the fit must
+        # fail as its own ConvergenceError, with no numpy warning on stderr.
+        proc = _run_python(["-m", "tiltvae.cli", "gamma", "--tau", "1.8e154", "--dz", "2",
+                            "--out", "g.csv"], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: gamma solver did not converge")
+        assert proc.stderr.count("\n") == 1
 
     def test_old_manifest_with_descent_options_replays(self, tmp_path):
         # Manifests written when gamma still took --learning-rate, --steps and
@@ -250,6 +270,12 @@ class TestCachedParser:
     def test_one_parser_per_process(self):
         assert build_parser() is build_parser()
 
+    def test_import_loads_no_scipy(self, tmp_path):
+        proc = _run_python(["-c", "import sys, tiltvae.cli; print(sorted(m for m in sys.modules"
+                            " if m == 'scipy' or m.startswith('scipy.')))"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_consecutive_gamma_runs_keep_their_own_options(self, tmp_path):
         for tau, dz in (("1", "2"), ("3", "5")):
             assert main(["gamma", "--tau", tau, "--dz", dz,
@@ -324,6 +350,18 @@ class TestManifestAndReplay:
                      "--out-dir", str(replay_dir)]) == 0
         assert (replay_dir / "model.ckpt").read_bytes() == ckpt.read_bytes()
         assert (replay_dir / "log.csv").read_bytes() == log.read_bytes()
+
+    def test_replay_writes_default_outputs_into_out_dir(self, tmp_path, monkeypatch):
+        # A manifest that records no config.out replays to the default name,
+        # which must land in --out-dir, not in the working directory.
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        manifest = tmp_path / "run.manifest"
+        manifest.write_text("command = gamma\nconfig.tau = 2.0\nconfig.dz = 4\n")
+        assert main(["replay", str(manifest), "--out-dir", str(tmp_path / "replayed")]) == 0
+        assert (tmp_path / "replayed" / "gamma.csv").exists()
+        assert not any(cwd.iterdir())
 
     def test_replay_unknown_command(self, tmp_path):
         bad = tmp_path / "bad.manifest"

@@ -185,6 +185,26 @@ class TestRoc:
         expected = [[(in_s > t).mean(), (out_s > t).mean()] for t in curve.thresholds]
         assert np.array_equal(curve.points, expected)
 
+    @given(
+        st.one_of(
+            st.tuples(st.lists(st.integers(-8, 8), min_size=1, max_size=300),
+                      st.lists(st.integers(-8, 8), min_size=1, max_size=300)),
+            st.tuples(st.lists(st.sampled_from([-1.5, 0.0, 1e-300, 0.1, 0.3, 2.5, np.inf]),
+                               min_size=1, max_size=300),
+                      st.lists(st.floats(-3.0, 3.0) | st.sampled_from([0.1, 0.3, 2.5]),
+                               min_size=1, max_size=300)),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_auroc_equals_rank_sum_bitwise(self, scores):
+        # The rank-sum Mann-Whitney formula, with scipy as a test-only oracle.
+        from scipy.stats import rankdata
+
+        in_s, out_s = (np.array(v, dtype=np.float64) for v in scores)
+        ranks = rankdata(np.concatenate([in_s, out_s]))
+        u = ranks[in_s.size:].sum() - out_s.size * (out_s.size + 1) / 2.0
+        assert roc(in_s, out_s).auroc == float(u / (in_s.size * out_s.size))
+
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             roc([1.0, np.nan], [2.0])

@@ -3,6 +3,7 @@ gamma solver, and the margin sweep machinery."""
 
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -343,6 +344,15 @@ class TestSolveGamma:
             solve_gamma(10.0, 10)
         assert "final_iterate" in err.value.context
         assert "gradient" in err.value.context
+
+    def test_overflowing_probe_fails_without_a_warning(self):
+        # Near the largest accepted tilt, tau * E overflows in the probe KLDs.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as err:
+                TiltedPrior.fit(1.8e154, 2)
+        assert err.value.context["final_iterate"] == 1.8e154
+        assert math.isfinite(err.value.context["gradient"])
 
 
 class TestUnimodality:

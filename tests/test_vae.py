@@ -478,6 +478,10 @@ class TestStrictCheckpointHeader:
         raw[17:25] = struct.pack("<d", math.nan)
         assert "tau" in self._load(tmp_path, raw)
 
+    def test_nan_weight(self, tmp_path, raw):
+        raw[69:77] = struct.pack("<d", math.nan)  # the encoder's first weight
+        assert "not finite" in self._load(tmp_path, raw)
+
     def test_truncated_tensor(self, tmp_path, raw):
         assert "truncated" in self._load(tmp_path, raw[:-5])
 
