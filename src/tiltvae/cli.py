@@ -7,8 +7,8 @@ duration. ``tiltvae replay MANIFEST --out-dir DIR`` re-executes the recorded
 command with identical configuration, redirecting artifacts into DIR; all
 derived outputs are byte-identical across replays (timings excepted).
 
-Exit codes: 0 success, 1 domain/validation error or non-finite activations,
-2 numerical non-convergence, 3 I/O error.
+Exit codes: 0 success, 1 domain/validation error or non-finite activations or
+scores, 2 numerical non-convergence, 3 I/O error.
 """
 
 import argparse
@@ -367,8 +367,12 @@ class ScoreCommand(Command):
             scored = score_dataset_averaged(model, rng, dataset, config["draws"])
         else:
             scored = score_dataset(model, dataset)
+        scores = np.array([s.score for s in scored])
+        if not np.isfinite(scores).all():
+            raise NumericalError(f"{config['model']}: the model gives a non-finite score for "
+                                 f"sample {np.argmin(np.isfinite(scores))}")
         write_scores_csv(config["out"], scored, dataset.tag)
-        mean = float(np.mean([s.score for s in scored]))
+        mean = float(np.mean(scores))
         print(f"scored {dataset.n} samples, mean score {mean!r}")
         return {"scores": config["out"]}, config["seed"]
 

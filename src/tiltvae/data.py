@@ -79,6 +79,11 @@ def _read_idx_header(raw: bytes, path):
             f"{path}: truncated payload at offset {header_len}, "
             f"expected {count} bytes, got {avail}"
         )
+    if avail > count:
+        raise IdxFormatError(
+            f"{path}: {avail - count} trailing bytes after the payload at offset "
+            f"{header_len + count}"
+        )
     return dims, header_len, count
 
 
@@ -229,14 +234,6 @@ def subsample(ds: Dataset, rng: RngStream, max_samples: int) -> Dataset:
         ds.samples[keep], ds.height, ds.width, ds.channels,
         tag=f"{ds.tag}|sub{max_samples}", labels=labels,
     )
-
-
-def export_csv(ds: Dataset, path) -> None:
-    """One sample per row, raw pixel columns."""
-    with open(path, "w") as fh:
-        for row in ds.samples:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
 
 
 def parse_spec(spec: str, seed: int) -> Dataset:

@@ -8,11 +8,13 @@ is a one-sided threshold: scores at or below the threshold are in.
 """
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvfloat import format_blocks, write_rows
 from .data import Dataset
 from .errors import DomainError
 from .sampler import RngStream
@@ -38,7 +40,10 @@ def _scored(recon, kld, label=None):
     return ScoredSample(float(recon), float(kld), float(recon) + float(kld), label)
 
 
+@np.errstate(over="ignore")
 def _kld_terms_for_scores(model, mu, log_sigma):
+    """Per-sample divergence terms; a term too large for a double is inf,
+    without a warning, and the caller decides what a non-finite score means."""
     if model.is_tilted:
         norms = np.linalg.norm(mu, axis=1)
         return 0.5 * (norms - model.prior.gamma) ** 2
@@ -115,10 +120,9 @@ class RocCurve:
     auroc: float
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("threshold,fpr,tpr\n")
-            for t, (fpr, tpr) in zip(self.thresholds, self.points):
-                fh.write(f"{repr(float(t))},{repr(float(fpr))},{repr(float(tpr))}\n")
+        with open(path, "wb") as fh:
+            fh.write(b"threshold,fpr,tpr\n")
+            write_rows(fh, np.column_stack([self.thresholds, self.points]))
 
     def summary_json(self, n_in: int, n_out: int) -> str:
         return json.dumps({"auroc": self.auroc, "n_in": n_in, "n_out": n_out})
@@ -165,11 +169,17 @@ def threshold_classify(scores, threshold: float):
 
 
 def write_scores_csv(path, scored, tag: str) -> None:
+    """The CSV that csv.writer gives for rows (index, repr of each term, tag)."""
+    terms = np.column_stack([[s.recon_term for s in scored], [s.kld_term for s in scored],
+                             [s.score for s in scored]])
+    cell = io.StringIO()
+    csv.writer(cell).writerow(["", tag])
+    tail = cell.getvalue()  # "," + the tag, quoted as csv.writer quotes it, + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "recon_term", "kld_term", "score", "dataset_tag"])
-        for i, s in enumerate(scored):
-            writer.writerow([i, repr(s.recon_term), repr(s.kld_term), repr(s.score), tag])
+        csv.writer(fh).writerow(["sample_index", "recon_term", "kld_term", "score", "dataset_tag"])
+        for start, text in format_blocks(terms):
+            lines = text.decode("ascii").split("\n")[:-1]
+            fh.writelines(f"{i},{line}{tail}" for i, line in enumerate(lines, start))
 
 
 def read_scores_csv(path) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvfloat import write_rows
 from .errors import ConvergenceError, DomainError
 from .tilted import TiltedPrior
 
@@ -132,9 +133,8 @@ def sample_tilted_prior_batch(rng: RngStream, prior: TiltedPrior, n: int) -> np.
 
 
 def save_latents_csv(path, latents) -> None:
-    """One latent vector per row, for external plotting."""
+    """One latent vector per row, for external plotting; each value is
+    written as its repr."""
     latents = np.atleast_2d(np.asarray(latents, dtype=np.float64))
-    with open(path, "w") as fh:
-        for row in latents:
-            fh.write(",".join(map(repr, row.tolist())))
-            fh.write("\n")
+    with open(path, "wb") as fh:
+        write_rows(fh, latents)

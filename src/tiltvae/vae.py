@@ -172,6 +172,9 @@ def _as_batch(x, d_x):
     return x, single
 
 
+# The forward passes report overflow as _mlp_forward's NumericalError, so
+# numpy's own warning is silenced once per pass, not per layer.
+@np.errstate(over="ignore", invalid="ignore")
 def _infer(params, x, where):
     """Forward pass without caches, _INFER_ROWS rows at a time."""
     out = np.empty((x.shape[0], params.weights[-1].shape[1]))
@@ -226,6 +229,7 @@ def _kld_terms(model, mu, log_sigma):
     return kld, mu.copy(), sigma2 - 1.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _elbo_forward_backward(model, x, eps, want_grads=True):
     """Mean (recon, kld) over a batch with fixed noise, plus the parameter
     gradients as a flat buffer laid out like model.params.

@@ -12,7 +12,6 @@ from tiltvae.data import (
     Dataset,
     IdxFormatError,
     blob_preset,
-    export_csv,
     gen_blobs,
     gen_constant,
     gen_noise,
@@ -60,6 +59,17 @@ class TestIdx:
         path.write_bytes(raw)
         with pytest.raises(IdxFormatError, match="expected 1568 bytes, got 100"):
             load_idx(path)
+
+    def test_trailing_bytes_are_refused_in_image_and_label_files(self, tmp_path):
+        imgs, labels = tmp_path / "imgs.idx", tmp_path / "labels.idx"
+        imgs.write_bytes(_idx_image_bytes(2, 2, 2, [0] * 8) + b"\x00" * 3)
+        labels.write_bytes(_idx_label_bytes([1, 2]))
+        with pytest.raises(IdxFormatError, match=f"{imgs}: 3 trailing bytes .* offset 24"):
+            load_idx(imgs, labels)
+        imgs.write_bytes(_idx_image_bytes(2, 2, 2, [0] * 8))
+        labels.write_bytes(_idx_label_bytes([1, 2]) + b"\x07")
+        with pytest.raises(IdxFormatError, match=f"{labels}: 1 trailing bytes"):
+            load_idx(imgs, labels)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
@@ -201,12 +211,6 @@ class TestTransforms:
         # original relative order preserved
         idx = [int(np.where((ds.samples == row).all(axis=1))[0][0]) for row in a.samples]
         assert idx == sorted(idx)
-
-    def test_export_csv(self, tmp_path):
-        ds = gen_constant(RngStream(19), 3, 2, 2)
-        path = tmp_path / "ds.csv"
-        export_csv(ds, path)
-        assert len(path.read_text().splitlines()) == 3
 
 
 class TestParseSpec:

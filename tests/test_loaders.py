@@ -5,6 +5,7 @@ the CLI turns any of them into a documented exit code and one error line,
 never a traceback."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,21 @@ def checkpoints(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("ckpt")
     return [_checkpoint_bytes(tmp, TiltedPrior.fit(3.0, 3)),
             _checkpoint_bytes(tmp, V.StandardGaussian())]
+
+
+def _with_first_layer(tmp_path, raw, value, columns):
+    """A copy of a checkpoint with the given columns of the encoder's first
+    weight matrix, (6, 4) row-major after the header, its layer count and
+    shape, set to ``value``."""
+    raw = bytearray(raw)
+    first_weight = 4 + 13 + 40 + 4 + 8
+    for row in range(6):
+        for col in columns:
+            at = first_weight + 8 * (4 * row + col)
+            raw[at:at + 8] = struct.pack("<d", value)
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(bytes(raw))
+    return path
 
 
 def _chains(mlp, n_in, n_out):
@@ -102,20 +118,32 @@ class TestCheckpointFuzz:
 
     def test_score_on_overflowing_weights_exits_1(self, tmp_path, checkpoints, capsys):
         # Finite weights of 1e308 into the first hidden unit overflow its
-        # activation for noise inputs. The encoder's first weight matrix is
-        # (6, 4), row-major, after the header and its layer count and shape.
-        raw = bytearray(checkpoints[0])
-        first_weight = 4 + 13 + 40 + 4 + 8
-        for row in range(6):
-            at = first_weight + 8 * 4 * row
-            raw[at:at + 8] = struct.pack("<d", 1e308)
-        path = tmp_path / "big.ckpt"
-        path.write_bytes(bytes(raw))
+        # activation for noise inputs.
+        path = _with_first_layer(tmp_path, checkpoints[0], 1e308, columns=(0,))
         V.load_checkpoint(path)
-        code = main(["score", "--model", str(path), "--data", "noise:n=4,h=2,w=3",
-                     "--out", str(tmp_path / "s.csv")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["score", "--model", str(path), "--data", "noise:n=4,h=2,w=3",
+                         "--out", str(tmp_path / "s.csv")])
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+
+    def test_score_refuses_infinite_scores_naming_the_model(self, tmp_path, checkpoints, capsys):
+        # Weights of 1e200 keep every activation finite, but the latent
+        # means' norm overflows, so every divergence term would be inf.
+        path = _with_first_layer(tmp_path, checkpoints[0], 1e200, columns=range(4))
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["score", "--model", str(path), "--data", "noise:n=4,h=2,w=3",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {path}: ") and "non-finite score" in err
+        assert err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +169,7 @@ class TestIdxFuzz:
             return
         ndim = raw[3]
         dims = struct.unpack(f">{ndim}I", raw[4:4 + 4 * ndim])
+        assert len(raw) == 4 + 4 * ndim + int(np.prod(dims))
         assert ds.samples.shape == (dims[0], int(np.prod(dims[1:])))
         assert (ds.height, ds.width, ds.channels) == (dims[1], dims[2], (dims + (1,))[3])
         assert np.array_equal(np.round(ds.samples * 255.0),
