@@ -16,7 +16,7 @@ import numpy as np
 import tiltvae.vae as V
 from tiltvae import TiltedPrior
 from tiltvae.data import blob_preset, gen_blobs, gen_noise
-from tiltvae.ood import roc, score_dataset, write_scores_csv
+from tiltvae.ood import roc, score_arrays, write_scores_csv
 from tiltvae.sampler import RngStream
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
@@ -47,16 +47,17 @@ print(f"encoded radius: z_bar = {tr.z_bar:.3f} vs gamma = {prior.gamma:.3f} "
 
 # --- score and evaluate -----------------------------------------------------
 for name, model in [("tilted", tilted), ("gaussian", gauss)]:
-    scored_in = score_dataset(model, eval_in)
+    recon_in, kld_in = score_arrays(model, eval_in.samples)
     write_scores_csv(os.path.join(OUT, f"scores_in_{name}.csv"),
-                     scored_in, eval_in.tag)
+                     recon_in, kld_in, eval_in.tag)
+    scores_in = recon_in + kld_in
     for ood_name, ood_ds in [("noise", eval_noise), ("shifted", eval_shift)]:
-        scored_out = score_dataset(model, ood_ds)
-        curve = roc([s.score for s in scored_in], [s.score for s in scored_out])
+        recon_out, kld_out = score_arrays(model, ood_ds.samples)
+        scores_out = recon_out + kld_out
+        curve = roc(scores_in, scores_out)
         curve.to_csv(os.path.join(OUT, f"roc_{name}_{ood_name}.csv"))
         print(f"{name:>8} vs {ood_name:<7}: AUROC = {curve.auroc:.4f} "
-              f"(mean in {np.mean([s.score for s in scored_in]):.2f}, "
-              f"out {np.mean([s.score for s in scored_out]):.2f})")
+              f"(mean in {np.mean(scores_in):.2f}, out {np.mean(scores_out):.2f})")
 
 print("wrote per-model score and ROC CSVs under out/")
 print("\nthe same pipeline is scriptable through the CLI: train -> score -> roc,")

@@ -20,17 +20,10 @@ import time
 import numpy as np
 
 from . import __version__
+from ._csvfloat import write_rows
 from .data import IdxFormatError, parse_spec
 from .errors import ConvergenceError, DomainError, NumericalError
-from .ood import (
-    read_scores_csv,
-    roc,
-    score_arrays,
-    score_arrays_averaged,
-    score_dataset,
-    score_dataset_averaged,
-    write_scores_csv,
-)
+from .ood import read_scores_csv, roc, score_arrays, write_scores_csv
 from .sampler import (
     RadialLaw,
     RngStream,
@@ -211,12 +204,10 @@ class KldTableCommand(Command):
             raise DomainError("kld-table needs points >= 2 and a finite mu-max > 0")
         prior = TiltedPrior.fit(config["tau"], config["dz"])
         grid = np.linspace(0.0, config["mu_max"], config["points"])
-        rows = zip(grid.tolist(), exact_kld(prior, grid).tolist(),
-                   quadratic_kld(prior, grid).tolist())
-        with open(config["out"], "w") as fh:
-            fh.write("mu_norm,exact,quadratic\n")
-            for m, exact, quad in rows:
-                fh.write(f"{m!r},{exact!r},{quad!r}\n")
+        with open(config["out"], "wb") as fh:
+            fh.write(b"mu_norm,exact,quadratic\n")
+            write_rows(fh, np.column_stack([grid, exact_kld(prior, grid),
+                                            quadratic_kld(prior, grid)]))
         print(f"wrote {config['points']} rows (gamma={prior.gamma!r})")
         return {"table": config["out"]}, None
 
@@ -261,32 +252,33 @@ def _parse_kv_file(path):
     return values
 
 
-_TRAIN_KEYS = {
-    "prior": (str, Command.REQUIRED),
-    "tau": (float, 0.0),
-    "dz": (int, Command.REQUIRED),
-    "hidden": (_parse_int_list, [256, 128]),
-    "weight_std": (float, 0.2),
-    "data": (str, Command.REQUIRED),
-    "epochs": (int, Command.REQUIRED),
-    "batch_size": (int, 64),
-    "learning_rate": (float, 1e-4),
-    "grad_clip": (float, 100.0),
-    "seed": (int, 0),
-}
+# The training config file's keys, as option rows; the manifest records each
+# resolved value as train.<key> through the row's fmt.
+_TRAIN_SCHEMA = (
+    _str_opt("prior", Command.REQUIRED, "tilted or gaussian"),
+    _float_opt("tau", 0.0, "tilt parameter"),
+    _int_opt("dz", Command.REQUIRED, "latent dimension"),
+    _opt("hidden", VAL, _parse_int_list, _fmt_int_list, [256, 128], "hidden widths"),
+    _float_opt("weight_std", 0.2, "initial weight standard deviation"),
+    _str_opt("data", Command.REQUIRED, "data spec (see tiltvae.data.parse_spec)"),
+    _int_opt("epochs", Command.REQUIRED, "training epochs"),
+    _int_opt("batch_size", 64, "minibatch size"),
+    _float_opt("learning_rate", 1e-4, "Adam step size"),
+    _float_opt("grad_clip", 100.0, "global gradient-norm clip"),
+    _int_opt("seed", 0, "seed"),
+)
 
 
 def _resolve_train_config(values):
     config = {}
-    for key, (parse, default) in _TRAIN_KEYS.items():
+    for key, _kind, parse, _fmt, default, _help in _TRAIN_SCHEMA:
         if key in values:
-            raw = values[key]
-            config[key] = parse(raw) if isinstance(raw, str) else raw
+            config[key] = parse(values[key])
         elif default is Command.REQUIRED:
             raise DomainError(f"missing training config key {key!r}")
         else:
             config[key] = default
-    unknown = set(values) - set(_TRAIN_KEYS)
+    unknown = set(values) - set(config)
     if unknown:
         raise DomainError(f"unknown training config keys {sorted(unknown)}")
     if config["prior"] not in ("tilted", "gaussian"):
@@ -341,10 +333,8 @@ class TrainCommand(Command):
         if tc["prior"] == "tilted":
             print(f"gamma = {prior.gamma!r} (z_bar > gamma: {result.z_bar > prior.gamma})")
         # Fold the resolved training config into the manifest for replay.
-        self.extra_manifest = {f"train.{k}": ("" if v is None else
-                               _fmt_int_list(v) if isinstance(v, list) else repr(v)
-                               if isinstance(v, float) else str(v))
-                               for k, v in tc.items()}
+        self.extra_manifest = {f"train.{key}": fmt(tc[key])
+                               for key, _kind, _parse, fmt, _default, _help in _TRAIN_SCHEMA}
         return {"checkpoint": config["checkpoint"], "log": config["log"]}, tc["seed"]
 
 
@@ -362,16 +352,13 @@ class ScoreCommand(Command):
     def run(self, config):
         model, _ = load_checkpoint(config["model"])
         dataset = parse_spec(config["data"], config["seed"])
-        if config["draws"] > 0:
-            rng = RngStream(config["seed"], stream=11)
-            scored = score_dataset_averaged(model, rng, dataset, config["draws"])
-        else:
-            scored = score_dataset(model, dataset)
-        scores = np.array([s.score for s in scored])
+        recon, kld = score_arrays(model, dataset.samples, config["draws"],
+                                  RngStream(config["seed"], stream=11))
+        scores = recon + kld
         if not np.isfinite(scores).all():
             raise NumericalError(f"{config['model']}: the model gives a non-finite score for "
                                  f"sample {np.argmin(np.isfinite(scores))}")
-        write_scores_csv(config["out"], scored, dataset.tag)
+        write_scores_csv(config["out"], recon, kld, dataset.tag)
         mean = float(np.mean(scores))
         print(f"scored {dataset.n} samples, mean score {mean!r}")
         return {"scores": config["out"]}, config["seed"]
@@ -468,14 +455,11 @@ class BenchCommand(Command):
         x = dataset.samples
         rng = RngStream(config["seed"], stream=31)
         rows = []
-        for mode, fn in (
-            ("single", lambda: score_arrays(model, x)),
-            (f"avg{config['draws']}", lambda: score_arrays_averaged(model, rng, x, config["draws"])),
-        ):
-            fn()  # warm-up pass, excluded from timing
+        for mode, draws in (("single", 0), (f"avg{config['draws']}", config["draws"])):
+            score_arrays(model, x, draws, rng)  # warm-up pass, excluded from timing
             for rep in range(config["repeat"]):
                 t0 = time.perf_counter()
-                fn()
+                score_arrays(model, x, draws, rng)
                 dt = time.perf_counter() - t0
                 rows.append((mode, rep, dt, dataset.n / dt))
         with open(config["out"], "w") as fh:

@@ -3,8 +3,8 @@
 The score of a sample is its plain l2 reconstruction error plus the quadratic
 divergence term (||z|| - gamma)^2 / 2 evaluated at the deterministic encoder
 mean; higher scores mean more out-of-distribution. Gaussian-prior baselines
-use their closed-form divergence as the second term instead. Classification
-is a one-sided threshold: scores at or below the threshold are in.
+use their closed-form divergence as the second term instead. The ROC sweeps
+the one-sided rule "flag when score > threshold".
 """
 
 import csv
@@ -15,29 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvfloat import format_blocks, write_rows
-from .data import Dataset
 from .errors import DomainError
 from .sampler import RngStream
-from .vae import VaeModel, decode, encode
+from .vae import VaeModel, _as_batch, decode, encode, reparameterize
 
-IN_DISTRIBUTION = "in_distribution"
-OUT_OF_DISTRIBUTION = "out_of_distribution"
-
-
-@dataclass(frozen=True)
-class ScoredSample:
-    recon_term: float
-    kld_term: float
-    score: float
-    label: str | None = None
-
-    def __post_init__(self):
-        if self.score != self.recon_term + self.kld_term:
-            raise DomainError("score must equal recon_term + kld_term exactly")
-
-
-def _scored(recon, kld, label=None):
-    return ScoredSample(float(recon), float(kld), float(recon) + float(kld), label)
+# score_arrays walks the rows this many at a time: it encodes a chunk, then
+# draws that chunk's noise, so the draw order is fixed by this constant.
+_SCORE_ROWS = 1024
 
 
 @np.errstate(over="ignore")
@@ -51,64 +35,29 @@ def _kld_terms_for_scores(model, mu, log_sigma):
     return 0.5 * np.sum(sigma2 + mu * mu - 1.0 - 2.0 * log_sigma, axis=1)
 
 
-def score_arrays(model: VaeModel, x):
-    """(recon, kld) vectors for a (n, d_x) batch; deterministic, no sampling.
+def score_arrays(model: VaeModel, x, draws: int = 0, rng: RngStream | None = None):
+    """(recon, kld) float64 vectors for an (n, d_x) batch; a row's score is
+    recon + kld.
 
-    The decoder output is clamped to [0, 1] at scoring time only.
+    With draws = 0 the reconstruction decodes the deterministic encoder mean.
+    With draws >= 1 it is averaged over that many reparameterized latents
+    from rng, one (chunk, d_z) normal block per draw after each chunk's
+    encoding. The kld term always uses the mean, and the decoder output is
+    clamped to [0, 1] at scoring time only.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.d_x:
-        raise DomainError(f"input has {x.shape[1]} features, model expects {model.d_x}")
-    mu, log_sigma = encode(model, x)
-    xhat = np.clip(decode(model, mu), 0.0, 1.0)
-    recon = np.linalg.norm(xhat - x, axis=1)
-    return recon, _kld_terms_for_scores(model, mu, log_sigma)
-
-
-def score(model: VaeModel, x) -> ScoredSample:
-    """Score one sample from the deterministic encoder mean."""
-    recon, kld = score_arrays(model, np.asarray(x)[None, :])
-    return _scored(recon[0], kld[0])
-
-
-def score_arrays_averaged(model: VaeModel, rng: RngStream, x, draws: int):
-    """(recon, kld) vectors with the reconstruction term averaged over
-    ``draws`` reparameterized latents; the kld term still uses the mean."""
-    if draws < 1:
-        raise DomainError(f"draws must be >= 1, got {draws}")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    mu, log_sigma = encode(model, x)
-    sigma = 1.0 if log_sigma is None else np.exp(log_sigma)
-    recon = np.zeros(x.shape[0])
-    for _ in range(draws):
-        z = mu + rng.generator.standard_normal(mu.shape) * sigma
-        xhat = np.clip(decode(model, z), 0.0, 1.0)
-        recon += np.linalg.norm(xhat - x, axis=1)
-    return recon / draws, _kld_terms_for_scores(model, mu, log_sigma)
-
-
-def score_batch_averaged(model: VaeModel, rng: RngStream, x, draws: int) -> ScoredSample:
-    recon, kld = score_arrays_averaged(model, rng, np.asarray(x)[None, :], draws)
-    return _scored(recon[0], kld[0])
-
-
-def score_dataset(model: VaeModel, dataset: Dataset, label=None, chunk: int = 1024):
-    """ScoredSample list over a dataset, in row order."""
-    out = []
-    for i in range(0, dataset.n, chunk):
-        recon, kld = score_arrays(model, dataset.samples[i:i + chunk])
-        out.extend(_scored(r, k, label) for r, k in zip(recon, kld))
-    return out
-
-
-def score_dataset_averaged(model: VaeModel, rng: RngStream, dataset: Dataset,
-                           draws: int, label=None, chunk: int = 1024):
-    """score_dataset with the draw-averaged reconstruction term."""
-    out = []
-    for i in range(0, dataset.n, chunk):
-        recon, kld = score_arrays_averaged(model, rng, dataset.samples[i:i + chunk], draws)
-        out.extend(_scored(r, k, label) for r, k in zip(recon, kld))
-    return out
+    x = _as_batch(x, model.d_x)
+    if draws < 0 or (draws and rng is None):
+        raise DomainError(f"draws must be >= 0, and averaging needs an rng; got draws={draws}")
+    recon, kld = np.empty(x.shape[0]), np.empty(x.shape[0])
+    for i in range(0, x.shape[0], _SCORE_ROWS):
+        rows = slice(i, i + _SCORE_ROWS)
+        xc = x[rows]
+        mu, log_sigma = encode(model, xc)
+        kld[rows] = _kld_terms_for_scores(model, mu, log_sigma)
+        latents = (reparameterize(rng, mu, log_sigma) for _ in range(draws)) if draws else (mu,)
+        norms = (np.linalg.norm(np.clip(decode(model, z), 0.0, 1.0) - xc, axis=1) for z in latents)
+        recon[rows] = sum(norms) / max(draws, 1)
+    return recon, kld
 
 
 @dataclass(frozen=True)
@@ -160,24 +109,16 @@ def _frac_above(ordered, thresholds):
     return (ordered.size - np.searchsorted(ordered, thresholds, side="right")) / ordered.size
 
 
-def threshold_classify(scores, threshold: float):
-    """Scores at or below the threshold are in-distribution."""
-    return [
-        IN_DISTRIBUTION if s <= threshold else OUT_OF_DISTRIBUTION
-        for s in np.asarray(scores, dtype=np.float64)
-    ]
-
-
-def write_scores_csv(path, scored, tag: str) -> None:
-    """The CSV that csv.writer gives for rows (index, repr of each term, tag)."""
-    terms = np.column_stack([[s.recon_term for s in scored], [s.kld_term for s in scored],
-                             [s.score for s in scored]])
+def write_scores_csv(path, recon, kld, tag: str) -> None:
+    """The CSV that csv.writer gives for rows (index, recon, kld, recon + kld,
+    tag), each float as its repr."""
+    recon, kld = np.asarray(recon, dtype=np.float64), np.asarray(kld, dtype=np.float64)
     cell = io.StringIO()
     csv.writer(cell).writerow(["", tag])
     tail = cell.getvalue()  # "," + the tag, quoted as csv.writer quotes it, + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["sample_index", "recon_term", "kld_term", "score", "dataset_tag"])
-        for start, text in format_blocks(terms):
+        for start, text in format_blocks(np.column_stack([recon, kld, recon + kld])):
             lines = text.decode("ascii").split("\n")[:-1]
             fh.writelines(f"{i},{line}{tail}" for i, line in enumerate(lines, start))
 

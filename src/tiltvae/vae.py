@@ -162,14 +162,12 @@ def _mlp_backward(params, caches, dout, grads, input_grad=True):
     return da
 
 
-def _as_batch(x, d_x):
+def _as_batch(x, d):
+    """x as a float64 (n, d) array; any other shape is a DomainError."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != d_x:
-        raise DomainError(f"input has {x.shape[1]} features, model expects {d_x}")
-    return x, single
+    if x.ndim != 2 or x.shape[1] != d:
+        raise DomainError(f"input has shape {x.shape}, expected (n, {d})")
+    return x
 
 
 # The forward passes report overflow as _mlp_forward's NumericalError, so
@@ -184,25 +182,17 @@ def _infer(params, x, where):
 
 
 def encode(model: VaeModel, x):
-    """Deterministic encoder pass: mu, and log sigma when the prior is Gaussian."""
-    xb, single = _as_batch(x, model.d_x)
-    out = _infer(model.encoder, xb, "encoder")
+    """Deterministic encoder pass over an (n, d_x) batch: mu, and log sigma
+    when the prior is Gaussian."""
+    out = _infer(model.encoder, _as_batch(x, model.d_x), "encoder")
     if model.is_tilted:
-        mu, log_sigma = out, None
-    else:
-        mu = out[:, : model.d_z]
-        log_sigma = np.clip(out[:, model.d_z:], -_LOG_SIGMA_CLAMP, _LOG_SIGMA_CLAMP)
-    if single:
-        mu = mu[0]
-        log_sigma = None if log_sigma is None else log_sigma[0]
-    return mu, log_sigma
+        return out, None
+    return out[:, : model.d_z], np.clip(out[:, model.d_z:], -_LOG_SIGMA_CLAMP, _LOG_SIGMA_CLAMP)
 
 
 def decode(model: VaeModel, z):
-    """Deterministic decoder pass."""
-    zb, single = _as_batch(z, model.d_z)
-    out = _infer(model.decoder, zb, "decoder")
-    return out[0] if single else out
+    """Deterministic decoder pass over an (n, d_z) batch."""
+    return _infer(model.decoder, _as_batch(z, model.d_z), "decoder")
 
 
 def reparameterize(rng: RngStream, mu, log_sigma=None):

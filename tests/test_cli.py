@@ -200,6 +200,25 @@ class TestScoreRocSampleBench:
         assert header == ["sample_index", "recon_term", "kld_term", "score", "dataset_tag"]
         assert len(rows) == 16
 
+    def test_score_draws_replay_is_byte_identical(self, tmp_path, checkpoint):
+        # 2500 rows cross two 1024-row chunk boundaries of the draw order.
+        first = tmp_path / "first"
+        first.mkdir()
+        assert main(["score", "--model", str(checkpoint), "--data",
+                     "blobs:n=2500,h=8,w=8,preset=two", "--draws", "3", "--seed", "5",
+                     "--out", str(first / "scores.csv"),
+                     "--manifest", str(first / "score.manifest")]) == 0
+        replay_dir = tmp_path / "second"
+        assert main(["replay", str(first / "score.manifest"), "--out-dir", str(replay_dir)]) == 0
+        assert (replay_dir / "scores.csv").read_bytes() == (first / "scores.csv").read_bytes()
+        assert len(_read_csv(first / "scores.csv")[1]) == 2500
+
+    def test_score_negative_draws_is_usage_error(self, tmp_path, checkpoint):
+        out = tmp_path / "s.csv"
+        assert main(["score", "--model", str(checkpoint), "--data", "noise:n=4,h=8,w=8",
+                     "--draws", "-1", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_score_missing_checkpoint_is_io_error(self, tmp_path):
         assert main(["score", "--model", str(tmp_path / "nope.ckpt"),
                      "--data", "noise:n=4,h=8,w=8", "--out", str(tmp_path / "s.csv")]) == 3

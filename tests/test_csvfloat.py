@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiltvae._csvfloat import write_rows
-from tiltvae.ood import RocCurve, ScoredSample, write_scores_csv
+from tiltvae.ood import RocCurve, write_scores_csv
 
 
 def _written(values):
@@ -123,12 +123,12 @@ def test_scores_csv_bytes_match_csv_writer(tmp_path, tag):
     gen = np.random.default_rng(20246)
     terms = [(float(a), float(b)) for a, b in gen.random((7000, 2)) * 10.0]
     terms += [(np.inf, 1.0), (1e-300, 2e20), (0.0, -0.0)]
-    scored = [ScoredSample(a, b, a + b) for a, b in terms]
+    recon, kld = np.array(terms).T
     path = tmp_path / "s.csv"
-    write_scores_csv(path, scored, tag)
+    write_scores_csv(path, recon, kld, tag)
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(["sample_index", "recon_term", "kld_term", "score", "dataset_tag"])
-    for i, s in enumerate(scored):
-        writer.writerow([i, repr(s.recon_term), repr(s.kld_term), repr(s.score), tag])
+    for i, (a, b) in enumerate(terms):
+        writer.writerow([i, repr(a), repr(b), repr(a + b), tag])
     assert path.read_bytes() == expected.getvalue().encode()

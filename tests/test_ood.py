@@ -11,19 +11,7 @@ from hypothesis import strategies as st
 import tiltvae.vae as V
 from tiltvae.data import gen_blobs, blob_preset
 from tiltvae.errors import DomainError
-from tiltvae.ood import (
-    IN_DISTRIBUTION,
-    OUT_OF_DISTRIBUTION,
-    RocCurve,
-    ScoredSample,
-    read_scores_csv,
-    roc,
-    score,
-    score_batch_averaged,
-    score_dataset,
-    threshold_classify,
-    write_scores_csv,
-)
+from tiltvae.ood import read_scores_csv, roc, score_arrays, write_scores_csv
 from tiltvae.sampler import RngStream
 from tiltvae.tilted import TiltedPrior
 
@@ -49,55 +37,66 @@ def _const_model(prior, d_x, d_z, mu_bias, dec_bias=None):
     return model
 
 
+def _score_one(model, x, draws=0, rng=None):
+    """(recon, kld) of one sample, as a one-row score_arrays call."""
+    recon, kld = score_arrays(model, x[None, :], draws, rng)
+    return recon[0], kld[0]
+
+
 class TestScore:
     def test_perfect_reconstruction_at_gamma_scores_zero(self, tilted_prior):
         x = RngStream(1).generator.random(6)
         bias = np.zeros(10)
         bias[0] = tilted_prior.gamma
         model = _const_model(tilted_prior, 6, 10, bias, dec_bias=x)
-        s = score(model, x)
-        assert s.recon_term == 0.0
-        assert s.kld_term == 0.0
-        assert s.score == 0.0
-        assert s.label is None
+        recon, kld = _score_one(model, x)
+        assert recon == 0.0
+        assert kld == 0.0
+        assert recon + kld == 0.0
 
     def test_quadratic_term_only(self, tilted_prior):
         x = RngStream(2).generator.random(6)
         bias = np.zeros(10)
         bias[0] = tilted_prior.gamma + 2.0
         model = _const_model(tilted_prior, 6, 10, bias, dec_bias=x)
-        s = score(model, x)
-        assert s.score == pytest.approx(2.0, rel=1e-12)
+        assert sum(_score_one(model, x)) == pytest.approx(2.0, rel=1e-12)
 
     def test_gaussian_model_uses_its_closed_form(self):
         bias = np.concatenate([np.full(3, 2.0), np.zeros(3)])  # mu=2, sigma=1
         x = np.zeros(6)
         model = _const_model(V.StandardGaussian(), 6, 3, bias, dec_bias=x)
-        s = score(model, x)
-        assert s.kld_term == pytest.approx(0.5 * 3 * 4.0, rel=1e-12)
+        _, kld = _score_one(model, x)
+        assert kld == pytest.approx(0.5 * 3 * 4.0, rel=1e-12)
 
     def test_score_is_deterministic(self, tilted_prior):
         model = V.build_model(RngStream(3), 6, 10, tilted_prior, hidden=(4,))
         x = RngStream(4).generator.random(6)
-        assert score(model, x) == score(model, x)
+        assert _score_one(model, x) == _score_one(model, x)
 
-    def test_invariant_enforced(self):
-        with pytest.raises(DomainError):
-            ScoredSample(recon_term=1.0, kld_term=1.0, score=3.0)
+    @pytest.mark.parametrize("x", [np.zeros(6), np.zeros((2, 7)), np.zeros((1, 2, 6))])
+    def test_input_must_be_an_n_by_d_x_batch(self, tilted_prior, x):
+        model = V.build_model(RngStream(3), 6, 10, tilted_prior, hidden=(4,))
+        with pytest.raises(DomainError, match=re.escape("expected (n, 6)")):
+            score_arrays(model, x)
 
 
 class TestScoreBatchAveraged:
     def test_kld_term_matches_deterministic_score(self, tilted_prior):
         model = V.build_model(RngStream(5), 6, 10, tilted_prior, hidden=(4,))
         x = RngStream(6).generator.random(6)
-        det = score(model, x)
-        avg = score_batch_averaged(model, RngStream(7), x, draws=4)
-        assert avg.kld_term == det.kld_term
+        _, det = _score_one(model, x)
+        _, avg = _score_one(model, x, draws=4, rng=RngStream(7))
+        assert avg == det
 
-    def test_draws_must_be_positive(self, tilted_prior):
+    def test_draws_must_not_be_negative(self, tilted_prior):
         model = V.build_model(RngStream(5), 6, 10, tilted_prior, hidden=(4,))
         with pytest.raises(DomainError):
-            score_batch_averaged(model, RngStream(7), np.zeros(6), draws=0)
+            score_arrays(model, np.zeros((1, 6)), draws=-1, rng=RngStream(7))
+
+    def test_draws_need_an_rng(self, tilted_prior):
+        model = V.build_model(RngStream(5), 6, 10, tilted_prior, hidden=(4,))
+        with pytest.raises(DomainError):
+            score_arrays(model, np.zeros((1, 6)), draws=2)
 
     def test_monte_carlo_error_shrinks_with_draws(self, tilted_prior):
         model = V.build_model(RngStream(8), 6, 10, tilted_prior, hidden=(8,))
@@ -105,7 +104,7 @@ class TestScoreBatchAveraged:
         stds = {}
         for draws in (1, 16, 256):
             vals = [
-                score_batch_averaged(model, RngStream(100 + rep, draws), x, draws).recon_term
+                _score_one(model, x, draws, RngStream(100 + rep, draws))[0]
                 for rep in range(30)
             ]
             stds[draws] = np.std(vals, ddof=1)
@@ -116,9 +115,32 @@ class TestScoreBatchAveraged:
     def test_seeded_determinism(self, tilted_prior):
         model = V.build_model(RngStream(10), 6, 10, tilted_prior, hidden=(4,))
         x = RngStream(11).generator.random(6)
-        a = score_batch_averaged(model, RngStream(12), x, draws=8)
-        b = score_batch_averaged(model, RngStream(12), x, draws=8)
+        a = _score_one(model, x, draws=8, rng=RngStream(12))
+        b = _score_one(model, x, draws=8, rng=RngStream(12))
         assert a == b
+
+    @pytest.mark.parametrize("prior_kind", ["tilted", "gaussian"])
+    def test_draw_order_across_chunk_boundaries(self, prior_kind, tilted_prior):
+        # 2500 rows are three 1024-row chunks: each chunk is encoded, then
+        # gets one (chunk, d_z) normal block per draw, in that order.
+        prior = tilted_prior if prior_kind == "tilted" else V.StandardGaussian()
+        model = V.build_model(RngStream(17), 12, 10, prior, hidden=(16, 8))
+        x = RngStream(18).generator.random((2500, 12))
+        draws = 3
+        recon, kld = score_arrays(model, x, draws, RngStream(19, 11))
+        gen = RngStream(19, 11).generator
+        recon_ref = []
+        for i in range(0, x.shape[0], 1024):
+            xc = x[i:i + 1024]
+            mu, log_sigma = V.encode(model, xc)
+            sigma = 1.0 if log_sigma is None else np.exp(log_sigma)
+            total = np.zeros(xc.shape[0])
+            for _ in range(draws):
+                z = mu + gen.standard_normal(mu.shape) * sigma
+                total += np.linalg.norm(np.clip(V.decode(model, z), 0.0, 1.0) - xc, axis=1)
+            recon_ref.append(total / draws)
+        assert np.array_equal(recon, np.concatenate(recon_ref))
+        assert np.array_equal(kld, score_arrays(model, x)[1])
 
 
 def _brute_force_auroc(in_s, out_s):
@@ -211,6 +233,13 @@ class TestRoc:
         with pytest.raises(DomainError):
             roc([1.0], [np.nan])
 
+    def test_score_at_the_threshold_is_not_flagged(self):
+        # The rule flags score > threshold: a score equal to it stays in, one
+        # 1e-12 above it is out.
+        curve = roc([5.0], [5.0 + 1e-12])
+        at = int(np.flatnonzero(curve.thresholds == 5.0)[0])
+        assert tuple(curve.points[at]) == (0.0, 1.0)
+
     def test_permutation_invariance(self):
         gen = RngStream(15).generator
         in_s, out_s = gen.random(31), gen.random(17)
@@ -218,26 +247,15 @@ class TestRoc:
         assert roc(in_s[::-1], gen.permutation(out_s)).auroc == base
 
 
-class TestThresholdClassify:
-    def test_boundary_is_in_distribution(self):
-        assert threshold_classify([5.0], 5.0) == [IN_DISTRIBUTION]
-
-    def test_strict_exceedance_is_out(self):
-        assert threshold_classify([5.0 + 1e-12], 5.0) == [OUT_OF_DISTRIBUTION]
-
-    def test_empty_is_empty(self):
-        assert threshold_classify([], 0.0) == []
-
-
 class TestCsv:
     def test_roundtrip(self, tmp_path, tilted_prior):
         ds = gen_blobs(RngStream(16, 101), 10, 8, 8, blob_preset("two", 8, 8))
         model = V.build_model(RngStream(16), 64, 10, tilted_prior, hidden=(8,))
-        scored = score_dataset(model, ds)
+        recon, kld = score_arrays(model, ds.samples)
         path = tmp_path / "scores.csv"
-        write_scores_csv(path, scored, ds.tag)
+        write_scores_csv(path, recon, kld, ds.tag)
         back = read_scores_csv(path)
-        assert np.array_equal(back, np.array([s.score for s in scored]))
+        assert np.array_equal(back, recon + kld)
         header = path.read_text().splitlines()[0]
         assert header == "sample_index,recon_term,kld_term,score,dataset_tag"
 

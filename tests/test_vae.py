@@ -2,6 +2,7 @@
 training behavior, and checkpoint round trips."""
 
 import math
+import re
 import struct
 import warnings
 
@@ -40,20 +41,20 @@ class TestEncodeDecode:
     def test_zero_weight_encoder_returns_bias(self, tilted_prior):
         bias = np.arange(10, dtype=np.float64)
         model = _const_model(tilted_prior, 6, 10, bias)
-        mu, log_sigma = V.encode(model, np.ones(6))
-        assert np.array_equal(mu, bias)
+        mu, log_sigma = V.encode(model, np.ones((1, 6)))
+        assert np.array_equal(mu, bias[None, :])
         assert log_sigma is None
 
     def test_gaussian_encoder_splits_heads(self):
         bias = np.concatenate([np.full(3, 2.0), np.full(3, -0.5)])
         model = _const_model(V.StandardGaussian(), 6, 3, bias)
-        mu, log_sigma = V.encode(model, np.zeros(6))
-        assert np.array_equal(mu, np.full(3, 2.0))
-        assert np.array_equal(log_sigma, np.full(3, -0.5))
+        mu, log_sigma = V.encode(model, np.zeros((1, 6)))
+        assert np.array_equal(mu, np.full((1, 3), 2.0))
+        assert np.array_equal(log_sigma, np.full((1, 3), -0.5))
 
     def test_encode_is_pure(self, tilted_prior):
         model = V.build_model(RngStream(1), 6, 10, tilted_prior)
-        x = RngStream(2).generator.random(6)
+        x = RngStream(2).generator.random((1, 6))
         a, _ = V.encode(model, x)
         b, _ = V.encode(model, x)
         assert np.array_equal(a, b)
@@ -61,13 +62,22 @@ class TestEncodeDecode:
     def test_dimension_mismatch(self, tilted_prior):
         model = V.build_model(RngStream(1), 6, 10, tilted_prior)
         with pytest.raises(DomainError):
-            V.encode(model, np.zeros(7))
+            V.encode(model, np.zeros((1, 7)))
+
+    @pytest.mark.parametrize("fn,shape,expected", [
+        ("encode", (6,), "(n, 6)"), ("encode", (2, 3, 6), "(n, 6)"),
+        ("decode", (10,), "(n, 10)"), ("decode", (1, 6), "(n, 10)"),
+    ])
+    def test_only_batches_are_accepted(self, tilted_prior, fn, shape, expected):
+        model = V.build_model(RngStream(1), 6, 10, tilted_prior)
+        with pytest.raises(DomainError, match=re.escape(f"expected {expected}")):
+            getattr(V, fn)(model, np.zeros(shape))
 
     def test_non_finite_activations_name_the_layer(self, tilted_prior):
         model = V.build_model(RngStream(1), 6, 10, tilted_prior)
         model.encoder.weights[1][0, 0] = np.inf
         with pytest.raises(NumericalError) as err:
-            V.encode(model, np.ones(6))
+            V.encode(model, np.ones((1, 6)))
         assert err.value.context["layer"] == 1
 
 
