@@ -13,24 +13,26 @@ import os
 
 import numpy as np
 
-from tiltvae import TiltedPrior, log_density, log_normalizer
+from tiltvae import TiltedPrior, log_normalizer
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
 # --- radial profile: the density peaks on the sphere of radius tau --------
+# log density at radius r: tau r - r^2/2 - d/2 log(2 pi) - log Z_tau
 prior = TiltedPrior.fit(3.0, 2)
 radii = np.linspace(0.01, 8.0, 400)
-profile = np.array([log_density(prior, [r, 0.0]) for r in radii])
+profile = (prior.tau * radii - 0.5 * radii**2
+           - 0.5 * prior.d_z * math.log(2 * math.pi) - prior.log_z_tau)
 mode = radii[int(np.argmax(profile))]
 print(f"tau = {prior.tau}, d_z = {prior.d_z}")
 print(f"radial argmax of the density: {mode:.3f} (the tilt is {prior.tau})")
 
 with open(os.path.join(OUT, "radial_profile.csv"), "w") as fh:
-    fh.write("radius,log_density\n")
+    fh.write("radius,log_pdf\n")
     for r, v in zip(radii, profile):
         fh.write(f"{r!r},{v!r}\n")
-print("wrote out/radial_profile.csv (plot radius vs log_density to see the ridge)")
+print("wrote out/radial_profile.csv (plot radius vs log_pdf to see the ridge)")
 
 # --- the normalizer is an expectation over the untilted Gaussian ----------
 # Z_tau = E[exp(tau ||z||)], z ~ N(0, I). At small tilts a plain Monte Carlo

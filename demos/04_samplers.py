@@ -15,11 +15,9 @@ import numpy as np
 
 from tiltvae import TiltedPrior
 from tiltvae.sampler import (
-    RadialLaw,
     RngStream,
     sample_model_latents,
     sample_tilted_prior_batch,
-    sample_unit_sphere,
     save_latents_csv,
     tilted_radial_mode,
 )
@@ -27,19 +25,19 @@ from tiltvae.sampler import (
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
-rng = RngStream(2026)
-
 # --- directions: uniform on the sphere -------------------------------------
-direction_stream = rng.split(1)
-u = np.array([sample_unit_sphere(direction_stream, 3) for _ in range(5)])
+# Both samplers normalize a batch of standard normal rows, which is uniform
+# on the sphere because the Gaussian is rotation invariant.
+u = RngStream(2026, 1).generator.standard_normal((5, 3))
+u /= np.linalg.norm(u, axis=1, keepdims=True)
 print("five unit directions in R^3 (norms all 1):")
 print(np.round(u, 3), "\n")
 
 # --- aggregated-posterior draws vs exact prior draws ------------------------
 prior = TiltedPrior.fit(10.0, 10)
-law = RadialLaw(z_bar=10.15)  # radial center estimated from encoded data
-post = sample_model_latents(rng.split(2), law, 10, 50_000)
-prio = sample_tilted_prior_batch(rng.split(3), prior, 50_000)
+z_bar = 10.15  # radial center estimated from encoded data
+post = sample_model_latents(RngStream(2026, 2), z_bar, 10, 50_000)
+prio = sample_tilted_prior_batch(RngStream(2026, 3), prior, 50_000)
 
 r_post = np.linalg.norm(post, axis=1)
 r_prio = np.linalg.norm(prio, axis=1)
@@ -63,8 +61,8 @@ cdf_b = np.searchsorted(np.sort(r_prio), both) / r_prio.size
 print(f"KS distance between the radial laws: {np.abs(cdf_a - cdf_b).max():.3f}")
 
 # --- reproducibility: streams are keyed by (seed, stream id) ----------------
-once = sample_model_latents(RngStream(2026, 9), law, 10, 5)
-again = sample_model_latents(RngStream(2026, 9), law, 10, 5)
+once = sample_model_latents(RngStream(2026, 9), z_bar, 10, 5)
+again = sample_model_latents(RngStream(2026, 9), z_bar, 10, 5)
 assert np.array_equal(once, again)
 print("\nsame (seed, stream) reproduces the same draws, bit for bit")
 

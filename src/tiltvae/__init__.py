@@ -8,30 +8,25 @@ VAE with manual reverse-mode gradients (`vae`), out-of-distribution scoring
 
 __version__ = "0.1.0"
 
-from .specfn import chi_mean, laguerre_half, log_gamma_ratio, log_kummer_m
+from .specfn import laguerre_half, log_gamma_ratio, log_kummer_m
 from .tilted import (
     SweepReport,
     TiltedPrior,
     exact_kld,
-    log_density,
     log_normalizer,
     quadratic_kld,
-    solve_gamma,
     verify_bound_sweep,
 )
 
 __all__ = [
-    "chi_mean",
     "laguerre_half",
     "log_gamma_ratio",
     "log_kummer_m",
     "TiltedPrior",
     "SweepReport",
-    "log_density",
     "log_normalizer",
     "exact_kld",
     "quadratic_kld",
-    "solve_gamma",
     "verify_bound_sweep",
     "__version__",
 ]

@@ -25,7 +25,6 @@ from .data import IdxFormatError, parse_spec
 from .errors import ConvergenceError, DomainError, NumericalError
 from .ood import read_scores_csv, roc, score_arrays, write_scores_csv
 from .sampler import (
-    RadialLaw,
     RngStream,
     sample_model_latents,
     sample_tilted_prior_batch,
@@ -418,7 +417,7 @@ class SampleCommand(Command):
         if config["sampler"] == "posterior":
             if zbar is None:
                 raise DomainError("posterior sampler needs --zbar (or a checkpoint that stores it)")
-            latents = sample_model_latents(rng, RadialLaw(z_bar=zbar), d_z, config["n"])
+            latents = sample_model_latents(rng, zbar, d_z, config["n"])
         elif config["sampler"] == "prior":
             if model is not None and model.is_tilted:
                 prior = model.prior

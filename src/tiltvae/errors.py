@@ -31,6 +31,3 @@ class NumericalError(RuntimeError):
         super().__init__(message)
         self.context = dict(context)
 
-
-class UnsupportedPriorError(TypeError):
-    """An operation was asked to run on a model with the wrong prior kind."""

@@ -1,14 +1,13 @@
 """Seeded random generation for the tilted-prior pipeline.
 
-Uniform directions on the unit sphere, the two-step radial sampler used to
-draw from the aggregated posterior (direction uniform, radius normal), and an
-exact rejection sampler for the tilted prior itself, kept as a verification
-oracle. All sampling goes through counter-based Philox streams so that
-(seed, stream id) fully determine every sequence on every platform.
+The two-step radial sampler used to draw from the aggregated posterior
+(direction uniform, radius normal) and an exact rejection sampler for the
+tilted prior itself, kept as a verification oracle. All sampling goes
+through counter-based Philox streams so that (seed, stream id) fully
+determine every sequence on every platform.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,59 +28,32 @@ class RngStream:
         key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
-    def split(self, stream: int) -> "RngStream":
-        """Independent substream under the same seed."""
-        return RngStream(self.seed, stream)
-
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
-@dataclass(frozen=True)
-class RadialLaw:
-    """Radial model of the aggregated posterior: ||z|| ~ N(z_bar, sigma_r^2),
-    truncated to positive radii."""
-
-    z_bar: float
-    sigma_r: float = 1.0
-
-    def __post_init__(self):
-        if self.z_bar <= 0 or self.sigma_r <= 0:
-            raise DomainError(f"radial law needs positive parameters, got {self}")
-
-    @classmethod
-    def estimate(cls, norms, estimate_sigma: bool = False) -> "RadialLaw":
-        """Fit from encoded norms; sigma stays at 1 unless asked for."""
-        norms = np.asarray(norms, dtype=np.float64)
-        sigma = float(norms.std(ddof=1)) if estimate_sigma else 1.0
-        return cls(z_bar=float(norms.mean()), sigma_r=sigma)
+def _on_sphere(gen, radii, d_z):
+    """Each radius times a uniform direction in R^d_z, shape (n, d_z)."""
+    dirs = gen.standard_normal((radii.size, d_z))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return radii[:, None] * dirs
 
 
-def sample_unit_sphere(rng: RngStream, d_z: int) -> np.ndarray:
-    """Uniform direction on the unit sphere in R^d_z."""
-    if d_z < 1:
-        raise DomainError(f"d_z must be >= 1, got {d_z}")
-    while True:
-        v = rng.generator.standard_normal(d_z)
-        n = float(np.linalg.norm(v))
-        if n > 0.0:
-            return v / n
-
-
-def sample_model_latents(rng: RngStream, law: RadialLaw, d_z: int, n: int) -> np.ndarray:
+def sample_model_latents(rng: RngStream, z_bar: float, d_z: int, n: int) -> np.ndarray:
     """n aggregated-posterior draws, shape (n, d_z): each a radius from
-    N(z_bar, sigma_r^2), redrawn until positive, times a uniform direction."""
+    N(z_bar, 1), redrawn until positive, times a uniform direction."""
+    if not (math.isfinite(z_bar) and z_bar > 0.0 and d_z >= 1 and n >= 1):
+        raise DomainError("posterior sampler needs a finite z_bar > 0, d_z >= 1 and n >= 1, "
+                          f"got z_bar={z_bar!r}, d_z={d_z}, n={n}")
     gen = rng.generator
     radii = np.empty(n)
     filled = 0
     while filled < n:
-        cand = law.z_bar + law.sigma_r * gen.standard_normal(n - filled)
+        cand = z_bar + gen.standard_normal(n - filled)
         cand = cand[cand > 0.0]
         radii[filled:filled + cand.size] = cand
         filled += cand.size
-    dirs = gen.standard_normal((n, d_z))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return radii[:, None] * dirs
+    return _on_sphere(gen, radii, d_z)
 
 
 def tilted_radial_mode(prior: TiltedPrior) -> float:
@@ -127,9 +99,7 @@ def sample_tilted_prior_batch(rng: RngStream, prior: TiltedPrior, n: int) -> np.
                 d_z=prior.d_z,
                 rate=accepted / proposed,
             )
-    dirs = gen.standard_normal((n, prior.d_z))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return radii[:, None] * dirs
+    return _on_sphere(gen, radii, prior.d_z)
 
 
 def save_latents_csv(path, latents) -> None:

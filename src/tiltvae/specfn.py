@@ -189,14 +189,6 @@ def log_gamma_ratio(p: float, q: float) -> float:
     return math.lgamma(p) - math.lgamma(q)
 
 
-def chi_mean(d: int) -> float:
-    """Mean of a central chi distribution with d degrees of freedom:
-    sqrt(2) Gamma((d+1)/2) / Gamma(d/2)."""
-    if d < 1:
-        raise DomainError(f"chi distribution needs d >= 1, got {d}")
-    return math.sqrt(2.0) * math.exp(log_gamma_ratio((d + 1) / 2, d / 2))
-
-
 def _like(x, values):
     """``values`` as a Python float when ``x`` is a scalar, else the array."""
     return float(values) if np.ndim(x) == 0 else values

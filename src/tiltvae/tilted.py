@@ -21,7 +21,6 @@ from .errors import ConvergenceError, DomainError
 from .specfn import laguerre_half, laguerre_half_prime, log_gamma_ratio, log_kummer_m
 
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # Root tolerances and iteration cap, stationarity acceptance, and the
 # minimum and relative probe steps for the gamma solver.
@@ -34,6 +33,9 @@ _REL_PROBE = 2.0 ** -20
 
 # Largest norm m whose m^2 / 2 is a finite double.
 _MAX_NORM = math.sqrt(2.0) * math.sqrt(sys.float_info.max)
+
+# A sweep cell is a violation when its minimum margin is below -_SWEEP_TOLERANCE.
+_SWEEP_TOLERANCE = 1e-9
 
 # Failures a sweep records in a cell instead of aborting.
 _CELL_ERRORS = (ConvergenceError, DomainError, OverflowError)
@@ -154,11 +156,6 @@ def _fit_priors(taus, d_z):
             in zip(*(v.tolist() for v in (t, log_z, gamma, h, kld[0], ok)))]
 
 
-def solve_gamma(tau: float, d_z: int) -> float:
-    """The posterior-mean norm minimizing the exact KLD against the tilted prior."""
-    return TiltedPrior.fit(tau, d_z).gamma
-
-
 @dataclass(frozen=True)
 class TiltedPrior:
     """An exponentially tilted Gaussian, frozen after construction.
@@ -180,15 +177,6 @@ class TiltedPrior:
         if isinstance(fit, Exception):
             raise fit
         return fit
-
-
-def log_density(prior: TiltedPrior, z) -> float:
-    """log density of the tilted prior at a point z in R^d_z."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (prior.d_z,):
-        raise DomainError(f"z has shape {z.shape}, expected ({prior.d_z},)")
-    r = float(np.linalg.norm(z))
-    return prior.tau * r - 0.5 * r * r - 0.5 * prior.d_z * _LOG_2PI - prior.log_z_tau
 
 
 def exact_kld(prior: TiltedPrior, mu_norm):
@@ -231,7 +219,6 @@ class SweepReport:
     """Per-cell minima of exact_kld - quadratic_kld over a mu grid."""
 
     cells: list
-    tolerance: float = 1e-9
 
     @property
     def violations(self):
@@ -249,15 +236,14 @@ class SweepReport:
                 writer.writerow([c.d_z, c.w, repr(c.tau), repr(c.min_margin), repr(c.argmin_mu), c.status])
 
 
-def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float,
-                       tolerance: float = 1e-9) -> SweepReport:
+def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float) -> SweepReport:
     """Evaluate exact_kld - quadratic_kld over a (d_z, tau) grid, tau = 1.2^w.
 
     Reports the minimum signed margin per cell and flags cells whose minimum
-    drops below -tolerance. Since the surrogate is tangent from above, the
-    margin is zero at gamma and negative elsewhere; the sweep quantifies how
-    far the surrogate over-penalizes across the grid. Special-function or
-    solver failures are recorded per cell rather than aborting the sweep.
+    drops below -1e-9. Since the surrogate is tangent from above, the margin
+    is zero at gamma and negative elsewhere; the sweep quantifies how far the
+    surrogate over-penalizes across the grid. Special-function or solver
+    failures are recorded per cell rather than aborting the sweep.
 
     The tilts of one d_z are fitted in one call; an error that stops it (a bad
     d_z or tau) is recorded in every cell of that d_z. The mean norms over the
@@ -289,9 +275,9 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float,
             kld = _kld_from_mean(prior.tau, prior.log_z_tau, mu, mean)
             margins = kld - quadratic_kld(prior, mu)
             k = int(np.argmin(margins))
-            status = "ok" if margins[k] >= -tolerance else "violation"
+            status = "ok" if margins[k] >= -_SWEEP_TOLERANCE else "violation"
             cells.append(SweepCell(d, w, tau, float(margins[k]), float(mu[k]), status))
-    return SweepReport(cells=cells, tolerance=tolerance)
+    return SweepReport(cells=cells)
 
 
 def _check_tau_d(tau, d_z):

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DomainError, NumericalError, UnsupportedPriorError
+from .errors import DomainError, NumericalError
 from .sampler import RngStream
-from .tilted import TiltedPrior, exact_kld
+from .tilted import TiltedPrior
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -96,9 +96,6 @@ class VaeModel:
     @property
     def is_tilted(self) -> bool:
         return isinstance(self.prior, TiltedPrior)
-
-    def copy(self):
-        return VaeModel(self.encoder, self.decoder, self.prior, self.d_x, self.d_z)
 
 
 def build_model(rng: RngStream, d_x: int, d_z: int, prior,
@@ -328,7 +325,6 @@ class TrainResult:
     model: VaeModel
     history: list  # per-epoch (recon_mean, kld_mean)
     z_bar: float
-    radial_sigma: float
 
 
 def encode_norms(model: VaeModel, dataset: Dataset) -> np.ndarray:
@@ -341,7 +337,7 @@ def train(model: VaeModel, dataset: Dataset, config: TrainConfig) -> TrainResult
     """Shuffled minibatch training, deterministic for a given seed.
 
     Returns the trained model (mutated in place), the per-epoch (recon, kld)
-    log, and the post-training radial statistics of the encoded data.
+    log, and z_bar, the mean norm of the encoded data after training.
     """
     if dataset.n < 1:
         raise DomainError("dataset is empty")
@@ -363,24 +359,8 @@ def train(model: VaeModel, dataset: Dataset, config: TrainConfig) -> TrainResult
             recon_sum += recon * idx.size
             kld_sum += kld * idx.size
         history.append((recon_sum / dataset.n, kld_sum / dataset.n))
-    norms = encode_norms(model, dataset)
-    sigma = float(norms.std(ddof=1)) if norms.size > 1 else 0.0
-    return TrainResult(model=model, history=history, z_bar=float(norms.mean()), radial_sigma=sigma)
-
-
-def exact_elbo(model: VaeModel, dataset: Dataset):
-    """Per-sample (recon, exact KLD) with the deterministic encoder mean.
-
-    Swaps the training-time quadratic penalty for the exact divergence, which
-    can only sharpen the likelihood bound since the quadratic never sits
-    below the exact value. Tilted models only.
-    """
-    if not model.is_tilted:
-        raise UnsupportedPriorError("exact_elbo needs a tilted-prior model")
-    x = dataset.samples
-    mu, _ = encode(model, x)
-    recons = np.sum((decode(model, mu) - x) ** 2, axis=1)
-    return recons, exact_kld(model.prior, np.linalg.norm(mu, axis=1))
+    return TrainResult(model=model, history=history,
+                       z_bar=float(encode_norms(model, dataset).mean()))
 
 
 def save_checkpoint(model: VaeModel, path, z_bar: float | None = None) -> None:
@@ -421,8 +401,9 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (model, z_bar or None).
 
     Every inconsistency (truncation, trailing bytes, an unknown prior tag, a
-    non-finite tilted-prior header or parameter, layer shapes that disagree
-    with d_x and d_z) is a DomainError naming the file.
+    non-finite tilted-prior header or parameter, a z_bar that is not NaN
+    and not finite and positive, layer shapes that disagree with d_x and
+    d_z) is a DomainError naming the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -474,6 +455,9 @@ def load_checkpoint(path):
         prior = TiltedPrior(tau=tau, d_z=d_z, log_z_tau=log_z, gamma=gamma, committed_rate=rate)
     else:
         prior = StandardGaussian()
+    if not (math.isnan(z_bar) or (math.isfinite(z_bar) and z_bar > 0.0)):
+        raise DomainError(f"{path}: z_bar must be finite and positive (or NaN for absent), "
+                          f"got {z_bar}")
     model = VaeModel(encoder, decoder, prior, d_x=d_x, d_z=d_z)
     return model, (None if math.isnan(z_bar) else z_bar)
 

@@ -19,13 +19,8 @@ import tiltvae.vae as V
 from tiltvae.cli import main as cli_main
 from tiltvae.data import blob_preset, gen_blobs, gen_noise
 from tiltvae.ood import roc, score_arrays
-from tiltvae.sampler import (
-    RadialLaw,
-    RngStream,
-    sample_model_latents,
-    sample_tilted_prior_batch,
-)
-from tiltvae.tilted import TiltedPrior, exact_kld, log_normalizer, quadratic_kld, solve_gamma
+from tiltvae.sampler import RngStream, sample_model_latents, sample_tilted_prior_batch
+from tiltvae.tilted import TiltedPrior, exact_kld, log_normalizer, quadratic_kld
 
 TABLE_GAMMA = [
     (10.0, 10, 9.53),
@@ -112,7 +107,7 @@ def test_criterion_01_gamma_reproduces_reference_table():
     t0 = time.perf_counter()
     worst = 0.0
     for tau, d, expected in TABLE_GAMMA:
-        gamma = solve_gamma(tau, d)
+        gamma = TiltedPrior.fit(tau, d).gamma
         worst = max(worst, abs(gamma - expected))
     dt = time.perf_counter() - t0
     ok = worst <= 0.05
@@ -301,7 +296,7 @@ def test_criterion_07_aggregated_posterior_radial_law(desk_run):
 
 def test_criterion_08_sampler_correctness():
     z_bar = 10.15
-    latents = sample_model_latents(RngStream(31), RadialLaw(z_bar=z_bar), 10, 10**5)
+    latents = sample_model_latents(RngStream(31), z_bar, 10, 10**5)
     radii = np.linalg.norm(latents, axis=1)
     lo = norm.cdf(0.0, loc=z_bar)
     ks = kstest(

@@ -12,13 +12,13 @@ import tiltvae.tilted
 from tiltvae.cli import build_parser, main
 
 
-def _run_python(args, cwd):
+def _run_python(args, cwd, timeout=120):
     """A fresh interpreter that imports this checkout's tiltvae."""
     src = os.path.dirname(os.path.dirname(tiltvae.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def _read_csv(path):
@@ -273,6 +273,24 @@ class TestScoreRocSampleBench:
 
     def test_sample_needs_model_or_dz(self, tmp_path):
         assert main(["sample", "--n", "5", "--out", str(tmp_path / "l.csv")]) == 1
+
+    @pytest.mark.parametrize("options", [
+        ["--dz", "2", "--zbar", "nan", "--n", "3"],
+        ["--dz", "2", "--zbar", "inf", "--n", "3"],
+        ["--dz", "2", "--zbar", "0", "--n", "3"],
+        ["--dz", "2", "--zbar", "-1", "--n", "3"],
+        ["--dz", "0", "--zbar", "1", "--n", "3"],
+        ["--dz", "2", "--zbar", "1", "--n", "-3"],
+    ], ids=["zbar-nan", "zbar-inf", "zbar-0", "zbar-neg", "dz-0", "n-neg"])
+    def test_sample_refuses_bad_posterior_inputs(self, tmp_path, options):
+        # A NaN radial mean once made the redraw loop run forever; the
+        # timeout turns a hang into a failure.
+        proc = _run_python(["-m", "tiltvae.cli", "sample", *options, "--out", "l.csv"],
+                           cwd=tmp_path, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: posterior sampler needs")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "l.csv").exists()
 
     def test_bench_schema(self, tmp_path, checkpoint, capsys):
         out = tmp_path / "bench.csv"

@@ -67,6 +67,13 @@ def _with_first_layer(tmp_path, raw, value, columns):
     return path
 
 
+def _with_z_bar(raw, z_bar):
+    """A copy of a checkpoint whose header stores ``z_bar``, the last of its
+    five doubles."""
+    at = 4 + 13 + 32
+    return raw[:at] + struct.pack("<d", z_bar) + raw[at + 8:]
+
+
 def _chains(mlp, n_in, n_out):
     widths = [n_in] + [w.shape[1] for w in mlp.weights]
     return (len(mlp.weights) >= 1
@@ -83,10 +90,11 @@ class TestCheckpointFuzz:
         path = tmp_path / "mutated.ckpt"
         path.write_bytes(raw)
         try:
-            model, _ = V.load_checkpoint(path)
+            model, z_bar = V.load_checkpoint(path)
         except DomainError as exc:
             assert str(path) in str(exc)
             return
+        assert z_bar is None or 0.0 < z_bar < float("inf")
         enc_out = model.d_z if model.is_tilted else 2 * model.d_z
         assert model.d_x >= 1 and model.d_z >= 1
         assert _chains(model.encoder, model.d_x, enc_out)
@@ -115,6 +123,20 @@ class TestCheckpointFuzz:
             assert code == 1
         if code == 1:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("z_bar", [float("inf"), float("-inf"), 0.0, -2.5])
+    def test_invalid_z_bar_is_domain_error(self, tmp_path, checkpoints, capsys, z_bar):
+        # NaN means "absent"; any other z_bar must be a finite positive radius.
+        path = tmp_path / "z_bar.ckpt"
+        path.write_bytes(_with_z_bar(checkpoints[0], z_bar))
+        with pytest.raises(DomainError, match="z_bar") as err:
+            V.load_checkpoint(path)
+        assert str(path) in str(err.value)
+        code = main(["sample", "--model", str(path), "--n", "3",
+                     "--out", str(tmp_path / "l.csv"), "--decoded", str(tmp_path / "d.csv")])
+        stderr = capsys.readouterr().err
+        assert code == 1
+        assert stderr.startswith(f"error: {path}: ") and stderr.count("\n") == 1
 
     def test_score_on_overflowing_weights_exits_1(self, tmp_path, checkpoints, capsys):
         # Finite weights of 1e308 into the first hidden unit overflow its

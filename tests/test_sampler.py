@@ -9,11 +9,10 @@ from scipy.stats import chisquare, kstest, norm
 
 from tiltvae.errors import DomainError
 from tiltvae.sampler import (
-    RadialLaw,
     RngStream,
+    _on_sphere,
     sample_model_latents,
     sample_tilted_prior_batch,
-    sample_unit_sphere,
     save_latents_csv,
     tilted_radial_mode,
 )
@@ -32,9 +31,8 @@ class TestRngStream:
         assert np.array_equal(a, b)
 
     def test_split_streams_differ(self):
-        root = RngStream(123)
-        a = root.split(1).generator.standard_normal(64)
-        b = root.split(2).generator.standard_normal(64)
+        a = RngStream(123, 1).generator.standard_normal(64)
+        b = RngStream(123, 2).generator.standard_normal(64)
         assert not np.array_equal(a, b)
 
     def test_known_philox_stability(self):
@@ -43,79 +41,69 @@ class TestRngStream:
         assert np.array_equal(v, RngStream(0).generator.standard_normal(2))
 
 
+def _directions(seed, d_z, n):
+    """n batch-drawn directions: the sampler's sphere step at unit radii."""
+    return _on_sphere(RngStream(seed).generator, np.ones(n), d_z)
+
+
 class TestUnitSphere:
     def test_one_dimensional_gives_signs(self):
-        vals = {float(sample_unit_sphere(RngStream(s), 1)[0]) for s in range(12)}
+        vals = set(_directions(0, 1, 12)[:, 0].tolist())
         assert vals <= {1.0, -1.0}
         assert len(vals) == 2
 
     def test_unit_norm(self):
-        rng = RngStream(5)
-        for _ in range(200):
-            v = sample_unit_sphere(rng, 10)
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        v = _directions(5, 10, 200)
+        assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) < 1e-12)
 
     def test_mean_vector_vanishes(self):
-        rng = RngStream(6)
-        total = np.zeros(3)
-        n = 10**5
-        for _ in range(n):
-            total += sample_unit_sphere(rng, 3)
-        assert np.linalg.norm(total / n) < 0.02
+        assert np.linalg.norm(_directions(6, 3, 10**5).mean(axis=0)) < 0.02
 
 
-def _radii(seed, law, n, d_z=3):
+def _radii(seed, z_bar, n, d_z=3):
     """Norms of n aggregated-posterior draws: the radii the sampler drew."""
-    return np.linalg.norm(sample_model_latents(RngStream(seed), law, d_z, n), axis=1)
+    return np.linalg.norm(sample_model_latents(RngStream(seed), z_bar, d_z, n), axis=1)
 
 
 class TestPosteriorRadius:
     def test_mean_matches_radial_center(self):
-        draws = _radii(7, RadialLaw(z_bar=10.15), 10**5)
+        draws = _radii(7, 10.15, 10**5)
         assert draws.mean() == pytest.approx(10.15, abs=0.01)
 
     def test_truncation_returns_positive(self):
-        draws = _radii(8, RadialLaw(z_bar=0.5), 2000)
+        draws = _radii(8, 0.5, 2000)
         assert min(draws) > 0.0
 
     def test_large_center_rarely_truncates(self):
         # With z_bar = 30 the negative tail is ~30 sigma out: the truncated
         # law is indistinguishable from the untruncated one.
-        draws = _radii(9, RadialLaw(z_bar=30.0), 10**4)
+        draws = _radii(9, 30.0, 10**4)
         assert kstest(draws, lambda x: norm.cdf(x, loc=30.0)).statistic < 0.02
 
     def test_law_validation(self):
-        with pytest.raises(DomainError):
-            RadialLaw(z_bar=-1.0)
-        with pytest.raises(DomainError):
-            RadialLaw(z_bar=1.0, sigma_r=0.0)
-
-    def test_estimate(self):
-        norms = np.array([9.0, 10.0, 11.0])
-        law = RadialLaw.estimate(norms)
-        assert law.z_bar == 10.0 and law.sigma_r == 1.0
-        law2 = RadialLaw.estimate(norms, estimate_sigma=True)
-        assert law2.sigma_r == pytest.approx(1.0, rel=1e-12)
+        # A NaN z_bar once made the positive-radius redraw loop run forever.
+        for z_bar, d_z, n in [(-1.0, 3, 5), (0.0, 3, 5), (math.nan, 3, 5), (math.inf, 3, 5),
+                              (1.0, 0, 5), (1.0, 3, 0), (1.0, 3, -3)]:
+            with pytest.raises(DomainError):
+                sample_model_latents(RngStream(0), z_bar, d_z, n)
 
 
 class TestModelLatent:
     def test_radial_law_ks(self):
-        law = RadialLaw(z_bar=10.15)
-        z = sample_model_latents(RngStream(10), law, 10, 10**5)
+        z = sample_model_latents(RngStream(10), 10.15, 10, 10**5)
         r = np.linalg.norm(z, axis=1)
         stat = kstest(r, lambda x: _truncated_normal_cdf(x, 10.15)).statistic
         assert stat < 0.01
 
     def test_angular_uniformity_2d(self):
-        z = sample_model_latents(RngStream(11), RadialLaw(z_bar=5.0), 2, 10**5)
+        z = sample_model_latents(RngStream(11), 5.0, 2, 10**5)
         angles = np.mod(np.arctan2(z[:, 1], z[:, 0]), 2.0 * math.pi)
         counts, _ = np.histogram(angles, bins=36, range=(0.0, 2.0 * math.pi))
         assert chisquare(counts).pvalue > 0.001
 
     def test_deterministic_on_stream_reset(self):
-        law = RadialLaw(z_bar=5.0)
-        a = sample_model_latents(RngStream(12), law, 4, 8)
-        b = sample_model_latents(RngStream(12), law, 4, 8)
+        a = sample_model_latents(RngStream(12), 5.0, 4, 8)
+        b = sample_model_latents(RngStream(12), 5.0, 4, 8)
         assert np.array_equal(a, b)
 
 
@@ -162,7 +150,7 @@ class TestTiltedRejection:
         # The two-step sampler is intentionally *not* the prior: its radial
         # law is normal around z_bar while the prior's is the tilted chi law.
         z_prior = sample_tilted_prior_batch(RngStream(18), prior_10_10, 2 * 10**4)
-        z_post = sample_model_latents(RngStream(19), RadialLaw(z_bar=10.15), 10, 2 * 10**4)
+        z_post = sample_model_latents(RngStream(19), 10.15, 10, 2 * 10**4)
         r_prior = np.sort(np.linalg.norm(z_prior, axis=1))
         r_post = np.sort(np.linalg.norm(z_post, axis=1))
         grid = np.linspace(5.0, 16.0, 500)

@@ -16,12 +16,12 @@ from tiltvae.errors import ConvergenceError, DomainError
 from tiltvae.specfn import (
     _log_kummer_asymptotic,
     _log_series_pos,
-    chi_mean,
     laguerre_half,
     laguerre_half_prime,
     log_gamma_ratio,
     log_kummer_m,
 )
+from tiltvae.tilted import mean_norm
 
 mpmath.mp.dps = 40
 
@@ -127,9 +127,14 @@ class TestLogGammaRatio:
 
 
 class TestChiMean:
+    """The central chi mean is the mean norm at a zero posterior mean."""
+
     def test_closed_forms(self):
-        assert chi_mean(1) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
-        assert chi_mean(2) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
+        assert mean_norm(1, 0.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
+        assert mean_norm(2, 0.0) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
+        for d in [3, 10, 50, 200]:
+            chi = math.sqrt(2.0) * math.exp(math.lgamma((d + 1) / 2) - math.lgamma(d / 2))
+            assert mean_norm(d, 0.0) == pytest.approx(chi, rel=1e-12)
 
     def test_monte_carlo_d10(self):
         rng = np.random.default_rng(101)
@@ -138,10 +143,10 @@ class TestChiMean:
         for _ in range(10):
             z = rng.standard_normal((n // 10, 10))
             total += float(np.linalg.norm(z, axis=1).sum())
-        assert chi_mean(10) == pytest.approx(total / n, rel=1e-3)
+        assert mean_norm(10, 0.0) == pytest.approx(total / n, rel=1e-3)
 
     def test_monotone_and_jensen(self):
-        means = [chi_mean(d) for d in range(1, 60)]
+        means = [mean_norm(d, 0.0) for d in range(1, 60)]
         assert all(b > a for a, b in zip(means, means[1:]))
         for d, m in enumerate(means, start=1):
             assert m * m < d
@@ -150,7 +155,7 @@ class TestChiMean:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            chi_mean(0)
+            mean_norm(0, 0.0)
 
 
 class TestLaguerreHalf:

@@ -13,17 +13,14 @@ from scipy.optimize import minimize_scalar
 import tiltvae.specfn
 import tiltvae.tilted
 from tiltvae.errors import ConvergenceError, DomainError
-from tiltvae.specfn import chi_mean
 from tiltvae.tilted import (
     TiltedPrior,
     _fit_priors,
     _norm_slope,
     exact_kld,
-    log_density,
     log_normalizer,
     mean_norm,
     quadratic_kld,
-    solve_gamma,
     verify_bound_sweep,
 )
 
@@ -90,34 +87,43 @@ class TestLogNormalizer:
             log_normalizer(taus, 10)
 
 
+def _log_density(prior, z):
+    """The tilted prior's log density at the rows of z, from its formula
+    tau r - r^2/2 - d/2 log 2 pi - log Z_tau with r = ||z||."""
+    r = np.linalg.norm(np.asarray(z, dtype=np.float64), axis=-1)
+    return prior.tau * r - 0.5 * r * r - 0.5 * prior.d_z * math.log(2.0 * math.pi) - prior.log_z_tau
+
+
 class TestLogDensity:
     def test_standard_gaussian_mode(self):
         prior = TiltedPrior.fit(0.0, 2)
-        assert log_density(prior, [0.0, 0.0]) == pytest.approx(
+        assert _log_density(prior, [0.0, 0.0]) == pytest.approx(
             -math.log(2.0 * math.pi), rel=1e-12
         )
 
     def test_radial_symmetry(self):
         prior = TiltedPrior.fit(3.0, 2)
-        a = log_density(prior, [3.0, 0.0])
-        b = log_density(prior, [3.0 / math.sqrt(2.0)] * 2)
+        a = _log_density(prior, [3.0, 0.0])
+        b = _log_density(prior, [3.0 / math.sqrt(2.0)] * 2)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_composition_with_normalizer(self):
         prior = TiltedPrior.fit(3.0, 2)
         expected = 4.5 - math.log(2.0 * math.pi) - log_normalizer(3.0, 2)
-        assert log_density(prior, [3.0, 0.0]) == pytest.approx(expected, rel=1e-12)
+        assert _log_density(prior, [3.0, 0.0]) == pytest.approx(expected, rel=1e-12)
 
     def test_radial_argmax_at_tau(self):
         prior = TiltedPrior.fit(3.0, 2)
         radii = np.linspace(0.1, 6.0, 1000)
-        vals = [log_density(prior, [r, 0.0]) for r in radii]
+        vals = _log_density(prior, np.stack([radii, np.zeros_like(radii)], axis=1))
         assert radii[int(np.argmax(vals))] == pytest.approx(3.0, abs=0.01)
 
-    def test_dimension_mismatch(self):
-        prior = TiltedPrior.fit(1.0, 3)
-        with pytest.raises(DomainError):
-            log_density(prior, [1.0, 2.0])
+    def test_integrates_to_one(self):
+        # In d_z = 2 the density times the circle length 2 pi r is the radial law.
+        prior = TiltedPrior.fit(3.0, 2)
+        r = np.linspace(0.0, 20.0, 200_001)
+        pdf = 2.0 * math.pi * r * np.exp(_log_density(prior, r[:, None]))
+        assert np.trapezoid(pdf, r) == pytest.approx(1.0, rel=1e-9)
 
 
 class TestExactKld:
@@ -218,10 +224,10 @@ class TestQuadraticKld:
 class TestSolveGamma:
     @pytest.mark.parametrize("tau,d,expected", [(10.0, 10, 9.53), (15.0, 100, 11.20)])
     def test_reference_values(self, tau, d, expected):
-        assert solve_gamma(tau, d) == pytest.approx(expected, abs=0.05)
+        assert TiltedPrior.fit(tau, d).gamma == pytest.approx(expected, abs=0.05)
 
     def test_zero_tilt(self):
-        assert solve_gamma(0.0, 10) == 0.0
+        assert TiltedPrior.fit(0.0, 10).gamma == 0.0
 
     def test_analytic_slope_matches_central_difference(self, prior_10_10):
         # The solver's KLD slope m - tau E'(m) against a fourth-order central
@@ -276,7 +282,7 @@ class TestSolveGamma:
     ])
     def test_root_is_stationary_to_tolerance(self, tau, d):
         # criterion 1's rows: the analytic slope vanishes at gamma
-        gamma = solve_gamma(tau, d)
+        gamma = TiltedPrior.fit(tau, d).gamma
         e_prime = gamma * _norm_slope(d, gamma)
         assert abs(gamma - tau * e_prime) <= 1e-10 * max(1.0, gamma)
 
@@ -332,7 +338,7 @@ class TestSolveGamma:
         # error, which a fixed +-1e-3 probe could not resolve here.
         tau = 1.2 ** w
         for d in [2, 10, 200]:
-            gamma = solve_gamma(tau, d)
+            gamma = TiltedPrior.fit(tau, d).gamma
             e_prime = gamma * _norm_slope(d, gamma)
             assert abs(gamma - tau * e_prime) <= 1e-10 * max(1.0, gamma)
 
@@ -341,7 +347,7 @@ class TestSolveGamma:
         # [0, tau]: no root, so the solver must fail with context.
         monkeypatch.setattr(tiltvae.tilted, "_norm_slope", lambda d_z, m: 1.0)
         with pytest.raises(ConvergenceError) as err:
-            solve_gamma(10.0, 10)
+            TiltedPrior.fit(10.0, 10)
         assert "final_iterate" in err.value.context
         assert "gradient" in err.value.context
 
@@ -475,5 +481,7 @@ class TestPriorInvariants:
         )
 
     def test_mean_norm_interpolates_chi_mean(self):
+        # the central chi mean sqrt(2) Gamma((d+1)/2) / Gamma(d/2)
         for d in [1, 2, 10]:
-            assert mean_norm(d, 0.0) == pytest.approx(chi_mean(d), rel=1e-12)
+            chi = math.sqrt(2.0) * math.exp(math.lgamma((d + 1) / 2) - math.lgamma(d / 2))
+            assert mean_norm(d, 0.0) == pytest.approx(chi, rel=1e-12)
