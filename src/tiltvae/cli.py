@@ -21,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from ._csvfloat import write_rows
+from ._fields import (IN_PATH, OUT_PATH, REQUIRED, VAL, Field, checked, choice, count, counts,
+                      fmt_ints, non_negative, parse_fields, positive)
 from .data import IdxFormatError, parse_spec
 from .errors import ConvergenceError, DomainError, NumericalError
 from .ood import read_scores_csv, roc, score_arrays, write_scores_csv
@@ -46,131 +48,62 @@ from .vae import (
     train,
 )
 
-# Schema value kinds: plain config value, input path (kept on replay), output
-# path (redirected into the replay out-dir).
-VAL, IN_PATH, OUT_PATH = "val", "in", "out"
-
-
-def _parse_int_list(text):
-    return [int(v) for v in text.split(",") if v != ""]
-
-
 def _parse_range_list(text):
     """Comma list of ints, with a..b range syntax."""
     out = []
-    for part in text.split(","):
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part != "":
-            out.append(int(part))
+    for part in filter(None, text.split(",")):
+        lo, sep, hi = part.partition("..")
+        out.extend(range(int(lo), int(hi if sep else lo) + 1))
     return out
 
 
-def _fmt_int_list(vals):
-    return ",".join(str(v) for v in vals)
-
-
 class Command:
-    """One subcommand: an option schema plus a runner over resolved config."""
+    """One subcommand: its option fields plus a runner over resolved config."""
 
     name = ""
     help = ""
-    # schema: list of (key, kind, parse, fmt, default, help); default REQUIRED
-    # sentinel means the option must be given.
-    REQUIRED = object()
-    schema = ()
-
+    fields = ()
     repeatable = ()
 
     def add_arguments(self, sub):
         p = sub.add_parser(self.name, help=self.help)
-        for key, _kind, _parse, _fmt, default, help_text in self.schema:
-            flag = "--" + key.replace("_", "-")
-            if key in self.repeatable:
-                p.add_argument(flag, dest=key, action="append", default=None,
-                               help=help_text)
-            else:
-                p.add_argument(flag, dest=key, required=default is Command.REQUIRED,
-                               default=None, help=help_text)
+        for f in self.fields:
+            how = ({"action": "append"} if f.key in self.repeatable
+                   else {"required": f.default is REQUIRED})
+            p.add_argument(_flag(f.key), dest=f.key, default=None, help=f.help, **how)
         p.add_argument("--manifest", dest="manifest", default=None,
                        help="run manifest path (default: <command>.manifest next to the outputs)")
         return p
 
-    def resolve(self, args):
-        """Materialize every default; parse and absolutize paths."""
-        config = {}
-        for key, kind, parse, _fmt, default, _help in self.schema:
-            raw = getattr(args, key)
-            if raw is None:
-                if default is Command.REQUIRED:
-                    raise DomainError(f"missing required option --{key.replace('_', '-')}")
-                value = default
-            elif isinstance(raw, str):
-                value = parse(raw)
-            elif key in self.repeatable:
-                value = list(raw)
-            else:
-                value = raw
-            if kind in (IN_PATH, OUT_PATH) and value is not None:
-                value = os.path.abspath(value)
-            config[key] = value
+    def config(self, strings, where, place):
+        """Config from {key: raw text} through parse_fields; place(kind, path)
+        settles each input and output path, defaults included."""
+        config = parse_fields(self.fields, strings, where)
+        for f in self.fields:
+            if f.kind != VAL and config[f.key] is not None:
+                config[f.key] = place(f.kind, config[f.key])
         return config
 
     def format_config(self, config):
-        out = {}
-        for key, _kind, _parse, fmt, _default, _help in self.schema:
-            value = config[key]
-            out[key] = "" if value is None else fmt(value)
-        return out
-
-    def parse_config(self, strings, out_dir):
-        """Config from recorded strings, every output path (defaults included)
-        moved into out_dir."""
-        config = {}
-        for key, kind, parse, _fmt, default, _help in self.schema:
-            raw = strings.get(key, "")
-            if raw:
-                value = parse(raw)
-            else:
-                value = None if default is Command.REQUIRED else default
-            if kind == OUT_PATH and value is not None:
-                value = os.path.join(out_dir, os.path.basename(value))
-            config[key] = value
-        return config
+        return {f.key: "" if config[f.key] is None else f.fmt(config[f.key])
+                for f in self.fields}
 
     def run(self, config):
         """Execute; returns ({output_name: path}, seed_or_None)."""
         raise NotImplementedError
 
 
-def _opt(key, kind, parse, fmt, default, help_text):
-    return (key, kind, parse, fmt, default, help_text)
-
-
-def _float_opt(key, default, help_text, kind=VAL):
-    return _opt(key, kind, float, repr, default, help_text)
-
-
-def _int_opt(key, default, help_text, kind=VAL):
-    return _opt(key, kind, int, str, default, help_text)
-
-
-def _str_opt(key, default, help_text, kind=VAL):
-    return _opt(key, kind, str, str, default, help_text)
-
-
-def _path_opt(key, kind, default, help_text):
-    return _opt(key, kind, str, str, default, help_text)
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 class GammaCommand(Command):
     name = "gamma"
     help = "solve for the divergence-minimizing posterior norm"
-    schema = (
-        _float_opt("tau", Command.REQUIRED, "tilt parameter"),
-        _int_opt("dz", Command.REQUIRED, "latent dimension"),
-        _path_opt("out", OUT_PATH, "gamma.csv", "output CSV"),
+    fields = (
+        Field("tau", float, fmt=repr, help="tilt parameter"),
+        Field("dz", int, help="latent dimension"),
+        Field("out", default="gamma.csv", kind=OUT_PATH, help="output CSV"),
     )
 
     def run(self, config):
@@ -190,17 +123,15 @@ class GammaCommand(Command):
 class KldTableCommand(Command):
     name = "kld-table"
     help = "tabulate exact and quadratic KLD over a mu grid"
-    schema = (
-        _float_opt("tau", Command.REQUIRED, "tilt parameter"),
-        _int_opt("dz", Command.REQUIRED, "latent dimension"),
-        _float_opt("mu_max", 20.0, "largest posterior-mean norm"),
-        _int_opt("points", 200, "grid size"),
-        _path_opt("out", OUT_PATH, "kld_table.csv", "output CSV"),
+    fields = (
+        Field("tau", float, fmt=repr, help="tilt parameter"),
+        Field("dz", int, help="latent dimension"),
+        Field("mu_max", positive, 20.0, repr, help="largest posterior-mean norm"),
+        Field("points", checked(int, lambda v: v >= 2, "must be >= 2"), 200, help="grid size"),
+        Field("out", default="kld_table.csv", kind=OUT_PATH, help="output CSV"),
     )
 
     def run(self, config):
-        if config["points"] < 2 or not (np.isfinite(config["mu_max"]) and config["mu_max"] > 0):
-            raise DomainError("kld-table needs points >= 2 and a finite mu-max > 0")
         prior = TiltedPrior.fit(config["tau"], config["dz"])
         grid = np.linspace(0.0, config["mu_max"], config["points"])
         with open(config["out"], "wb") as fh:
@@ -214,14 +145,13 @@ class KldTableCommand(Command):
 class SweepCommand(Command):
     name = "sweep"
     help = "margin sweep of exact minus quadratic KLD over a (d_z, tau) grid"
-    schema = (
-        _opt("d_grid", VAL, _parse_range_list, _fmt_int_list, Command.REQUIRED,
-             "latent dims, e.g. 2,5,10 or 2..20"),
-        _opt("w_grid", VAL, _parse_range_list, _fmt_int_list, Command.REQUIRED,
-             "tilt exponents (tau = 1.2^w), e.g. -20..25"),
-        _int_opt("points", 1000, "mu grid size"),
-        _float_opt("mu_max", 200.0, "largest posterior-mean norm"),
-        _path_opt("out", OUT_PATH, "sweep.csv", "output CSV"),
+    fields = (
+        Field("d_grid", _parse_range_list, fmt=fmt_ints, help="latent dims, e.g. 2,5,10 or 2..20"),
+        Field("w_grid", _parse_range_list, fmt=fmt_ints,
+              help="tilt exponents (tau = 1.2^w), e.g. -20..25"),
+        Field("points", int, 1000, help="mu grid size"),
+        Field("mu_max", float, 200.0, repr, help="largest posterior-mean norm"),
+        Field("out", default="sweep.csv", kind=OUT_PATH, help="output CSV"),
     )
 
     def run(self, config):
@@ -238,73 +168,62 @@ class SweepCommand(Command):
 
 
 def _parse_kv_file(path):
-    values = {}
+    """({key: value}, {key: "PATH:LINE"}) of a `key = value` text file."""
+    values, sources = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
-            if not sep:
-                raise DomainError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            values[key.strip()] = value.strip()
-    return values
+            key = key.strip()
+            if not sep or key in values:
+                raise DomainError(f"{path}:{lineno}: expected one 'key = value' per key, "
+                                  f"got {line!r}")
+            values[key] = value.strip()
+            sources[key] = f"{path}:{lineno}"
+    return values, sources
 
 
-# The training config file's keys, as option rows; the manifest records each
-# resolved value as train.<key> through the row's fmt.
-_TRAIN_SCHEMA = (
-    _str_opt("prior", Command.REQUIRED, "tilted or gaussian"),
-    _float_opt("tau", 0.0, "tilt parameter"),
-    _int_opt("dz", Command.REQUIRED, "latent dimension"),
-    _opt("hidden", VAL, _parse_int_list, _fmt_int_list, [256, 128], "hidden widths"),
-    _float_opt("weight_std", 0.2, "initial weight standard deviation"),
-    _str_opt("data", Command.REQUIRED, "data spec (see tiltvae.data.parse_spec)"),
-    _int_opt("epochs", Command.REQUIRED, "training epochs"),
-    _int_opt("batch_size", 64, "minibatch size"),
-    _float_opt("learning_rate", 1e-4, "Adam step size"),
-    _float_opt("grad_clip", 100.0, "global gradient-norm clip"),
-    _int_opt("seed", 0, "seed"),
+# The training config file's keys; the manifest records each resolved value
+# as train.<key> through the field's fmt.
+_TRAIN_FIELDS = (
+    Field("prior", choice("tilted", "gaussian")),
+    Field("tau", non_negative, 0.0, repr),
+    Field("dz", count),
+    Field("hidden", counts, [256, 128], fmt_ints),
+    Field("weight_std", positive, 0.2, repr),
+    Field("data"),
+    Field("epochs", count),
+    Field("batch_size", count, 64),
+    Field("learning_rate", positive, 1e-4, repr),
+    Field("grad_clip", positive, 100.0, repr),
+    Field("seed", int, 0),
 )
-
-
-def _resolve_train_config(values):
-    config = {}
-    for key, _kind, parse, _fmt, default, _help in _TRAIN_SCHEMA:
-        if key in values:
-            config[key] = parse(values[key])
-        elif default is Command.REQUIRED:
-            raise DomainError(f"missing training config key {key!r}")
-        else:
-            config[key] = default
-    unknown = set(values) - set(config)
-    if unknown:
-        raise DomainError(f"unknown training config keys {sorted(unknown)}")
-    if config["prior"] not in ("tilted", "gaussian"):
-        raise DomainError(f"prior must be tilted or gaussian, got {config['prior']!r}")
-    return config
 
 
 class TrainCommand(Command):
     name = "train"
     help = "train a VAE from a key-value config file"
     repeatable = ("set",)
-    schema = (
-        _path_opt("config", IN_PATH, None, "key = value config file"),
-        _opt("set", VAL, lambda s: [v for v in s.split(";") if v], ";".join, [],
-             "override a config entry, e.g. --set epochs=5 (repeatable)"),
-        _path_opt("checkpoint", OUT_PATH, "model.ckpt", "checkpoint output"),
-        _path_opt("log", OUT_PATH, "train_log.csv", "per-epoch CSV log"),
+    fields = (
+        Field("config", default=None, kind=IN_PATH, help="key = value config file"),
+        Field("set", lambda s: [v for v in s.split(";") if v], [], ";".join,
+              help="override a config entry, e.g. --set epochs=5 (repeatable)"),
+        Field("checkpoint", default="model.ckpt", kind=OUT_PATH, help="checkpoint output"),
+        Field("log", default="train_log.csv", kind=OUT_PATH, help="per-epoch CSV log"),
     )
 
     def run(self, config):
-        values = _parse_kv_file(config["config"]) if config["config"] else {}
+        values, sources = _parse_kv_file(config["config"]) if config["config"] else ({}, {})
         for item in config["set"]:
             key, sep, value = item.partition("=")
             if not sep:
-                raise DomainError(f"--set expects key=value, got {item!r}")
+                raise DomainError(f"--set: expected key=value, got {item!r}")
             values[key.strip()] = value.strip()
-        tc = _resolve_train_config(values)
+            sources[key.strip()] = "--set"
+        tc = parse_fields(_TRAIN_FIELDS, values,
+                          lambda key: sources.get(key, config["config"] or "--set"))
 
         dataset = parse_spec(tc["data"], tc["seed"])
         if tc["prior"] == "tilted":
@@ -332,20 +251,19 @@ class TrainCommand(Command):
         if tc["prior"] == "tilted":
             print(f"gamma = {prior.gamma!r} (z_bar > gamma: {result.z_bar > prior.gamma})")
         # Fold the resolved training config into the manifest for replay.
-        self.extra_manifest = {f"train.{key}": fmt(tc[key])
-                               for key, _kind, _parse, fmt, _default, _help in _TRAIN_SCHEMA}
+        self.extra_manifest = {f"train.{f.key}": f.fmt(tc[f.key]) for f in _TRAIN_FIELDS}
         return {"checkpoint": config["checkpoint"], "log": config["log"]}, tc["seed"]
 
 
 class ScoreCommand(Command):
     name = "score"
     help = "score a dataset: reconstruction error plus divergence term per sample"
-    schema = (
-        _path_opt("model", IN_PATH, Command.REQUIRED, "checkpoint path"),
-        _str_opt("data", Command.REQUIRED, "data spec (see tiltvae.data.parse_spec)"),
-        _int_opt("draws", 0, "latent draws for the averaged variant (0 = deterministic)"),
-        _int_opt("seed", 0, "seed for dataset generation and sampling"),
-        _path_opt("out", OUT_PATH, "scores.csv", "output CSV"),
+    fields = (
+        Field("model", kind=IN_PATH, help="checkpoint path"),
+        Field("data", help="data spec (see tiltvae.data.parse_spec)"),
+        Field("draws", int, 0, help="latent draws for the averaged variant (0 = deterministic)"),
+        Field("seed", int, 0, help="seed for dataset generation and sampling"),
+        Field("out", default="scores.csv", kind=OUT_PATH, help="output CSV"),
     )
 
     def run(self, config):
@@ -366,11 +284,11 @@ class ScoreCommand(Command):
 class RocCommand(Command):
     name = "roc"
     help = "ROC curve and AUROC from two score CSVs"
-    schema = (
-        _path_opt("in_scores", IN_PATH, Command.REQUIRED, "in-distribution score CSV"),
-        _path_opt("out_scores", IN_PATH, Command.REQUIRED, "out-of-distribution score CSV"),
-        _path_opt("out", OUT_PATH, "roc.csv", "ROC points CSV"),
-        _path_opt("summary", OUT_PATH, "roc_summary.json", "one-line AUROC JSON"),
+    fields = (
+        Field("in_scores", kind=IN_PATH, help="in-distribution score CSV"),
+        Field("out_scores", kind=IN_PATH, help="out-of-distribution score CSV"),
+        Field("out", default="roc.csv", kind=OUT_PATH, help="ROC points CSV"),
+        Field("summary", default="roc_summary.json", kind=OUT_PATH, help="one-line AUROC JSON"),
     )
 
     def run(self, config):
@@ -388,16 +306,18 @@ class RocCommand(Command):
 class SampleCommand(Command):
     name = "sample"
     help = "draw latents (and decoded samples when a model is given)"
-    schema = (
-        _path_opt("model", IN_PATH, None, "checkpoint path (optional)"),
-        _float_opt("tau", None, "tilt (when no model is given)"),
-        _int_opt("dz", None, "latent dimension (when no model is given)"),
-        _float_opt("zbar", None, "radial mean of the aggregated posterior"),
-        _str_opt("sampler", "posterior", "posterior (radius x direction) or prior (rejection)"),
-        _int_opt("n", 100, "number of draws"),
-        _int_opt("seed", 0, "rng seed"),
-        _path_opt("out", OUT_PATH, "latents.csv", "latent CSV"),
-        _path_opt("decoded", OUT_PATH, "samples.csv", "decoded CSV (model runs only)"),
+    fields = (
+        Field("model", default=None, kind=IN_PATH, help="checkpoint path (optional)"),
+        Field("tau", float, None, repr, help="tilt (when no model is given)"),
+        Field("dz", int, None, help="latent dimension (when no model is given)"),
+        Field("zbar", float, None, repr, help="radial mean of the aggregated posterior"),
+        Field("sampler", choice("posterior", "prior"), "posterior",
+              help="posterior (radius x direction) or prior (rejection)"),
+        Field("n", int, 100, help="number of draws"),
+        Field("seed", int, 0, help="rng seed"),
+        Field("out", default="latents.csv", kind=OUT_PATH, help="latent CSV"),
+        Field("decoded", default="samples.csv", kind=OUT_PATH,
+              help="decoded CSV (model runs only)"),
     )
 
     def run(self, config):
@@ -418,14 +338,12 @@ class SampleCommand(Command):
             if zbar is None:
                 raise DomainError("posterior sampler needs --zbar (or a checkpoint that stores it)")
             latents = sample_model_latents(rng, zbar, d_z, config["n"])
-        elif config["sampler"] == "prior":
+        else:
             if model is not None and model.is_tilted:
                 prior = model.prior
             else:
                 prior = TiltedPrior.fit(tau, d_z)
             latents = sample_tilted_prior_batch(rng, prior, config["n"])
-        else:
-            raise DomainError(f"unknown sampler {config['sampler']!r}")
         save_latents_csv(config["out"], latents)
         outputs = {"latents": config["out"]}
         if model is not None:
@@ -439,13 +357,13 @@ class SampleCommand(Command):
 class BenchCommand(Command):
     name = "bench"
     help = "scoring throughput: deterministic single pass vs draw-averaged"
-    schema = (
-        _path_opt("model", IN_PATH, Command.REQUIRED, "checkpoint path"),
-        _str_opt("data", Command.REQUIRED, "data spec"),
-        _int_opt("draws", 256, "draws for the averaged variant"),
-        _int_opt("repeat", 3, "timing repeats"),
-        _int_opt("seed", 0, "seed"),
-        _path_opt("out", OUT_PATH, "bench.csv", "timings CSV"),
+    fields = (
+        Field("model", kind=IN_PATH, help="checkpoint path"),
+        Field("data", help="data spec"),
+        Field("draws", int, 256, help="draws for the averaged variant"),
+        Field("repeat", count, 3, help="timing repeats"),
+        Field("seed", int, 0, help="seed"),
+        Field("out", default="bench.csv", kind=OUT_PATH, help="timings CSV"),
     )
 
     def run(self, config):
@@ -499,9 +417,9 @@ def _write_manifest(path, command, config_strings, outputs, seed, duration, extr
 def _execute(command, config, manifest_path):
     command.exit_code = 0
     command.extra_manifest = {}
-    for key, kind, _parse, _fmt, _default, _help in command.schema:
-        if kind == OUT_PATH and config.get(key):
-            os.makedirs(os.path.dirname(config[key]) or ".", exist_ok=True)
+    for f in command.fields:
+        if f.kind == OUT_PATH and config[f.key]:
+            os.makedirs(os.path.dirname(config[f.key]) or ".", exist_ok=True)
     t0 = time.perf_counter()
     outputs, seed = command.run(config)
     duration = time.perf_counter() - t0
@@ -517,23 +435,26 @@ def _execute(command, config, manifest_path):
 
 
 def _replay(manifest_path, out_dir):
-    entries = _parse_kv_file(manifest_path)
+    entries, _ = _parse_kv_file(manifest_path)
     name = entries.get("command")
     if name not in COMMANDS:
         raise DomainError(f"{manifest_path}: unknown command {name!r}")
     command = COMMANDS[name]
-    strings = {k[len("config."):]: v for k, v in entries.items() if k.startswith("config.")}
+    # Empty values stand for None; keys of retired options are ignored.
+    keys = {f.key for f in command.fields}
+    strings = {k[len("config."):]: v for k, v in entries.items()
+               if k.startswith("config.") and k[len("config."):] in keys and v != ""}
     os.makedirs(out_dir, exist_ok=True)
-    config = command.parse_config(strings, out_dir)
-    for key, kind, _parse, _fmt, default, _help in command.schema:
-        if config.get(key) is None and default is Command.REQUIRED:
-            raise DomainError(f"{manifest_path}: missing config.{key}")
+    config = command.config(
+        strings, lambda key: f"{manifest_path}: config.{key}",
+        lambda kind, path: os.path.join(out_dir, os.path.basename(path))
+        if kind == OUT_PATH else path)
     if name == "train":
         # Replays must not depend on the original config file's continued
         # existence: rebuild the overrides from the recorded resolved values.
         config["config"] = None
         config["set"] = [f"{k[len('train.'):]}={v}" for k, v in entries.items()
-                         if k.startswith("train.") and v != ""]
+                         if k.startswith("train.")]
     return _execute(command, config, os.path.join(out_dir, f"{name}.manifest"))
 
 
@@ -565,7 +486,10 @@ def main(argv=None):
         if args.command == "replay":
             return _replay(args.manifest, args.out_dir)
         command = COMMANDS[args.command]
-        config = command.resolve(args)
+        strings = {f.key: ";".join(raw) if isinstance(raw, list) else raw
+                   for f in command.fields if (raw := getattr(args, f.key)) is not None}
+        config = command.config(strings, _flag,
+                                lambda kind, path: os.path.abspath(path))
         return _execute(command, config, args.manifest)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

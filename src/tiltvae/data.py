@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import Field, choice, count, non_negative, parse_fields
 from .errors import DomainError
 from .sampler import RngStream
 
@@ -41,7 +42,7 @@ class Dataset:
                 f"shape metadata {self.height}x{self.width}x{self.channels} "
                 f"inconsistent with d_x={self.samples.shape[1]}"
             )
-        if self.samples.size and (self.samples.min() < 0.0 or self.samples.max() > 1.0):
+        if self.samples.size and not (self.samples.min() >= 0.0 and self.samples.max() <= 1.0):
             raise DomainError("pixel values must lie in [0, 1]")
 
     @property
@@ -236,6 +237,29 @@ def subsample(ds: Dataset, rng: RngStream, max_samples: int) -> Dataset:
     )
 
 
+def _parse_modes(text):
+    """Blob modes cy x cx x radius x intensity, joined by '+'."""
+    modes = []
+    for part in text.split("+"):
+        cy, cx, radius, intensity = values = [float(v) for v in part.split("x")]
+        if not np.isfinite(values).all():
+            raise ValueError(f"mode {part!r} is not finite")
+        modes.append(((cy, cx), radius, intensity))
+    return modes
+
+
+_SIZE = (Field("n", count), Field("h", count), Field("w", count))
+_SPEC_FIELDS = {
+    "noise": _SIZE + (Field("c", count, 1),),
+    "constant": _SIZE + (Field("c", count, 1),),
+    "blobs": _SIZE + (Field("noise", non_negative, 0.02),
+                      Field("preset", default=None), Field("modes", _parse_modes, None)),
+    "idx": (Field("path"), Field("labels", default=None), Field("resize", count, None),
+            Field("gray", choice("0", "1"), "0"), Field("rgb", choice("0", "1"), "0"),
+            Field("max", count, None)),
+}
+
+
 def parse_spec(spec: str, seed: int) -> Dataset:
     """Build a dataset from a compact spec string.
 
@@ -245,64 +269,39 @@ def parse_spec(spec: str, seed: int) -> Dataset:
       blobs:n=2000,h=16,w=16,preset=two[,noise=0.02]
       blobs:n=2000,h=16,w=16,modes=4.5x4.5x2x1+11x11x2x1[,noise=0.02]
       idx:path=images.idx[,labels=labels.idx][,resize=32][,gray=1][,rgb=1][,max=50000]
+
+    Counts must be >= 1, blob noise finite and >= 0; a repeated key is refused.
     """
     kind, _, rest = spec.partition(":")
-    opts = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not _ or not key:
-                raise DomainError(f"malformed data spec item {item!r} in {spec!r}")
-            opts[key.strip()] = val.strip()
+    if kind not in _SPEC_FIELDS:
+        raise DomainError(f"unknown data spec kind {kind!r}")
+    where = f"data spec {spec!r}"
+    strings = {}
+    for item in rest.split(",") if rest else ():
+        key, sep, val = (t.strip() for t in item.partition("="))
+        if not sep or not key:
+            raise DomainError(f"{where}: malformed item {item!r}")
+        if key in strings:
+            raise DomainError(f"{where}: repeated key {key!r}")
+        strings[key] = val
+    opts = parse_fields(_SPEC_FIELDS[kind], strings, lambda key: where)
     rng = RngStream(seed, stream=101)
 
-    if kind in ("noise", "constant", "blobs"):
-        try:
-            n = int(opts.pop("n"))
-            h = int(opts.pop("h"))
-            w = int(opts.pop("w"))
-        except KeyError as exc:
-            raise DomainError(f"data spec {spec!r} missing key {exc.args[0]!r}") from None
-        if kind == "noise":
-            c = int(opts.pop("c", 1))
-            _reject_extra(spec, opts)
-            return gen_noise(rng, n, h, w, c)
-        if kind == "constant":
-            c = int(opts.pop("c", 1))
-            _reject_extra(spec, opts)
-            return gen_constant(rng, n, h, w, c)
-        noise = float(opts.pop("noise", 0.02))
-        if "preset" in opts:
-            modes = blob_preset(opts.pop("preset"), h, w)
-        elif "modes" in opts:
-            modes = []
-            for part in opts.pop("modes").split("+"):
-                cy, cx, radius, intensity = (float(v) for v in part.split("x"))
-                modes.append(((cy, cx), radius, intensity))
-        else:
-            raise DomainError(f"blobs spec {spec!r} needs preset= or modes=")
-        _reject_extra(spec, opts)
-        return gen_blobs(rng, n, h, w, modes, noise=noise)
-
-    if kind == "idx":
-        if "path" not in opts:
-            raise DomainError(f"idx spec {spec!r} missing key 'path'")
-        ds = load_idx(opts.pop("path"), opts.pop("labels", None))
-        if "resize" in opts:
-            side = int(opts.pop("resize"))
-            ds = resize_nearest(ds, side, side)
-        if opts.pop("gray", None):
-            ds = to_grayscale(ds)
-        if opts.pop("rgb", None):
-            ds = to_rgb(ds)
-        if "max" in opts:
-            ds = subsample(ds, rng, int(opts.pop("max")))
-        _reject_extra(spec, opts)
-        return ds
-
-    raise DomainError(f"unknown data spec kind {kind!r}")
-
-
-def _reject_extra(spec, opts):
-    if opts:
-        raise DomainError(f"unrecognized keys {sorted(opts)} in data spec {spec!r}")
+    if kind in ("noise", "constant"):
+        gen = gen_noise if kind == "noise" else gen_constant
+        return gen(rng, opts["n"], opts["h"], opts["w"], opts["c"])
+    if kind == "blobs":
+        if (opts["preset"] is None) == (opts["modes"] is None):
+            raise DomainError(f"{where}: needs one of preset= or modes=")
+        modes = opts["modes"] or blob_preset(opts["preset"], opts["h"], opts["w"])
+        return gen_blobs(rng, opts["n"], opts["h"], opts["w"], modes, noise=opts["noise"])
+    ds = load_idx(opts["path"], opts["labels"])
+    if opts["resize"] is not None:
+        ds = resize_nearest(ds, opts["resize"], opts["resize"])
+    if opts["gray"] == "1":
+        ds = to_grayscale(ds)
+    if opts["rgb"] == "1":
+        ds = to_rgb(ds)
+    if opts["max"] is not None:
+        ds = subsample(ds, rng, opts["max"])
+    return ds

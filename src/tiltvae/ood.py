@@ -17,22 +17,11 @@ import numpy as np
 from ._csvfloat import format_blocks, write_rows
 from .errors import DomainError
 from .sampler import RngStream
-from .vae import VaeModel, _as_batch, decode, encode, reparameterize
+from .vae import VaeModel, _as_batch, decode, encode, kld_rows, reparameterize
 
 # score_arrays walks the rows this many at a time: it encodes a chunk, then
 # draws that chunk's noise, so the draw order is fixed by this constant.
 _SCORE_ROWS = 1024
-
-
-@np.errstate(over="ignore")
-def _kld_terms_for_scores(model, mu, log_sigma):
-    """Per-sample divergence terms; a term too large for a double is inf,
-    without a warning, and the caller decides what a non-finite score means."""
-    if model.is_tilted:
-        norms = np.linalg.norm(mu, axis=1)
-        return 0.5 * (norms - model.prior.gamma) ** 2
-    sigma2 = np.exp(2.0 * log_sigma)
-    return 0.5 * np.sum(sigma2 + mu * mu - 1.0 - 2.0 * log_sigma, axis=1)
 
 
 def score_arrays(model: VaeModel, x, draws: int = 0, rng: RngStream | None = None):
@@ -53,7 +42,7 @@ def score_arrays(model: VaeModel, x, draws: int = 0, rng: RngStream | None = Non
         rows = slice(i, i + _SCORE_ROWS)
         xc = x[rows]
         mu, log_sigma = encode(model, xc)
-        kld[rows] = _kld_terms_for_scores(model, mu, log_sigma)
+        kld[rows] = kld_rows(model, mu, log_sigma)
         latents = (reparameterize(rng, mu, log_sigma) for _ in range(draws)) if draws else (mu,)
         norms = (np.linalg.norm(np.clip(decode(model, z), 0.0, 1.0) - xc, axis=1) for z in latents)
         recon[rows] = sum(norms) / max(draws, 1)

@@ -57,9 +57,9 @@ def sample_model_latents(rng: RngStream, z_bar: float, d_z: int, n: int) -> np.n
 
 
 def tilted_radial_mode(prior: TiltedPrior) -> float:
-    """argmax of the radial density x^(d-1) exp(tau x - x^2/2)."""
-    c = prior.d_z - 1
-    return 0.5 * (prior.tau + math.sqrt(prior.tau**2 + 4.0 * c))
+    """argmax of the radial density x^(d-1) exp(tau x - x^2/2), the positive
+    root of x^2 - tau x - (d-1), without squaring tau."""
+    return prior.tau / 2 + math.hypot(prior.tau / 2, math.sqrt(prior.d_z - 1))
 
 
 def sample_tilted_prior_batch(rng: RngStream, prior: TiltedPrior, n: int) -> np.ndarray:
@@ -70,6 +70,8 @@ def sample_tilted_prior_batch(rng: RngStream, prior: TiltedPrior, n: int) -> np.
     (d-1) log(x/mode) + (tau - mode)(x - mode) is exact and peaks at the mode,
     so accepted radii follow the target law with no approximation.
     """
+    if n < 1:
+        raise DomainError(f"prior sampler needs n >= 1, got n={n}")
     gen = rng.generator
     mode = tilted_radial_mode(prior)
     c = prior.d_z - 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DomainError, NumericalError
+from .errors import ConvergenceError, DomainError, NumericalError
 from .sampler import RngStream
 from .tilted import TiltedPrior
 
@@ -201,19 +201,26 @@ def reparameterize(rng: RngStream, mu, log_sigma=None):
     return mu + eps * np.exp(np.asarray(log_sigma, dtype=np.float64))
 
 
-def _kld_terms(model, mu, log_sigma):
-    """Per-sample training KLD and its gradients w.r.t. encoder outputs."""
+@np.errstate(over="ignore")
+def kld_rows(model, mu, log_sigma):
+    """Per-row divergence term: (||mu|| - gamma)^2 / 2 for the tilted prior,
+    without the constant committed rate, else the closed-form Gaussian KLD. A
+    term too large for a double is inf, without a warning."""
     if model.is_tilted:
-        prior = model.prior
-        norms = np.linalg.norm(mu, axis=1)
-        kld = 0.5 * (norms - prior.gamma) ** 2 + prior.committed_rate
-        safe = np.where(norms > 0.0, norms, 1.0)
-        dmu = ((norms - prior.gamma) / safe)[:, None] * mu
-        dmu[norms == 0.0] = 0.0
-        return kld, dmu, None
-    sigma2 = np.exp(2.0 * log_sigma)
-    kld = 0.5 * np.sum(sigma2 + mu * mu - 1.0 - 2.0 * log_sigma, axis=1)
-    return kld, mu.copy(), sigma2 - 1.0
+        return 0.5 * (np.linalg.norm(mu, axis=1) - model.prior.gamma) ** 2
+    return 0.5 * np.sum(np.exp(2.0 * log_sigma) + mu * mu - 1.0 - 2.0 * log_sigma, axis=1)
+
+
+def _kld_terms(model, mu, log_sigma):
+    """Training KLD per row (kld_rows plus the committed rate) and its
+    gradients w.r.t. the encoder outputs."""
+    kld = kld_rows(model, mu, log_sigma)
+    if not model.is_tilted:
+        return kld, mu.copy(), np.exp(2.0 * log_sigma) - 1.0
+    norms = np.linalg.norm(mu, axis=1)
+    dmu = ((norms - model.prior.gamma) / np.where(norms > 0.0, norms, 1.0))[:, None] * mu
+    dmu[norms == 0.0] = 0.0
+    return kld + model.prior.committed_rate, dmu, None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -268,7 +275,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size) < 1 or self.learning_rate <= 0 or self.grad_clip <= 0:
+        if not (min(self.epochs, self.batch_size) >= 1
+                and 0 < self.learning_rate < math.inf and 0 < self.grad_clip < math.inf):
             raise DomainError(f"invalid training config {self}")
 
 
@@ -400,10 +408,12 @@ def save_checkpoint(model: VaeModel, path, z_bar: float | None = None) -> None:
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (model, z_bar or None).
 
-    Every inconsistency (truncation, trailing bytes, an unknown prior tag, a
-    non-finite tilted-prior header or parameter, a z_bar that is not NaN
-    and not finite and positive, layer shapes that disagree with d_x and
-    d_z) is a DomainError naming the file.
+    The tilted prior is refit from the stored tau and d_z. Every
+    inconsistency (truncation, trailing bytes, an unknown prior tag, a
+    non-finite parameter, a gamma, committed rate or log Z more than 1e-9
+    relative from the refit, a z_bar that is not NaN and not finite and
+    positive, layer shapes that disagree with d_x and d_z) is a DomainError
+    naming the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -446,15 +456,16 @@ def load_checkpoint(path):
         raise DomainError(f"{path}: a weight or bias is not finite")
     _check_widths(path, "encoder", encoder, d_x, d_z if prior_tag == 1 else 2 * d_z)
     _check_widths(path, "decoder", decoder, d_z, d_x)
+    prior = StandardGaussian()
     if prior_tag == 1:
-        if not (all(math.isfinite(v) for v in (tau, gamma, rate, log_z)) and tau >= 0.0):
-            raise DomainError(
-                f"{path}: invalid tilted-prior header (tau={tau}, gamma={gamma}, "
-                f"committed_rate={rate}, log_z_tau={log_z})"
-            )
-        prior = TiltedPrior(tau=tau, d_z=d_z, log_z_tau=log_z, gamma=gamma, committed_rate=rate)
-    else:
-        prior = StandardGaussian()
+        try:
+            prior = TiltedPrior.fit(tau, d_z)
+        except (DomainError, ConvergenceError) as exc:
+            raise DomainError(f"{path}: tilted-prior header tau = {tau!r}: {exc}") from None
+        for name, stored in (("gamma", gamma), ("committed_rate", rate), ("log_z_tau", log_z)):
+            if not math.isclose(stored, getattr(prior, name), rel_tol=1e-9):
+                raise DomainError(f"{path}: tilted-prior header {name} = {stored!r}, but the "
+                                  f"refit for tau = {tau!r} gives {getattr(prior, name)!r}")
     if not (math.isnan(z_bar) or (math.isfinite(z_bar) and z_bar > 0.0)):
         raise DomainError(f"{path}: z_bar must be finite and positive (or NaN for absent), "
                           f"got {z_bar}")

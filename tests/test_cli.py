@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import tiltvae.tilted
-from tiltvae.cli import build_parser, main
+from tiltvae._fields import REQUIRED
+from tiltvae.cli import _TRAIN_FIELDS, COMMANDS, build_parser, main
 
 
 def _run_python(args, cwd, timeout=120):
@@ -388,6 +389,19 @@ class TestManifestAndReplay:
         assert (replay_dir / "model.ckpt").read_bytes() == ckpt.read_bytes()
         assert (replay_dir / "log.csv").read_bytes() == log.read_bytes()
 
+    def test_train_replay_keeps_an_empty_hidden_list(self, tmp_path, train_cfg):
+        # hidden = (empty) means no hidden layer; the manifest records it as an
+        # empty value, which replay must not swap for the default widths.
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--config", str(train_cfg), "--set", "hidden=",
+                     "--checkpoint", str(ckpt), "--log", str(tmp_path / "log.csv"),
+                     "--manifest", str(tmp_path / "run.manifest")]) == 0
+        assert "train.hidden = \n" in (tmp_path / "run.manifest").read_text()
+        replay_dir = tmp_path / "replayed"
+        assert main(["replay", str(tmp_path / "run.manifest"),
+                     "--out-dir", str(replay_dir)]) == 0
+        assert (replay_dir / "model.ckpt").read_bytes() == ckpt.read_bytes()
+
     def test_replay_writes_default_outputs_into_out_dir(self, tmp_path, monkeypatch):
         # A manifest that records no config.out replays to the default name,
         # which must land in --out-dir, not in the working directory.
@@ -404,3 +418,104 @@ class TestManifestAndReplay:
         bad = tmp_path / "bad.manifest"
         bad.write_text("command = nonsense\n")
         assert main(["replay", str(bad), "--out-dir", str(tmp_path / "x")]) == 1
+
+
+def _fields_with_defaults():
+    owners = [(c.name, c.fields) for c in COMMANDS.values()] + [("train-config", _TRAIN_FIELDS)]
+    return [pytest.param(f, id=f"{name}.{f.key}") for name, fields in owners
+            for f in fields if f.default is not REQUIRED and f.default is not None]
+
+
+class TestFields:
+    @pytest.mark.parametrize("field", _fields_with_defaults())
+    def test_default_survives_format_and_parse(self, field):
+        # Replay re-parses what the manifest recorded through each field's fmt.
+        assert field.parse(field.fmt(field.default)) == field.default
+
+    def test_error_names_source_key_and_text(self, tmp_path, train_cfg, capsys):
+        assert main(["gamma", "--tau", "x", "--dz", "2", "--out", str(tmp_path / "g.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: --tau: tau = 'x': could not convert string to float: 'x'\n")
+        manifest = tmp_path / "g.manifest"
+        manifest.write_text("command = gamma\nconfig.tau = 2.0\nconfig.dz = two\n")
+        assert main(["replay", str(manifest), "--out-dir", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: config.dz: dz = 'two': ")
+
+
+def _train(tmp_path, cfg, *sets):
+    argv = ["train", "--config", str(cfg), "--checkpoint", str(tmp_path / "m.ckpt"),
+            "--log", str(tmp_path / "log.csv")]
+    for item in sets:
+        argv += ["--set", item]
+    return main(argv)
+
+
+class TestRefusals:
+    """Inputs that once trained, sampled or scored without a word, or failed
+    a layer later with a message naming no key, now exit 1 with one error line
+    naming the key and its source."""
+
+    @pytest.mark.parametrize("item,expected", [
+        ("grad_clip=nan", "--set: grad_clip = 'nan': must be finite and > 0"),
+        ("hidden=0", "--set: hidden = '0': must be >= 1"),
+        ("hidden=16,0", "--set: hidden = '16,0': must be >= 1"),
+        ("learning_rate=inf", "--set: learning_rate = 'inf': must be finite and > 0"),
+        ("weight_std=nan", "--set: weight_std = 'nan': must be finite and > 0"),
+        ("epochs=0", "--set: epochs = '0': must be >= 1"),
+        ("tau=-1", "--set: tau = '-1': must be finite and >= 0"),
+        ("data=noise:n=3,h=0,w=4", "data spec 'noise:n=3,h=0,w=4': h = '0': must be >= 1"),
+        ("data=noise:n=3,h=-2,w=4", "data spec 'noise:n=3,h=-2,w=4': h = '-2': must be >= 1"),
+        ("data=blobs:n=8,h=8,w=8,preset=two,noise=nan",
+         "data spec 'blobs:n=8,h=8,w=8,preset=two,noise=nan': noise = 'nan': "
+         "must be finite and >= 0"),
+        ("data=blobs:n=8,h=8,w=8,preset=two,noise=-1",
+         "data spec 'blobs:n=8,h=8,w=8,preset=two,noise=-1': noise = '-1': "
+         "must be finite and >= 0"),
+        ("data=noise:n=3,h=2,w=2,n=4", "data spec 'noise:n=3,h=2,w=2,n=4': repeated key 'n'"),
+    ])
+    def test_train_value(self, tmp_path, train_cfg, capsys, item, expected):
+        assert _train(tmp_path, train_cfg, item) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_train_file_line(self, tmp_path, train_cfg, capsys):
+        lines = train_cfg.read_text().replace("epochs = 2", "epochs = 1e9").splitlines()
+        train_cfg.write_text("\n".join(lines) + "\n")
+        assert _train(tmp_path, train_cfg) == 1
+        lineno = lines.index("epochs = 1e9") + 1
+        assert capsys.readouterr().err == (
+            f"error: {train_cfg}:{lineno}: epochs = '1e9': "
+            "invalid literal for int() with base 10: '1e9'\n")
+
+    def test_repeated_train_key(self, tmp_path, train_cfg, capsys):
+        # Once the last of the two lines won without a word.
+        lines = train_cfg.read_text().splitlines() + ["epochs = 1"]
+        train_cfg.write_text("\n".join(lines) + "\n")
+        assert _train(tmp_path, train_cfg) == 1
+        assert capsys.readouterr().err == (
+            f"error: {train_cfg}:{len(lines)}: expected one 'key = value' per key, "
+            "got 'epochs = 1'\n")
+
+    def test_unknown_train_key(self, tmp_path, train_cfg, capsys):
+        assert _train(tmp_path, train_cfg, "epoch=3") == 1
+        assert capsys.readouterr().err == "error: --set: unrecognized keys ['epoch']\n"
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_prior_sampler_count(self, tmp_path, capsys, n):
+        out = tmp_path / "l.csv"
+        assert main(["sample", "--sampler", "prior", "--dz", "3", "--tau", "2", "--n", n,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: prior sampler needs n >= 1, got n={n}\n"
+        assert not out.exists()
+
+    def test_unknown_sampler(self, tmp_path, capsys):
+        assert main(["sample", "--sampler", "gibbs", "--dz", "3", "--zbar", "1",
+                     "--out", str(tmp_path / "l.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: --sampler: sampler = 'gibbs': must be one of posterior, prior\n")
+
+    def test_bench_repeat(self, tmp_path, capsys):
+        # The option is refused before the checkpoint is opened.
+        assert main(["bench", "--model", str(tmp_path / "m.ckpt"), "--data", "noise:n=4,h=2,w=2",
+                     "--repeat", "0", "--out", str(tmp_path / "b.csv")]) == 1
+        assert capsys.readouterr().err == "error: --repeat: repeat = '0': must be >= 1\n"

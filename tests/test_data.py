@@ -256,3 +256,31 @@ class TestDatasetValidation:
     def test_rejects_inconsistent_shape(self):
         with pytest.raises(DomainError):
             Dataset(np.zeros((2, 5)), 2, 2, 1, tag="t")
+
+
+class TestSpecRefusals:
+    @pytest.mark.parametrize("spec,message", [
+        ("noise:n=3,h=0,w=4", "h = '0': must be >= 1"),
+        ("constant:n=3,h=2,w=2,c=0", "c = '0': must be >= 1"),
+        ("blobs:n=3,h=4,w=4,preset=two,noise=nan", "noise = 'nan': must be finite and >= 0"),
+        ("blobs:n=3,h=4,w=4,modes=2x2x1x1+1x1x1xnan",
+         "modes = '2x2x1x1+1x1x1xnan': mode '1x1x1xnan' is not finite"),
+        ("blobs:n=3,h=4,w=4,preset=two,modes=1x1x1x1", "needs one of preset= or modes="),
+        ("noise:n=3,h=2,w=2,h=3", "repeated key 'h'"),
+        ("idx:path=a.idx,gray=yes", "gray = 'yes': must be one of 0, 1"),
+    ])
+    def test_refused_naming_the_spec(self, spec, message):
+        with pytest.raises(DomainError) as err:
+            parse_spec(spec, seed=1)
+        assert str(err.value) == f"data spec {spec!r}: {message}"
+
+    def test_gray_0_keeps_the_channels(self, tmp_path):
+        path = tmp_path / "rgb.idx"
+        write_idx(gen_noise(RngStream(21), 2, 2, 2, c=3), path)
+        assert parse_spec(f"idx:path={path},gray=0", seed=1).channels == 3
+        assert parse_spec(f"idx:path={path},gray=1", seed=1).channels == 1
+
+
+def test_nan_pixels_are_refused():
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        Dataset(np.array([[0.5, np.nan]]), 1, 2, 1, tag="t")

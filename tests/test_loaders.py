@@ -1,20 +1,23 @@
 """Loader fuzzing: a valid checkpoint, IDX file or run manifest, truncated,
-with bytes flipped or with bytes appended. A checkpoint or IDX file either
-loads into a consistent object or is the loader's own error naming the file;
+with bytes flipped or with bytes appended, and random `key = value` text for
+options, training configs and data specs. A checkpoint or IDX file either
+loads into a consistent object or is the loader's own error naming the file,
+and a setting either parses or is a DomainError naming its key or source;
 the CLI turns any of them into a documented exit code and one error line,
 never a traceback."""
 
 import struct
 import warnings
+from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import tiltvae.vae as V
-from tiltvae.cli import main
-from tiltvae.data import IdxFormatError, gen_noise, load_idx, write_idx
+from tiltvae.cli import _TRAIN_FIELDS, COMMANDS, _flag, main
+from tiltvae.data import IdxFormatError, gen_noise, load_idx, parse_spec, write_idx
 from tiltvae.errors import DomainError
 from tiltvae.sampler import RngStream
 from tiltvae.tilted import TiltedPrior
@@ -72,6 +75,15 @@ def _with_z_bar(raw, z_bar):
     five doubles."""
     at = 4 + 13 + 32
     return raw[:at] + struct.pack("<d", z_bar) + raw[at + 8:]
+
+
+def _with_header(raw, **values):
+    """A copy of a checkpoint whose five header doubles (tau, gamma,
+    committed_rate, log_z_tau, z_bar) take the given values."""
+    at = 4 + 13
+    header = dict(zip(("tau", "gamma", "committed_rate", "log_z_tau", "z_bar"),
+                      struct.unpack("<5d", raw[at:at + 40])), **values)
+    return raw[:at] + struct.pack("<5d", *header.values()) + raw[at + 40:]
 
 
 def _chains(mlp, n_in, n_out):
@@ -137,6 +149,37 @@ class TestCheckpointFuzz:
         stderr = capsys.readouterr().err
         assert code == 1
         assert stderr.startswith(f"error: {path}: ") and stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("header,field", [
+        ({"gamma": -5.0, "committed_rate": -3.0}, "gamma"),
+        ({"committed_rate": 0.5}, "committed_rate"),
+        ({"log_z_tau": 1.0}, "log_z_tau"),
+        ({"tau": 4.0}, "gamma"),
+        ({"tau": 1e200}, "tau"),
+        ({"tau": float("nan")}, "tau"),
+    ])
+    def test_prior_header_must_match_the_refit(self, tmp_path, checkpoints, capsys,
+                                               header, field):
+        path = tmp_path / "header.ckpt"
+        path.write_bytes(_with_header(checkpoints[0], **header))
+        with pytest.raises(DomainError, match=f"tilted-prior header {field} = ") as err:
+            V.load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+        for argv in (["score", "--model", str(path), "--data", "noise:n=4,h=2,w=3",
+                      "--out", str(tmp_path / "s.csv")],
+                     ["sample", "--model", str(path), "--sampler", "prior", "--n", "3",
+                      "--out", str(tmp_path / "l.csv"), "--decoded", str(tmp_path / "d.csv")]):
+            assert main(argv) == 1
+            stderr = capsys.readouterr().err
+            assert stderr.startswith(f"error: {path}: ") and stderr.count("\n") == 1
+
+    def test_prior_is_the_refit(self, tmp_path, checkpoints):
+        # A header within 1e-9 of the refit loads, carrying the refit values.
+        fit = TiltedPrior.fit(3.0, 3)
+        path = tmp_path / "close.ckpt"
+        path.write_bytes(_with_header(checkpoints[0], gamma=fit.gamma * (1 + 1e-12)))
+        model, _ = V.load_checkpoint(path)
+        assert model.prior == fit
 
     def test_score_on_overflowing_weights_exits_1(self, tmp_path, checkpoints, capsys):
         # Finite weights of 1e308 into the first hidden unit overflow its
@@ -225,3 +268,91 @@ class TestManifestFuzz:
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1
         assert not any(cwd.iterdir())  # replay writes only into --out-dir
+
+
+# Text for `key = value` fields: numbers at the edges of each field's range,
+# words, lists, and short free text without digits, so no drawn size is large.
+_TOKENS = ["0", "1", "2", "3", "-1", "1e9", "0.5", "1e-3", "nan", "inf", "-inf", "x",
+           "tilted", "gaussian", "prior", "posterior", "two", "8,4", "0,4", "2..3", "1x1x1x1"]
+_TEXT = st.one_of(st.sampled_from(_TOKENS), st.text(alphabet="abx.,;=:+- ", min_size=1, max_size=6))
+_FIELD_FUZZ = settings(max_examples=150, deadline=timedelta(seconds=5),
+                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _spec(kind, items):
+    return f"{kind}:" + ",".join(f"{k}={v}" for k, v in items)
+
+
+_SPECS = st.builds(
+    _spec, st.sampled_from(["noise", "constant", "blobs", "idx", "mnist"]),
+    st.lists(st.tuples(st.sampled_from(["n", "h", "w", "c", "noise", "preset", "modes", "path",
+                                        "gray", "max", "zoom"]), _TEXT), max_size=6))
+
+
+class TestFieldFuzz:
+    """Option strings, replayed values, training configs and data specs either
+    parse or are one DomainError naming the key or the source."""
+
+    @_FIELD_FUZZ
+    @given(name=st.sampled_from(sorted(COMMANDS)), data=st.data())
+    def test_option_strings_parse_or_name_the_flag(self, name, data):
+        command = COMMANDS[name]
+        keys = data.draw(st.sets(st.sampled_from([f.key for f in command.fields])), label="keys")
+        strings = {k: data.draw(_TEXT, label=k) for k in sorted(keys)}
+        place = lambda kind, path: path  # noqa: E731
+        try:
+            config = command.config(strings, _flag, place)
+        except DomainError as exc:
+            assert any(str(exc).startswith(f"{_flag(f.key)}: ") and repr(f.key) in str(exc)
+                       or str(exc).startswith(f"{_flag(f.key)}: {f.key} = ")
+                       for f in command.fields)
+            return
+        # What the manifest records parses back to the same record.
+        recorded = command.format_config(config)
+        again = command.config({k: v for k, v in recorded.items() if v != ""}, _flag, place)
+        assert command.format_config(again) == recorded
+
+    @_FIELD_FUZZ
+    @given(spec=_SPECS)
+    def test_data_spec_loads_or_names_the_spec(self, tmp_path, monkeypatch, spec):
+        monkeypatch.chdir(tmp_path)  # no idx path names an existing file
+        try:
+            ds = parse_spec(spec, seed=0)
+        except DomainError as exc:
+            assert (str(exc).startswith(f"data spec {spec!r}: ")
+                    or str(exc).startswith("unknown data spec kind"))
+            return
+        except OSError:
+            assert spec.startswith("idx:")
+            return
+        assert ds.n >= 1 and ds.d_x >= 1
+        assert np.all((ds.samples >= 0.0) & (ds.samples <= 1.0))
+
+    @settings(max_examples=60, deadline=timedelta(seconds=5),
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_train_config_and_set_exit_with_one_line(self, tmp_path, data, capsys):
+        values = {"prior": "tilted", "tau": "2", "dz": "2", "hidden": "4",
+                  "data": "noise:n=4,h=2,w=2", "epochs": "1", "seed": "1"}
+        keys = [f.key for f in _TRAIN_FIELDS]
+        in_file = data.draw(st.dictionaries(st.sampled_from(keys + ["zoom"]),
+                                            st.one_of(_TEXT, _SPECS), max_size=3), label="file")
+        in_set = data.draw(st.dictionaries(st.sampled_from(keys), _TEXT, max_size=2), label="set")
+        values.update(in_file)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        argv = ["train", "--config", str(cfg), "--checkpoint", str(tmp_path / "m.ckpt"),
+                "--log", str(tmp_path / "log.csv")]
+        for k, v in in_set.items():
+            argv += ["--set", f"{k}={v}"]
+        capsys.readouterr()
+        code = main(argv)
+        event(f"exit {code}")
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        if code == 1:
+            sources = (f"{cfg}:", f"{cfg}: missing key", "--set: ", "error: data spec ",
+                       "error: unknown data spec kind", "non-finite")
+            assert any(s in err for s in sources), err

@@ -184,3 +184,15 @@ def test_save_latents_csv_matches_float_repr(tmp_path):
     save_latents_csv(path, np.array(rows))
     expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
     assert path.read_text() == expected
+
+
+class TestPriorSamplerInputs:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_count_below_one_is_domain_error(self, prior_10_10, n):
+        with pytest.raises(DomainError, match=f"n >= 1, got n={n}"):
+            sample_tilted_prior_batch(RngStream(1), prior_10_10, n)
+
+    def test_radial_mode_of_the_largest_tilt_is_finite(self):
+        # tau^2 overflows above 1.34e154; the largest accepted tau is 1.9e154.
+        prior = TiltedPrior(tau=1.8e154, d_z=10, log_z_tau=0.0, gamma=0.0, committed_rate=0.0)
+        assert tilted_radial_mode(prior) == 1.8e154

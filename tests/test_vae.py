@@ -302,6 +302,15 @@ class TestGradStep:
             V.grad_step(model, V.AdamState(model), RngStream(13), np.ones((0, 6)), config)
 
 
+@pytest.mark.parametrize("bad", [
+    {"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0}, {"learning_rate": math.nan},
+    {"learning_rate": math.inf}, {"grad_clip": math.nan}, {"grad_clip": math.inf},
+])
+def test_train_config_refuses_non_finite_and_non_positive(bad):
+    with pytest.raises(DomainError, match="invalid training config"):
+        V.TrainConfig(**{"epochs": 1, **bad})
+
+
 class TestTrain:
     def test_objective_decreases_on_blobs(self, tilted_prior):
         ds = gen_blobs(RngStream(14, 101), 200, 8, 8, blob_preset("two", 8, 8))
