@@ -432,7 +432,7 @@ class TestFields:
         # Replay re-parses what the manifest recorded through each field's fmt.
         assert field.parse(field.fmt(field.default)) == field.default
 
-    def test_error_names_source_key_and_text(self, tmp_path, train_cfg, capsys):
+    def test_error_names_source_key_and_text(self, tmp_path, capsys):
         assert main(["gamma", "--tau", "x", "--dz", "2", "--out", str(tmp_path / "g.csv")]) == 1
         assert capsys.readouterr().err == (
             "error: --tau: tau = 'x': could not convert string to float: 'x'\n")

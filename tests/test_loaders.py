@@ -303,9 +303,10 @@ class TestFieldFuzz:
         try:
             config = command.config(strings, _flag, place)
         except DomainError as exc:
-            assert any(str(exc).startswith(f"{_flag(f.key)}: ") and repr(f.key) in str(exc)
-                       or str(exc).startswith(f"{_flag(f.key)}: {f.key} = ")
-                       for f in command.fields)
+            # "--flag: key = 'raw': reason", or "--flag: missing key 'key'"
+            assert any(str(exc).startswith((f"{_flag(f.key)}: {f.key} = ",
+                                            f"{_flag(f.key)}: missing key {f.key!r}"))
+                       for f in command.fields), str(exc)
             return
         # What the manifest records parses back to the same record.
         recorded = command.format_config(config)
