@@ -8,7 +8,7 @@ VAE with manual reverse-mode gradients (`vae`), out-of-distribution scoring
 
 __version__ = "0.1.0"
 
-from .specfn import laguerre_half, log_gamma_ratio, log_kummer_m
+from .specfn import log_kummer_scaled
 from .tilted import (
     SweepReport,
     TiltedPrior,
@@ -19,9 +19,7 @@ from .tilted import (
 )
 
 __all__ = [
-    "laguerre_half",
-    "log_gamma_ratio",
-    "log_kummer_m",
+    "log_kummer_scaled",
     "TiltedPrior",
     "SweepReport",
     "log_normalizer",

@@ -12,7 +12,9 @@ scores, 2 numerical non-convergence, 3 I/O error.
 """
 
 import argparse
+import contextlib
 import functools
+import io
 import os
 import sys
 import time
@@ -415,13 +417,17 @@ def _write_manifest(path, command, config_strings, outputs, seed, duration, extr
 
 
 def _execute(command, config, manifest_path):
+    """Run the command, write its manifest, then print what it printed: a
+    stdout that cannot be written to still leaves a complete, replayable run."""
     command.exit_code = 0
     command.extra_manifest = {}
     for f in command.fields:
         if f.kind == OUT_PATH and config[f.key]:
             os.makedirs(os.path.dirname(config[f.key]) or ".", exist_ok=True)
+    held = io.StringIO()
     t0 = time.perf_counter()
-    outputs, seed = command.run(config)
+    with contextlib.redirect_stdout(held):
+        outputs, seed = command.run(config)
     duration = time.perf_counter() - t0
     if manifest_path is None:
         first = outputs[sorted(outputs)[0]]
@@ -430,7 +436,8 @@ def _execute(command, config, manifest_path):
         manifest_path, command.name, command.format_config(config), outputs,
         seed, duration, extra=command.extra_manifest,
     )
-    print(f"manifest: {manifest_path}")
+    sys.stdout.write(f"{held.getvalue()}manifest: {manifest_path}\n")
+    sys.stdout.flush()
     return command.exit_code
 
 
@@ -499,6 +506,11 @@ def main(argv=None):
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # Point stdout at devnull, so that flushing it at exit does not fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 3
 
 

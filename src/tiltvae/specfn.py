@@ -1,28 +1,23 @@
-"""Log-domain special functions: Kummer's M, half-order Laguerre, chi moments.
+"""Log-domain Kummer function: one kernel for the tilted prior's quantities.
 
 Everything here is evaluated in log space because the normalization constant
 of the tilted Gaussian contains a factor that scales like exp(tau^2 / 2),
 which overflows double precision long before the tilt values this package
 has to support (tau up to ~100, series arguments up to ~2e4).
 
-One kernel serves every caller: log(e^-z M(a, b, z)) for a > 0, b > 0 and
-z >= 0, where every series term is positive. The e^-z scaling is what the
-Laguerre functions need after Kummer's reflection; computing it directly
-keeps their relative accuracy at huge z, where adding -z and +z separately
-would cost about ULP(z) in absolute terms.
+One kernel, log_kummer_scaled, serves every caller: log(e^-z M(a, b, z)) for
+a > 0, b > 0 and z >= 0, where every series term is positive. Computing the
+e^-z scaling directly keeps the relative accuracy of the mean norm at huge z,
+where adding -z and +z separately would cost about ULP(z) in absolute terms.
 
 All functions are pure and thread-safe.
 """
 
 import math
-import sys
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-
-# Largest log-magnitude that still converts to a finite double.
-_OVERFLOW_LOG = math.log(sys.float_info.max)
 
 # Series truncation: stop once the current term is this many nats below the
 # running log-sum (and past the peak); hard cap on the number of terms.
@@ -98,15 +93,16 @@ def _log_kummer_asymptotic(a: float, b: float, z):
     """Large-z expansion M(a,b,z) ~ Gamma(b)/Gamma(a) e^z z^(a-b) sum_k c_k,
     c_k = (b-a)^(k) (1-a)^(k) / (k! z^k), for a flat array z.
 
-    Returns (ok, log(e^-z M)) arrays. Terms are summed while they shrink: the sum
-    stops at a term below 1e-17 of it (certified), or before the first term
-    that does not shrink (certified when the last one kept is below
-    _ASYMP_TAIL of the sum). ``ok`` is False where that cannot certify the
-    accuracy; the caller then falls back to the direct series there.
+    Returns (ok, log(e^-z M), sum_{k>=1} c_k) arrays. Terms are summed while
+    they shrink: the sum stops at a term below 1e-17 of it (certified), or
+    before the first term that does not shrink (certified when the last one
+    kept is below _ASYMP_TAIL of the sum). ``ok`` is False where that cannot
+    certify the accuracy; the caller then falls back to the direct series there.
     """
     z = np.asarray(z, dtype=np.float64)
     c = np.ones(z.size)  # last term kept
     s = np.ones(z.size)  # sum of the terms kept
+    tail = np.zeros(z.size)  # the same sum without c_0 = 1
     ok = np.zeros(z.size, dtype=bool)
     live = np.arange(z.size)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -115,132 +111,73 @@ def _log_kummer_asymptotic(a: float, b: float, z):
                 break
             k = np.arange(k0, min(k0 + _ASYMP_CHUNK, _ASYMP_MAX_TERMS), dtype=np.float64)
             ratio = (b - a + k) * (1 - a + k) / (k + 1)
-            stopped = np.concatenate([_asymptotic_chunk(ratio, z, c, s, ok, rows)
+            stopped = np.concatenate([_asymptotic_chunk(ratio, z, c, s, tail, ok, rows)
                                       for rows in _row_slices(live, k.size)])
             live = live[~stopped]
     ok[live] = np.abs(c[live]) <= _ASYMP_TAIL * np.abs(s[live])
     ok &= s > 0.0
     log_m = np.full(z.shape, math.nan)
     log_m[ok] = math.lgamma(b) - math.lgamma(a) + (a - b) * np.log(z[ok]) + np.log(s[ok])
-    return ok, log_m
+    return ok, log_m, tail
 
 
-def _asymptotic_chunk(ratio, z, c, s, ok, rows):
-    """Take up to ratio.size more terms for the points ``rows``, updating c, s
-    and ok in place; True where the sum stopped."""
+def _asymptotic_chunk(ratio, z, c, s, tail, ok, rows):
+    """Take up to ratio.size more terms for the points ``rows``, updating c, s,
+    tail and ok in place; True where the sum stopped."""
     c_next = c[rows, None] * np.cumprod(ratio / z[rows, None], axis=1)
-    s_next = s[rows, None] + np.cumsum(c_next, axis=1)
+    added = np.cumsum(c_next, axis=1)
     c_prev = np.concatenate([c[rows, None], c_next[:, :-1]], axis=1)
-    s_prev = np.concatenate([s[rows, None], s_next[:, :-1]], axis=1)
     grow = np.abs(c_next) >= np.abs(c_prev)
-    stop = grow | (np.abs(c_next) <= 1e-17 * np.abs(s_next))
+    stop = grow | (np.abs(c_next) <= 1e-17 * np.abs(s[rows, None] + added))
     j = stop.argmax(axis=1)
     i = np.arange(rows.size)
     hit, grew = stop[i, j], grow[i, j]
     # A stopped point keeps the sum before its growing term, or through its
     # tiny one; a running point carries its last term and sum to the next chunk.
+    last = np.where(hit, j - grew, added.shape[1] - 1)  # -1: no term of this chunk kept
+    kept = np.where(last >= 0, added[i, last], 0.0)
     c[rows] = np.where(hit, c_prev[i, j], c_next[:, -1])
-    s[rows] = np.where(hit & grew, s_prev[i, j], np.where(hit, s_next[i, j], s_next[:, -1]))
-    ok[rows] = hit & (~grew | (np.abs(c_prev[i, j]) <= _ASYMP_TAIL * np.abs(s_prev[i, j])))
+    s[rows] += kept
+    tail[rows] += kept
+    ok[rows] = hit & (~grew | (np.abs(c_prev[i, j]) <= _ASYMP_TAIL * np.abs(s[rows])))
     return hit
 
 
 def _log_kummer_pos(a: float, b: float, z):
-    """log(e^-z M(a, b, z)) for a > 0, b > 0 and every point of an array
-    z >= 0: the asymptotic expansion where it certifies itself, else the
-    series."""
+    """(log(e^-z M(a, b, z)), tail) for a > 0, b > 0 and every point of an
+    array z >= 0: the asymptotic expansion where it certifies itself, else the
+    series; see log_kummer_scaled."""
     z = np.asarray(z, dtype=np.float64)
     zf = z.reshape(-1)
     out = np.zeros(zf.size)  # M(a, b, 0) = 1
+    tail = np.full(zf.size, math.nan)
     pending = zf > 0.0
     big = np.flatnonzero(zf > _ASYMP_Z_MIN)
     if big.size:
-        ok, log_m = _log_kummer_asymptotic(a, b, zf[big])
+        ok, log_m, big_tail = _log_kummer_asymptotic(a, b, zf[big])
         out[big[ok]] = log_m[ok]
+        tail[big[ok]] = big_tail[ok]
         pending[big[ok]] = False
     rest = np.flatnonzero(pending)
     if rest.size:
         out[rest] = _log_series_pos(a, b, zf[rest]) - zf[rest]
-    return out.reshape(z.shape)
+    return out.reshape(z.shape), tail.reshape(z.shape)
 
 
-def log_kummer_m(a: float, b: float, z):
-    """log M(a, b, z), Kummer's confluent hypergeometric function, for a > 0,
-    b > 0 and finite z >= 0; a float for a scalar z, an array for an array z.
+def log_kummer_scaled(a: float, b: float, z):
+    """(log(e^-z M(a, b, z)), tail), arrays of z's shape, for a > 0, b > 0 and
+    finite z >= 0; M(a,b,z) = sum_n a^(n) z^n / (b^(n) n!) is Kummer's function.
 
-    M(a,b,z) = sum_n a^(n) z^n / (b^(n) n!) with a^(n) the rising factorial.
-    On this domain every term is positive, so the result carries no
-    cancellation error. Any other argument is a DomainError.
+    Every term is positive here, so the log carries no cancellation error.
+    Where the large-z expansion e^-z M = Gamma(b)/Gamma(a) z^(a-b) (1 + tail)
+    gave the value, ``tail`` is its sum past the leading 1; elsewhere it is
+    NaN. Any other argument is a DomainError.
     """
     if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"log_kummer_m needs a > 0 and b > 0, got a={a}, b={b}")
+        raise DomainError(f"log_kummer_scaled needs a > 0 and b > 0, got a={a}, b={b}")
     za = np.asarray(z, dtype=np.float64)
     bad = ~(np.isfinite(za) & (za >= 0.0))
     if bad.any():
         raise DomainError(
-            f"log_kummer_m is only supported for finite z >= 0, got z={float(za[bad][0])}")
-    return _like(z, za + _log_kummer_pos(a, b, za))
-
-
-def log_gamma_ratio(p: float, q: float) -> float:
-    """log(Gamma(p) / Gamma(q)) for positive p, q."""
-    if p <= 0.0 or q <= 0.0:
-        raise DomainError(f"gamma ratio needs positive arguments, got p={p}, q={q}")
-    return math.lgamma(p) - math.lgamma(q)
-
-
-def _like(x, values):
-    """``values`` as a Python float when ``x`` is a scalar, else the array."""
-    return float(values) if np.ndim(x) == 0 else values
-
-
-def _checked_x(alpha, x, name):
-    """x as an array, after checking alpha > -1 and every x finite and <= 0."""
-    if alpha <= -1.0:
-        raise DomainError(f"alpha={alpha} must exceed -1")
-    xa = np.asarray(x, dtype=np.float64)
-    bad = ~(np.isfinite(xa) & (xa <= 0.0))
-    if bad.any():
-        raise DomainError(f"{name} is only supported for finite x <= 0, got x={float(xa[bad][0])}")
-    return xa
-
-
-def _exp_checked(log_val):
-    if np.any(log_val >= _OVERFLOW_LOG):
-        raise OverflowError(
-            f"log-magnitude {float(np.max(log_val)):.6g} exceeds the native float range"
-        )
-    return np.exp(log_val)
-
-
-def laguerre_half(alpha: float, x):
-    """Generalized Laguerre function of order 1/2, L_{1/2}^(alpha)(x), x <= 0,
-    for a scalar x (returns a float) or an array of them (returns an array).
-
-    Defined through the gamma-extended binomial coefficient:
-        L_{1/2}^(alpha)(x) = [Gamma(alpha+3/2) / (Gamma(3/2) Gamma(alpha+1))]
-                             * M(-1/2, alpha+1, x).
-    sqrt(pi/2) times this value is the mean of a noncentral chi variable with
-    d = 2(alpha+1) degrees of freedom and noncentrality sqrt(-2x).
-    """
-    xa = _checked_x(alpha, x, "laguerre_half")
-    log_binom = log_gamma_ratio(alpha + 1.5, 1.5) - math.lgamma(alpha + 1.0)
-    # Reflected series: M(-1/2, alpha+1, x) = e^x M(alpha+3/2, alpha+1, -x),
-    # all terms positive for x < 0, and e^x is the kernel's own scaling.
-    log_m = _log_kummer_pos(alpha + 1.5, alpha + 1.0, -xa)
-    return _like(x, _exp_checked(log_binom + log_m))
-
-
-def laguerre_half_prime(alpha: float, x):
-    """d/dx L_{1/2}^(alpha)(x) for x <= 0, scalar or array like laguerre_half.
-
-    From dM(a,b,x)/dx = (a/b) M(a+1, b+1, x) (DLMF 13.3.15):
-        d/dx L_{1/2}^(alpha)(x) = -binom / (2(alpha+1)) * M(1/2, alpha+2, x),
-    and M(1/2, alpha+2, x) = e^x M(alpha+3/2, alpha+2, -x) is one call to the
-    positive-term kernel. The value is negative: the function decreases in x.
-    """
-    xa = _checked_x(alpha, x, "laguerre_half_prime")
-    log_coef = (log_gamma_ratio(alpha + 1.5, 1.5) - math.lgamma(alpha + 1.0)
-                - math.log(2.0 * (alpha + 1.0)))
-    log_m = _log_kummer_pos(alpha + 1.5, alpha + 2.0, -xa)
-    return _like(x, -_exp_checked(log_coef + log_m))
+            f"log_kummer_scaled is only supported for finite z >= 0, got z={float(za[bad][0])}")
+    return _log_kummer_pos(a, b, za)

@@ -8,6 +8,9 @@ posterior (array-valued over posterior-mean norms), the quadratic surrogate
 used during training, the root solver for the divergence-minimizing posterior
 norm, and a grid sweep that reports the margin between the exact divergence
 and the surrogate.
+
+Each of log Z_tau, the mean norm E and its slope E'/m is a call to the Kummer
+kernel ``specfn.log_kummer_scaled``; this module alone maps them onto it.
 """
 
 import csv
@@ -18,18 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .specfn import laguerre_half, laguerre_half_prime, log_gamma_ratio, log_kummer_m
+from .specfn import log_kummer_scaled
 
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 
-# Root tolerances and iteration cap, stationarity acceptance, and the
-# minimum and relative probe steps for the gamma solver.
+# Root tolerances and iteration cap, stationarity acceptance, and the probe
+# step for the gamma solver.
 _ROOT_XATOL = 1e-12
 _ROOT_XRTOL = 4.0 * sys.float_info.epsilon
 _ROOT_MAXITER = 100
 _GRAD_OK = 1e-5
-_MIN_PROBE = 1e-3
-_REL_PROBE = 2.0 ** -20
+_PROBE = 1e-3
 
 # Largest norm m whose m^2 / 2 is a finite double.
 _MAX_NORM = math.sqrt(2.0) * math.sqrt(sys.float_info.max)
@@ -51,14 +53,24 @@ def log_normalizer(tau, d_z: int):
     Both terms are positive and combined as logs, so no intermediate can
     overflow a double even though Z_tau itself scales like exp(tau^2 / 2).
     """
-    t = np.atleast_1d(_check_tau_d(tau, d_z))
-    half_t2 = 0.5 * t * t
-    log_z = log_kummer_m(d_z / 2.0, 0.5, half_t2)
-    pos = t > 0.0
-    odd = (np.log(t[pos] * math.sqrt(2.0)) + log_gamma_ratio((d_z + 1) / 2.0, d_z / 2.0)
-           + log_kummer_m((d_z + 1) / 2.0, 1.5, half_t2[pos]))
-    log_z[pos] = np.logaddexp(log_z[pos], odd)
+    log_z = _log_normalizers(np.atleast_1d(_check_tau_d(tau, d_z)), d_z)[0]
     return float(log_z[0]) if np.ndim(tau) == 0 else log_z
+
+
+def _log_normalizers(t, d_z):
+    """(log Z_tau, log Z_tau - tau^2/2) at the tilts of an array t; the second
+    combines the kernel's log(e^-z M), z = tau^2/2, before z is added back,
+    so it keeps its own relative accuracy where log Z_tau is about z."""
+    half_t2 = 0.5 * t * t
+    even = log_kummer_scaled(d_z / 2.0, 0.5, half_t2)[0]
+    log_z, log_zs = half_t2 + even, even.copy()
+    pos = t > 0.0
+    coef = (np.log(t[pos] * math.sqrt(2.0))
+            + (math.lgamma((d_z + 1) / 2.0) - math.lgamma(d_z / 2.0)))
+    odd = log_kummer_scaled((d_z + 1) / 2.0, 1.5, half_t2[pos])[0]
+    log_z[pos] = np.logaddexp(log_z[pos], coef + (half_t2[pos] + odd))
+    log_zs[pos] = np.logaddexp(log_zs[pos], coef + odd)
+    return log_z, log_zs
 
 
 def _norms(mu_norm, name="mu_norm"):
@@ -70,26 +82,50 @@ def _norms(mu_norm, name="mu_norm"):
     return m
 
 
+def _log_chi_coef(d_z):
+    """log c, c = Gamma((d+1)/2) / (Gamma(3/2) Gamma(d/2)), the mean norm's
+    Kummer coefficient: E(m) = sqrt(pi/2) c e^-z M((d+1)/2, d/2, z), z = m^2/2."""
+    return math.lgamma((d_z + 1) / 2.0) - math.lgamma(1.5) - math.lgamma(d_z / 2.0)
+
+
+def _mean_norms(d_z, m):
+    """(E, E - m) at an array of norms m = ||mu||, E = E[||z||], z ~ N(mu, I).
+
+    Where the kernel sums its large-z expansion, its constants cancel
+    (a - b = 1/2) and E = m (1 + tail), so E - m = m tail needs no
+    subtraction; elsewhere (m^2/2 <= 700) it is a plain difference.
+    """
+    k, tail = log_kummer_scaled((d_z + 1) / 2.0, d_z / 2.0, 0.5 * m * m)
+    mean = _SQRT_PI_OVER_2 * np.exp(_log_chi_coef(d_z) + k)
+    return mean, np.where(np.isnan(tail), mean - m, m * tail)
+
+
 def mean_norm(d_z: int, mu_norm):
     """E[||z||] for z ~ N(mu, I) on R^d_z with ||mu|| = mu_norm; a float for a
     scalar norm, an array for an array of norms."""
-    m = _norms(mu_norm)
-    return _SQRT_PI_OVER_2 * laguerre_half(d_z / 2.0 - 1.0, -0.5 * m * m)
+    mean = _mean_norms(d_z, _norms(mu_norm))[0]
+    return float(mean) if np.ndim(mu_norm) == 0 else mean
 
 
 def _norm_slope(d_z, mu_norm):
-    """E'(m) / m for the mean norm E of mean_norm: -sqrt(pi/2) L_{1/2}'(-m^2/2).
+    """E'(m) / m for the mean norm E of mean_norm: sqrt(pi/2) (c/d)
+    e^-z M((d+1)/2, d/2 + 1, z) with c of _log_chi_coef (DLMF 13.3.15 after
+    Kummer's reflection).
 
-    Proportional to M(1/2, d_z/2 + 1, -m^2/2), so positive and decreasing in
-    m; at m = 0 it is the curvature E''(0).
+    Positive and decreasing in m; at m = 0 it is the curvature E''(0).
     """
     m = _norms(mu_norm)
-    return -_SQRT_PI_OVER_2 * laguerre_half_prime(d_z / 2.0 - 1.0, -0.5 * m * m)
+    k = log_kummer_scaled((d_z + 1) / 2.0, d_z / 2.0 + 1.0, 0.5 * m * m)[0]
+    return _SQRT_PI_OVER_2 * np.exp(_log_chi_coef(d_z) - math.log(d_z) + k)
 
 
-def _kld_from_mean(tau, log_z, m, mean):
-    """The exact KLD at norms m from their mean norms ``mean`` = mean_norm(d_z, m)."""
-    return log_z - tau * mean + 0.5 * m * m
+def _kld_from_mean(tau, log_zs, m, excess):
+    """The exact KLD log Z_tau - tau E(m) + m^2/2 at norms m, as
+    (tau - m)^2/2 + log_zs - tau excess with log_zs = log Z_tau - tau^2/2 and
+    excess = E(m) - m. Near gamma each of the first form's terms is about
+    tau^2/2 while the sum is small; no term of this one is much larger."""
+    d = tau - m
+    return 0.5 * d * d + log_zs - tau * excess
 
 
 def _bracketed_roots(f, x1, f1, x2, f2):
@@ -124,18 +160,19 @@ def _bracketed_roots(f, x1, f1, x2, f2):
 
 
 def _fit_priors(taus, d_z):
-    """For each tau of one d_z, its TiltedPrior or the ConvergenceError of its fit.
+    """For each tau of one d_z, its TiltedPrior or the ConvergenceError of its
+    fit, and the array of log Z_tau - tau^2/2 that the KLD takes (see
+    _kld_from_mean).
 
     The KLD's slope is m - tau E'(m) = m h(m) with h(m) = 1 - tau E'(m)/m,
     which increases in m (see _norm_slope). So gamma = 0 where h(0) >= 0;
     elsewhere gamma is the root of h, which lies in (0, tau] because E' <= 1
-    makes h(tau) >= 0. The analytic slope and probes max(1e-3, gamma 2^-20) on
-    either side, a step that outgrows the KLD's rounding error, then certify a
-    stationary minimum. Near the largest tilts the probe KLDs overflow to inf
-    or NaN; such a cell fails the certificate quietly, as its own error.
+    makes h(tau) >= 0. The analytic slope and probes 1e-3 on either side then
+    certify a stationary minimum; a cell that fails gets its own error. The
+    probe KLDs stay finite up to the largest tilt, since |tau - m| <= _MAX_NORM.
     """
     t = np.atleast_1d(_check_tau_d(taus, d_z))
-    log_z = log_normalizer(t, d_z)
+    log_z, log_zs = _log_normalizers(t, d_z)
     h0 = 1.0 - t * _norm_slope(d_z, 0.0)
     gamma, h = np.zeros_like(t), h0.copy()
     up = np.flatnonzero(~(h0 >= 0.0))
@@ -143,17 +180,15 @@ def _fit_priors(taus, d_z):
     br = up[h[up] > 0.0]
     gamma[br], h[br] = _bracketed_roots(lambda x, k: 1.0 - t[br[k]] * _norm_slope(d_z, x),
                                         np.zeros(br.size), h0[br], t[br], h[br])
-    step = np.maximum(_MIN_PROBE, gamma * _REL_PROBE)
-    m = np.stack([gamma, np.minimum(gamma + step, _MAX_NORM),
-                  np.where(gamma >= step, gamma - step, gamma)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        kld = _kld_from_mean(t, log_z, m, mean_norm(d_z, m))
+    m = np.stack([gamma, np.minimum(gamma + _PROBE, _MAX_NORM),
+                  np.where(gamma >= _PROBE, gamma - _PROBE, gamma)])
+    kld = _kld_from_mean(t, log_zs, m, _mean_norms(d_z, m)[1])
     ok = (np.abs(gamma * h) < _GRAD_OK) & np.all(kld[1:] >= kld[0], axis=0)
     return [TiltedPrior(tau=tc, d_z=d_z, log_z_tau=lz, gamma=g, committed_rate=rate) if good
             else ConvergenceError("gamma solver did not converge", tau=tc, d_z=d_z,
                                   final_iterate=g, gradient=g * hg)
             for tc, lz, g, hg, rate, good
-            in zip(*(v.tolist() for v in (t, log_z, gamma, h, kld[0], ok)))]
+            in zip(*(v.tolist() for v in (t, log_z, gamma, h, kld[0], ok)))], log_zs
 
 
 @dataclass(frozen=True)
@@ -173,7 +208,7 @@ class TiltedPrior:
 
     @classmethod
     def fit(cls, tau: float, d_z: int) -> "TiltedPrior":
-        (fit,) = _fit_priors(tau, d_z)
+        (fit,), _ = _fit_priors(tau, d_z)
         if isinstance(fit, Exception):
             raise fit
         return fit
@@ -187,7 +222,8 @@ def exact_kld(prior: TiltedPrior, mu_norm):
     array); a norm that is negative or not finite is a DomainError.
     """
     m = _norms(mu_norm)
-    kld = _kld_from_mean(prior.tau, prior.log_z_tau, m, mean_norm(prior.d_z, m))
+    log_zs = _log_normalizers(np.array([prior.tau]), prior.d_z)[1][0]
+    kld = _kld_from_mean(prior.tau, log_zs, m, _mean_norms(prior.d_z, m)[1])
     return float(kld) if np.ndim(mu_norm) == 0 else kld
 
 
@@ -257,27 +293,36 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float) -> SweepRe
     if not (math.isfinite(mu_max) and mu_max > 0.0):
         raise DomainError(f"mu_max must be finite and positive, got {mu_max}")
     mu = np.linspace(0.0, mu_max, mu_points)
-    taus = [1.2 ** w for w in w_grid]
+    taus = [_tilt(w) for w in w_grid]
     cells = []
     for d in d_grid:
         try:
-            fits = _fit_priors(taus, d)
+            fits, log_zs = _fit_priors(taus, d)
         except _CELL_ERRORS as exc:
-            fits = [exc] * len(taus)
+            fits, log_zs = [exc] * len(taus), [math.nan] * len(taus)
         try:
-            mean = mean_norm(d, mu) if any(isinstance(f, TiltedPrior) for f in fits) else None
+            excess = (_mean_norms(d, _norms(mu))[1]
+                      if any(isinstance(f, TiltedPrior) for f in fits) else None)
         except _CELL_ERRORS as exc:
             fits = [f if isinstance(f, Exception) else exc for f in fits]
-        for w, tau, prior in zip(w_grid, taus, fits):
+        for w, tau, prior, log_zs_tau in zip(w_grid, taus, fits, log_zs):
             if isinstance(prior, Exception):
                 cells.append(SweepCell(d, w, tau, math.nan, math.nan, f"error: {prior}"))
                 continue
-            kld = _kld_from_mean(prior.tau, prior.log_z_tau, mu, mean)
+            kld = _kld_from_mean(prior.tau, log_zs_tau, mu, excess)
             margins = kld - quadratic_kld(prior, mu)
             k = int(np.argmin(margins))
             status = "ok" if margins[k] >= -_SWEEP_TOLERANCE else "violation"
             cells.append(SweepCell(d, w, tau, float(margins[k]), float(mu[k]), status))
     return SweepReport(cells=cells)
+
+
+def _tilt(w):
+    """tau = 1.2^w, or inf (a tilt _check_tau_d refuses) where that overflows."""
+    try:
+        return 1.2 ** w
+    except OverflowError:
+        return math.inf
 
 
 def _check_tau_d(tau, d_z):

@@ -1,5 +1,6 @@
 """CLI tests: command contracts, exit codes, manifests, and replay."""
 
+import csv
 import json
 import os
 import subprocess
@@ -13,13 +14,13 @@ from tiltvae._fields import REQUIRED
 from tiltvae.cli import _TRAIN_FIELDS, COMMANDS, build_parser, main
 
 
-def _run_python(args, cwd, timeout=120):
+def _run_python(args, cwd, timeout=120, stdout=subprocess.PIPE):
     """A fresh interpreter that imports this checkout's tiltvae."""
     src = os.path.dirname(os.path.dirname(tiltvae.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=timeout)
 
 
 def _read_csv(path):
@@ -74,8 +75,8 @@ class TestGamma:
                      "--out", str(tmp_path / "g.csv")]) == 1
 
     def test_overflowing_probe_is_only_a_convergence_error(self, tmp_path):
-        # Near the largest accepted tilt the probe KLDs overflow; the fit must
-        # fail as its own ConvergenceError, with no numpy warning on stderr.
+        # Near the largest accepted tilt the fit must fail as its own
+        # ConvergenceError, with no numpy warning on stderr.
         proc = _run_python(["-m", "tiltvae.cli", "gamma", "--tau", "1.8e154", "--dz", "2",
                             "--out", "g.csv"], cwd=tmp_path)
         assert proc.returncode == 2
@@ -149,6 +150,18 @@ class TestSweep:
         assert main(["sweep", "--d-grid", "2", "--w-grid", "0", "--points", "10",
                      f"--mu-max={mu_max}", "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("w", [3000, 4000])
+    def test_tilt_out_of_range_is_an_error_cell(self, tmp_path, w):
+        # 1.2^3000 exceeds the largest tilt and 1.2^4000 overflows a double
+        # (recorded as inf); each is an error cell and exit 1, not a traceback.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--d-grid", "2", "--w-grid", str(w), "--points", "10",
+                     "--out", str(out)]) == 1
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["tau"]) == (1.2 ** w if w == 3000 else float("inf"))
+        assert row["status"].startswith("error: tau must be non-negative")
 
 
 class TestTrain:
@@ -413,6 +426,29 @@ class TestManifestAndReplay:
         assert main(["replay", str(manifest), "--out-dir", str(tmp_path / "replayed")]) == 0
         assert (tmp_path / "replayed" / "gamma.csv").exists()
         assert not any(cwd.iterdir())
+
+    @pytest.mark.parametrize("argv,outputs", [
+        (["gamma", "--tau", "2", "--dz", "4"], ["gamma.csv"]),
+        (["train", "--config", "train.cfg"], ["model.ckpt", "train_log.csv"]),
+    ], ids=["gamma", "train"])
+    def test_closed_stdout_still_leaves_a_replayable_manifest(self, tmp_path, train_cfg,
+                                                             argv, outputs):
+        # stdout is a pipe whose reader has gone: printing fails, so the
+        # command exits 3 with one error line, after writing its manifest.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _run_python(["-m", "tiltvae.cli", *argv, "--manifest", "run.manifest"],
+                               cwd=tmp_path, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        replay_dir = tmp_path / "replayed"
+        assert main(["replay", str(tmp_path / "run.manifest"),
+                     "--out-dir", str(replay_dir)]) == 0
+        for name in outputs:
+            assert (replay_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_replay_unknown_command(self, tmp_path):
         bad = tmp_path / "bad.manifest"

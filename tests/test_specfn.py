@@ -1,8 +1,12 @@
 """Special-function tests against independent oracles.
 
-Oracles: mpmath at 40 digits for Kummer M and log-gamma, scipy for the
-moderate-argument cross checks, and seeded Monte Carlo for the chi moments.
-The implementation under test never touches those libraries.
+Oracles: mpmath at 40 digits for Kummer M (60 for its expansion's tail), scipy
+for the moderate-argument cross checks, and seeded Monte Carlo for the chi
+moments. The implementation under test never touches those libraries.
+
+The kernel entry gives log(e^-z M(a, b, z)); the half-order Laguerre function
+is reached through the mean norm, E(m) = sqrt(pi/2) L_{1/2}^(d/2-1)(-m^2/2),
+and its derivative through the slope E'(m)/m = -sqrt(pi/2) L'_{1/2}(-m^2/2).
 """
 
 import math
@@ -13,17 +17,30 @@ import pytest
 import scipy.special as sps
 
 from tiltvae.errors import ConvergenceError, DomainError
-from tiltvae.specfn import (
-    _log_kummer_asymptotic,
-    _log_series_pos,
-    laguerre_half,
-    laguerre_half_prime,
-    log_gamma_ratio,
-    log_kummer_m,
-)
-from tiltvae.tilted import mean_norm
+from tiltvae.specfn import _log_kummer_asymptotic, _log_series_pos, log_kummer_scaled
+from tiltvae.tilted import _norm_slope, mean_norm
 
 mpmath.mp.dps = 40
+
+_SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
+
+
+def log_kummer_m(a, b, z):
+    """log M(a, b, z): the kernel entry's log(e^-z M) plus z."""
+    return log_kummer_scaled(a, b, z)[0] + np.asarray(z, dtype=np.float64)
+
+
+def _norm(alpha, x):
+    """Dimension d = 2(alpha + 1) and norm m = sqrt(-2x) for L_{1/2}^(alpha)(x)."""
+    return round(2.0 * alpha + 2.0), np.sqrt(-2.0 * np.asarray(x, dtype=np.float64))
+
+
+def laguerre_half(alpha, x):
+    return mean_norm(*_norm(alpha, x)) / _SQRT_PI_OVER_2
+
+
+def laguerre_half_prime(alpha, x):
+    return -_norm_slope(*_norm(alpha, x)) / _SQRT_PI_OVER_2
 
 
 def _series_oracle(a, b, z, terms=200):
@@ -72,24 +89,24 @@ class TestLogKummerM:
         # log(e^-z M), the series log M.
         z = np.linspace(600.0, 800.0, 9)
         series = _log_series_pos(2.5, 1.5, z)
-        ok, asym = _log_kummer_asymptotic(2.5, 1.5, z)
+        ok, asym, _ = _log_kummer_asymptotic(2.5, 1.5, z)
         assert ok.all()
         assert z + asym == pytest.approx(series, rel=1e-10)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            log_kummer_m(1.0, 0.0, 1.0)
+            log_kummer_scaled(1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
-            log_kummer_m(1.0, -2.0, 1.0)
+            log_kummer_scaled(1.0, -2.0, 1.0)
         with pytest.raises(DomainError):
-            log_kummer_m(-1.0, 0.5, 1.0)
+            log_kummer_scaled(-1.0, 0.5, 1.0)
         with pytest.raises(DomainError):
-            log_kummer_m(1.5, -0.5, 2.0)
+            log_kummer_scaled(1.5, -0.5, 2.0)
         for bad in [-1.0, -1e-300, math.nan, math.inf, -math.inf]:
             with pytest.raises(DomainError):
-                log_kummer_m(2.5, 0.5, bad)
+                log_kummer_scaled(2.5, 0.5, bad)
             with pytest.raises(DomainError):
-                log_kummer_m(2.5, 0.5, np.array([1.0, bad]))
+                log_kummer_scaled(2.5, 0.5, np.array([1.0, bad]))
 
     def test_convergence_error_carries_arguments(self):
         with pytest.raises(ConvergenceError) as err:
@@ -103,27 +120,19 @@ class TestLogKummerM:
         values = log_kummer_m(3.5, 1.5, z)
         assert [log_kummer_m(3.5, 1.5, float(zi)) for zi in z] == values.tolist()
 
-
-class TestLogGammaRatio:
-    def test_equal_arguments(self):
-        assert log_gamma_ratio(1.0, 1.0) == 0.0
-
-    def test_half_integer_values(self):
-        assert log_gamma_ratio(1.0, 0.5) == pytest.approx(
-            math.log(1.0 / math.sqrt(math.pi)), rel=1e-12
-        )
-        assert log_gamma_ratio(5.5, 4.5) == pytest.approx(math.log(4.5), rel=1e-12)
-
-    def test_against_high_precision(self):
-        for p, q in [(0.5, 3.0), (100.5, 100.0), (7.0, 0.25), (350.0, 349.5)]:
-            ref = float(mpmath.loggamma(p) - mpmath.loggamma(q))
-            assert log_gamma_ratio(p, q) == pytest.approx(ref, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_gamma_ratio(0.0, 1.0)
-        with pytest.raises(DomainError):
-            log_gamma_ratio(1.0, -1.0)
+    @pytest.mark.parametrize("a,b", [(1.5, 1.0), (5.5, 5.0), (100.5, 101.0), (3.0, 0.5)])
+    def test_tail_is_the_expansion_past_its_leading_term(self, a, b):
+        # e^-z M = Gamma(b)/Gamma(a) z^(a-b) (1 + tail) where the expansion
+        # is summed (z > 700), against mpmath at 60 digits; NaN elsewhere.
+        z = np.array([0.0, 1.0, 699.9, 700.1, 2000.0, 1e5, 1e12])
+        _, tail = log_kummer_scaled(a, b, z)
+        assert np.isnan(tail[:3]).all() and np.isfinite(tail[3:]).all()
+        with mpmath.workdps(60):
+            for zi, t in zip(z[3:], tail[3:]):
+                zm = mpmath.mpf(zi)
+                ref = (mpmath.hyp1f1(a, b, zm) * mpmath.exp(-zm) * mpmath.gamma(a)
+                       / mpmath.gamma(b) * zm ** (b - a) - 1)
+                assert t == pytest.approx(float(ref), rel=1e-12)
 
 
 class TestChiMean:
@@ -159,6 +168,8 @@ class TestChiMean:
 
 
 class TestLaguerreHalf:
+    """L_{1/2}^(alpha) at alpha = d/2 - 1, through mean_norm and _norm_slope."""
+
     def test_value_at_zero_alpha4(self):
         # Gamma(5.5) / (Gamma(1.5) Gamma(5)) = 315/128
         assert laguerre_half(4.0, 0.0) == pytest.approx(2.4609375, rel=1e-12)
@@ -168,7 +179,8 @@ class TestLaguerreHalf:
 
     def test_zero_matches_gamma_ratio_identity(self):
         for alpha in [0.0, 0.5, 4.0, 49.0]:
-            expected = math.exp(log_gamma_ratio(alpha + 1.5, alpha + 1.0)) / math.gamma(1.5)
+            log_ratio = math.lgamma(alpha + 1.5) - math.lgamma(alpha + 1.0)
+            expected = math.exp(log_ratio) / math.gamma(1.5)
             assert laguerre_half(alpha, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_noncentral_chi_mean_monte_carlo(self):
@@ -206,8 +218,9 @@ class TestLaguerreHalf:
                 assert laguerre_half(alpha, x) >= 1.0
 
     def test_domain(self):
+        # x > 0 has no real norm; a negative norm is its counterpart.
         with pytest.raises(DomainError):
-            laguerre_half(4.0, 1.0)
+            mean_norm(10, -1.0)
         with pytest.raises(DomainError):
             laguerre_half(-1.0, -1.0)
         for bad in [math.nan, -math.inf]:

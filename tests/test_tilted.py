@@ -16,6 +16,7 @@ from tiltvae.errors import ConvergenceError, DomainError
 from tiltvae.tilted import (
     TiltedPrior,
     _fit_priors,
+    _mean_norms,
     _norm_slope,
     exact_kld,
     log_normalizer,
@@ -29,6 +30,24 @@ mpmath.mp.dps = 40
 
 def _normal_cdf(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def _mp_mean_norm(d, m):
+    """E(m) = sqrt(pi/2) Gamma((d+1)/2) / (Gamma(3/2) Gamma(d/2)) M(-1/2, d/2, -m^2/2)
+    in mpmath at the working precision."""
+    b, m = mpmath.mpf(d) / 2, mpmath.mpf(m)
+    coef = mpmath.sqrt(mpmath.pi / 2) * mpmath.gamma(b + 0.5) / (
+        mpmath.gamma(1.5) * mpmath.gamma(b))
+    return coef * mpmath.hyp1f1(-0.5, b, -m * m / 2)
+
+
+def _mp_kld(tau, d, m):
+    """log Z_tau - tau E(m) + m^2/2 in mpmath at the working precision."""
+    b, t, m = mpmath.mpf(d) / 2, mpmath.mpf(tau), mpmath.mpf(m)
+    z = (mpmath.hyp1f1(b, 0.5, t * t / 2)
+         + t * mpmath.sqrt(2) * mpmath.gamma(b + 0.5) / mpmath.gamma(b)
+         * mpmath.hyp1f1(b + 0.5, 1.5, t * t / 2))
+    return mpmath.log(z) - t * _mp_mean_norm(d, m) + m * m / 2
 
 
 class TestLogNormalizer:
@@ -269,6 +288,32 @@ class TestSolveGamma:
             assert _norm_slope(d, m) == pytest.approx(
                 float(coef / (2 * b) * mpmath.hyp1f1(0.5, b + 1, x)), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 10, 50, 200])
+    def test_mean_norm_excess_against_high_precision(self, d):
+        # E(m) - m past the crossover, where it is about (d - 1) / (2m) and
+        # comes from the expansion's tail without cancellation; mpmath needs
+        # 2 log10(m) digits beyond 40 to resolve it.
+        m = np.array([38.0, 60.0, 1e2, 1e4, 1e9, 1e50, 1e150, tiltvae.tilted._MAX_NORM])
+        for mi, excess in zip(m, _mean_norms(d, m)[1]):
+            with mpmath.workdps(40 + 2 * int(math.log10(mi))):
+                ref = _mp_mean_norm(d, mi) - mpmath.mpf(mi)
+                assert excess == pytest.approx(float(ref), rel=1e-12)
+
+    @pytest.mark.parametrize("w", [25, 40, 60, 80, 100, 120])
+    @pytest.mark.parametrize("d", [1, 2, 10, 200])
+    def test_rate_and_kld_near_gamma_against_high_precision(self, d, w):
+        # Near gamma, log Z_tau, tau E and m^2/2 are each about tau^2/2 (up
+        # to 5e18 here) while the KLD is their small sum; 60 digits leave
+        # mpmath 40 of them.
+        tau = 1.2 ** w
+        prior = TiltedPrior.fit(tau, d)
+        with mpmath.workdps(60):
+            assert prior.committed_rate == pytest.approx(
+                float(_mp_kld(tau, d, prior.gamma)), rel=1e-12)
+            for step in [-1.0, -0.1, 0.1, 1.0]:
+                m = prior.gamma + step
+                assert exact_kld(prior, m) == pytest.approx(float(_mp_kld(tau, d, m)), rel=1e-12)
+
     def test_stationarity_at_solution(self, prior_10_10):
         g = prior_10_10.gamma
         eps = 1e-3
@@ -305,7 +350,7 @@ class TestSolveGamma:
         monkeypatch.setattr(tiltvae.tilted, "_norm_slope", counted)
         for d in [2, 5, 10, 25, 50, 100, 200]:
             calls.append(0)
-            fits = _fit_priors([1.2 ** w for w in range(-20, 26)], d)
+            fits, _ = _fit_priors([1.2 ** w for w in range(-20, 26)], d)
             assert all(isinstance(fit, TiltedPrior) for fit in fits)
         assert len(calls) == 7
         assert max(calls) - 2 <= 100
@@ -313,7 +358,7 @@ class TestSolveGamma:
     def test_one_element_fits_equal_column_fits(self):
         taus = [1.2 ** w for w in range(-20, 26)]
         for d in [2, 5, 10, 25, 50, 100, 200]:
-            for tau, fit in zip(taus, _fit_priors(taus, d)):
+            for tau, fit in zip(taus, _fit_priors(taus, d)[0]):
                 prior = TiltedPrior.fit(tau, d)
                 assert (prior.gamma, prior.committed_rate, prior.log_z_tau) == (
                     fit.gamma, fit.committed_rate, fit.log_z_tau)
@@ -323,7 +368,7 @@ class TestSolveGamma:
         # w = 150 fails its stationarity test; each cell keeps its own outcome
         # and context.
         taus = [1.2 ** 14, 1.2 ** 20, 1.2 ** 150]
-        zero, root, failed = _fit_priors(taus, 200)
+        (zero, root, failed), _ = _fit_priors(taus, 200)
         assert zero == TiltedPrior.fit(taus[0], 200) and zero.gamma == 0.0
         assert root == TiltedPrior.fit(taus[1], 200) and root.gamma > 0.0
         assert isinstance(failed, ConvergenceError)
@@ -334,8 +379,8 @@ class TestSolveGamma:
 
     @pytest.mark.parametrize("w", [70, 80, 100])
     def test_large_tilts_fit(self, w):
-        # The probe step max(1e-3, gamma 2^-20) outgrows the KLD's rounding
-        # error, which a fixed +-1e-3 probe could not resolve here.
+        # The KLD carries no cancellation error, so a fixed +-1e-3 probe
+        # resolves its minimum here.
         tau = 1.2 ** w
         for d in [2, 10, 200]:
             gamma = TiltedPrior.fit(tau, d).gamma
@@ -352,7 +397,8 @@ class TestSolveGamma:
         assert "gradient" in err.value.context
 
     def test_overflowing_probe_fails_without_a_warning(self):
-        # Near the largest accepted tilt, tau * E overflows in the probe KLDs.
+        # Near the largest accepted tilt the probe KLDs stay finite; the fit
+        # fails its stationarity test, with no numpy warning on the way.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError) as err:
@@ -421,18 +467,20 @@ class TestSweep:
             assert cell.argmin_mu == mu[k]
 
     def test_one_mean_norm_evaluation_per_dimension(self, monkeypatch):
+        # The mean norm's kernel is K((d+1)/2, d/2, m^2/2); the mu grid is the
+        # only argument of 50 points.
         calls = []
-        original = tiltvae.tilted.laguerre_half
+        original = tiltvae.tilted.log_kummer_scaled
 
-        def counted(alpha, x):
-            calls.append((alpha, np.size(x)))
-            return original(alpha, x)
+        def counted(a, b, z):
+            calls.append((a, b, np.size(z)))
+            return original(a, b, z)
 
-        monkeypatch.setattr(tiltvae.tilted, "laguerre_half", counted)
+        monkeypatch.setattr(tiltvae.tilted, "log_kummer_scaled", counted)
         dims = [2, 10, 200]
         verify_bound_sweep(dims, [-20, 5, 14, 150], 50, 80.0)
-        grid_calls = [alpha for alpha, size in calls if size == 50]
-        assert grid_calls == [d / 2.0 - 1.0 for d in dims]
+        grid_calls = [(a, b) for a, b, size in calls if size == 50]
+        assert grid_calls == [((d + 1) / 2.0, d / 2.0) for d in dims]
 
     def test_mean_norm_error_recorded_after_fit_errors(self):
         # Every norm past the first has an infinite m^2/2: each cell whose
