@@ -7,8 +7,8 @@ duration. ``tiltvae replay MANIFEST --out-dir DIR`` re-executes the recorded
 command with identical configuration, redirecting artifacts into DIR; all
 derived outputs are byte-identical across replays (timings excepted).
 
-Exit codes: 0 success, 1 domain/validation error or non-finite activations or
-scores, 2 numerical non-convergence, 3 I/O error.
+Exit codes: 0 success, 1 domain/validation error, non-finite activations or
+scores, or too large an allocation, 2 numerical non-convergence, 3 I/O error.
 """
 
 import argparse
@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from ._csvfloat import write_rows
-from ._fields import (IN_PATH, OUT_PATH, REQUIRED, VAL, Field, checked, choice, count, counts,
-                      fmt_ints, non_negative, parse_fields, positive)
+from ._fields import (IN_PATH, OUT_PATH, REQUIRED, VAL, Field, choice, count, counts, fmt_ints,
+                      grid_points, non_negative, parse_fields, positive)
 from .data import IdxFormatError, parse_spec
 from .errors import ConvergenceError, DomainError, NumericalError
 from .ood import read_scores_csv, roc, score_arrays, write_scores_csv
@@ -129,7 +129,7 @@ class KldTableCommand(Command):
         Field("tau", float, fmt=repr, help="tilt parameter"),
         Field("dz", int, help="latent dimension"),
         Field("mu_max", positive, 20.0, repr, help="largest posterior-mean norm"),
-        Field("points", checked(int, lambda v: v >= 2, "must be >= 2"), 200, help="grid size"),
+        Field("points", grid_points, 200, help="grid size"),
         Field("out", default="kld_table.csv", kind=OUT_PATH, help="output CSV"),
     )
 
@@ -151,8 +151,8 @@ class SweepCommand(Command):
         Field("d_grid", _parse_range_list, fmt=fmt_ints, help="latent dims, e.g. 2,5,10 or 2..20"),
         Field("w_grid", _parse_range_list, fmt=fmt_ints,
               help="tilt exponents (tau = 1.2^w), e.g. -20..25"),
-        Field("points", int, 1000, help="mu grid size"),
-        Field("mu_max", float, 200.0, repr, help="largest posterior-mean norm"),
+        Field("points", grid_points, 1000, help="mu grid size"),
+        Field("mu_max", positive, 200.0, repr, help="largest posterior-mean norm"),
         Field("out", default="sweep.csv", kind=OUT_PATH, help="output CSV"),
     )
 
@@ -228,10 +228,8 @@ class TrainCommand(Command):
                           lambda key: sources.get(key, config["config"] or "--set"))
 
         dataset = parse_spec(tc["data"], tc["seed"])
-        if tc["prior"] == "tilted":
-            prior = TiltedPrior.fit(tc["tau"], tc["dz"])
-        else:
-            prior = StandardGaussian()
+        prior = (TiltedPrior.fit(tc["tau"], tc["dz"]) if tc["prior"] == "tilted"
+                 else StandardGaussian())
         model = build_model(
             RngStream(tc["seed"], stream=0), dataset.d_x, tc["dz"], prior,
             hidden=tuple(tc["hidden"]), weight_std=tc["weight_std"],
@@ -327,7 +325,7 @@ class SampleCommand(Command):
         if config["model"] is not None:
             model, ckpt_zbar = load_checkpoint(config["model"])
             d_z = model.d_z
-            tau = model.prior.tau if model.is_tilted else 0.0
+            tau = model.prior.tau
             zbar = config["zbar"] if config["zbar"] is not None else ckpt_zbar
         else:
             if config["dz"] is None:
@@ -341,10 +339,8 @@ class SampleCommand(Command):
                 raise DomainError("posterior sampler needs --zbar (or a checkpoint that stores it)")
             latents = sample_model_latents(rng, zbar, d_z, config["n"])
         else:
-            if model is not None and model.is_tilted:
-                prior = model.prior
-            else:
-                prior = TiltedPrior.fit(tau, d_z)
+            prior = (model.prior if model is not None and model.is_tilted
+                     else TiltedPrior.fit(tau, d_z))
             latents = sample_tilted_prior_batch(rng, prior, config["n"])
         save_latents_csv(config["out"], latents)
         outputs = {"latents": config["out"]}
@@ -501,7 +497,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, IdxFormatError, NumericalError, ValueError) as exc:
+    except (DomainError, IdxFormatError, NumericalError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -53,7 +53,8 @@ def log_normalizer(tau, d_z: int):
     Both terms are positive and combined as logs, so no intermediate can
     overflow a double even though Z_tau itself scales like exp(tau^2 / 2).
     """
-    log_z = _log_normalizers(np.atleast_1d(_check_tau_d(tau, d_z)), d_z)[0]
+    _check_d(d_z)
+    log_z = _log_normalizers(np.atleast_1d(_norms(tau, "tau")), d_z)[0]
     return float(log_z[0]) if np.ndim(tau) == 0 else log_z
 
 
@@ -77,9 +78,13 @@ def _norms(mu_norm, name="mu_norm"):
     m = np.asarray(mu_norm, dtype=np.float64)
     bad = ~((m >= 0.0) & (m <= _MAX_NORM))
     if bad.any():
-        raise DomainError(f"{name} must be non-negative with a finite {name}^2 / 2 "
-                          f"(at most {_MAX_NORM:.6g}), got {float(m[bad][0])!r}")
+        raise _norm_error(name, float(m[bad][0]))
     return m
+
+
+def _norm_error(name, value):
+    return DomainError(f"{name} must be non-negative with a finite {name}^2 / 2 "
+                       f"(at most {_MAX_NORM:.6g}), got {value!r}")
 
 
 def _log_chi_coef(d_z):
@@ -160,9 +165,9 @@ def _bracketed_roots(f, x1, f1, x2, f2):
 
 
 def _fit_priors(taus, d_z):
-    """For each tau of one d_z, its TiltedPrior or the ConvergenceError of its
-    fit, and the array of log Z_tau - tau^2/2 that the KLD takes (see
-    _kld_from_mean).
+    """For each tau of one d_z, its TiltedPrior, or the DomainError of a tilt
+    outside [0, _MAX_NORM] or the ConvergenceError of its fit. A d_z that is
+    not a positive integer raises.
 
     The KLD's slope is m - tau E'(m) = m h(m) with h(m) = 1 - tau E'(m)/m,
     which increases in m (see _norm_slope). So gamma = 0 where h(0) >= 0;
@@ -171,7 +176,10 @@ def _fit_priors(taus, d_z):
     certify a stationary minimum; a cell that fails gets its own error. The
     probe KLDs stay finite up to the largest tilt, since |tau - m| <= _MAX_NORM.
     """
-    t = np.atleast_1d(_check_tau_d(taus, d_z))
+    _check_d(d_z)
+    taus = np.atleast_1d(np.asarray(taus, dtype=np.float64))
+    in_range = (taus >= 0.0) & (taus <= _MAX_NORM)
+    t = taus[in_range]
     log_z, log_zs = _log_normalizers(t, d_z)
     h0 = 1.0 - t * _norm_slope(d_z, 0.0)
     gamma, h = np.zeros_like(t), h0.copy()
@@ -184,11 +192,14 @@ def _fit_priors(taus, d_z):
                   np.where(gamma >= _PROBE, gamma - _PROBE, gamma)])
     kld = _kld_from_mean(t, log_zs, m, _mean_norms(d_z, m)[1])
     ok = (np.abs(gamma * h) < _GRAD_OK) & np.all(kld[1:] >= kld[0], axis=0)
-    return [TiltedPrior(tau=tc, d_z=d_z, log_z_tau=lz, gamma=g, committed_rate=rate) if good
-            else ConvergenceError("gamma solver did not converge", tau=tc, d_z=d_z,
-                                  final_iterate=g, gradient=g * hg)
-            for tc, lz, g, hg, rate, good
-            in zip(*(v.tolist() for v in (t, log_z, gamma, h, kld[0], ok)))], log_zs
+    fits = iter(TiltedPrior(tau=tc, d_z=d_z, log_z_tau=lz, gamma=g, committed_rate=rate,
+                            log_z_scaled=lzs) if good
+                else ConvergenceError("gamma solver did not converge", tau=tc, d_z=d_z,
+                                      final_iterate=g, gradient=g * hg)
+                for tc, lz, lzs, g, hg, rate, good
+                in zip(*(v.tolist() for v in (t, log_z, log_zs, gamma, h, kld[0], ok))))
+    return [next(fits) if ok else _norm_error("tau", tc)
+            for tc, ok in zip(taus.tolist(), in_range.tolist())]
 
 
 @dataclass(frozen=True)
@@ -197,7 +208,8 @@ class TiltedPrior:
 
     ``committed_rate`` is the minimum KL divergence any unit-covariance
     Gaussian posterior can achieve against this prior; ``gamma`` is the
-    posterior-mean norm attaining it.
+    posterior-mean norm attaining it. ``log_z_scaled`` is log Z_tau - tau^2/2,
+    the exact KLD's cancellation-free term (see _kld_from_mean).
     """
 
     tau: float
@@ -205,10 +217,11 @@ class TiltedPrior:
     log_z_tau: float
     gamma: float
     committed_rate: float
+    log_z_scaled: float
 
     @classmethod
     def fit(cls, tau: float, d_z: int) -> "TiltedPrior":
-        (fit,), _ = _fit_priors(tau, d_z)
+        (fit,) = _fit_priors(tau, d_z)
         if isinstance(fit, Exception):
             raise fit
         return fit
@@ -222,8 +235,7 @@ def exact_kld(prior: TiltedPrior, mu_norm):
     array); a norm that is negative or not finite is a DomainError.
     """
     m = _norms(mu_norm)
-    log_zs = _log_normalizers(np.array([prior.tau]), prior.d_z)[1][0]
-    kld = _kld_from_mean(prior.tau, log_zs, m, _mean_norms(prior.d_z, m)[1])
+    kld = _kld_from_mean(prior.tau, prior.log_z_scaled, m, _mean_norms(prior.d_z, m)[1])
     return float(kld) if np.ndim(mu_norm) == 0 else kld
 
 
@@ -282,34 +294,31 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float) -> SweepRe
     failures are recorded per cell rather than aborting the sweep.
 
     The tilts of one d_z are fitted in one call; an error that stops it (a bad
-    d_z or tau) is recorded in every cell of that d_z. The mean norms over the
-    mu grid do not depend on tau, so they are evaluated once per d_z that has
-    a successful fit; a failure there is recorded in each such cell.
+    d_z) is recorded in every cell of that d_z, and a tilt the fit refuses in
+    its own cell. The mean norms over the mu grid do not depend on tau, so
+    they are evaluated once per d_z that has a successful fit.
     """
     if not d_grid or not w_grid:
         raise DomainError("d_grid and w_grid must be non-empty")
     if mu_points < 2:
         raise DomainError(f"mu_points must be >= 2, got {mu_points}")
-    if not (math.isfinite(mu_max) and mu_max > 0.0):
-        raise DomainError(f"mu_max must be finite and positive, got {mu_max}")
+    if not 0.0 < mu_max <= _MAX_NORM:
+        raise DomainError(f"mu_max must be in (0, {_MAX_NORM:.6g}], got {mu_max}")
     mu = np.linspace(0.0, mu_max, mu_points)
     taus = [_tilt(w) for w in w_grid]
     cells = []
     for d in d_grid:
         try:
-            fits, log_zs = _fit_priors(taus, d)
+            fits = _fit_priors(taus, d)
         except _CELL_ERRORS as exc:
-            fits, log_zs = [exc] * len(taus), [math.nan] * len(taus)
-        try:
-            excess = (_mean_norms(d, _norms(mu))[1]
-                      if any(isinstance(f, TiltedPrior) for f in fits) else None)
-        except _CELL_ERRORS as exc:
-            fits = [f if isinstance(f, Exception) else exc for f in fits]
-        for w, tau, prior, log_zs_tau in zip(w_grid, taus, fits, log_zs):
+            fits = [exc] * len(taus)
+        if any(isinstance(f, TiltedPrior) for f in fits):
+            excess = _mean_norms(d, mu)[1]
+        for w, tau, prior in zip(w_grid, taus, fits):
             if isinstance(prior, Exception):
                 cells.append(SweepCell(d, w, tau, math.nan, math.nan, f"error: {prior}"))
                 continue
-            kld = _kld_from_mean(prior.tau, log_zs_tau, mu, excess)
+            kld = _kld_from_mean(prior.tau, prior.log_z_scaled, mu, excess)
             margins = kld - quadratic_kld(prior, mu)
             k = int(np.argmin(margins))
             status = "ok" if margins[k] >= -_SWEEP_TOLERANCE else "violation"
@@ -318,14 +327,13 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float) -> SweepRe
 
 
 def _tilt(w):
-    """tau = 1.2^w, or inf (a tilt _check_tau_d refuses) where that overflows."""
+    """tau = 1.2^w, or inf (a tilt the fit refuses) where that overflows."""
     try:
         return 1.2 ** w
     except OverflowError:
         return math.inf
 
 
-def _check_tau_d(tau, d_z):
+def _check_d(d_z):
     if int(d_z) != d_z or d_z < 1:
         raise DomainError(f"d_z must be a positive integer, got {d_z}")
-    return _norms(tau, "tau")

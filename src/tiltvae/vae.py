@@ -37,7 +37,11 @@ _CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class StandardGaussian:
-    """Marker for the N(0, I) prior; the encoder then also emits log sigma."""
+    """The N(0, I) prior, the tau = 0 member of the tilted family, with the
+    values TiltedPrior.fit(0.0, d_z) gives. Its posterior differs: the
+    encoder also emits log sigma."""
+
+    tau = gamma = committed_rate = log_z_tau = 0.0
 
 
 @dataclass
@@ -95,6 +99,7 @@ class VaeModel:
 
     @property
     def is_tilted(self) -> bool:
+        """Unit-covariance posterior (tilted prior), not a learned log sigma."""
         return isinstance(self.prior, TiltedPrior)
 
 
@@ -178,13 +183,18 @@ def _infer(params, x, where):
     return out
 
 
-def encode(model: VaeModel, x):
-    """Deterministic encoder pass over an (n, d_x) batch: mu, and log sigma
-    when the prior is Gaussian."""
-    out = _infer(model.encoder, _as_batch(x, model.d_x), "encoder")
+def _posterior(model, out):
+    """(mu, log sigma) from the encoder's output; log sigma is None for the
+    tilted prior's unit-covariance posterior."""
     if model.is_tilted:
         return out, None
     return out[:, : model.d_z], np.clip(out[:, model.d_z:], -_LOG_SIGMA_CLAMP, _LOG_SIGMA_CLAMP)
+
+
+def encode(model: VaeModel, x):
+    """Deterministic encoder pass over an (n, d_x) batch: mu, and log sigma
+    when the prior is Gaussian."""
+    return _posterior(model, _infer(model.encoder, _as_batch(x, model.d_x), "encoder"))
 
 
 def decode(model: VaeModel, z):
@@ -211,22 +221,11 @@ def kld_rows(model, mu, log_sigma):
     return 0.5 * np.sum(np.exp(2.0 * log_sigma) + mu * mu - 1.0 - 2.0 * log_sigma, axis=1)
 
 
-def _kld_terms(model, mu, log_sigma):
-    """Training KLD per row (kld_rows plus the committed rate) and its
-    gradients w.r.t. the encoder outputs."""
-    kld = kld_rows(model, mu, log_sigma)
-    if not model.is_tilted:
-        return kld, mu.copy(), np.exp(2.0 * log_sigma) - 1.0
-    norms = np.linalg.norm(mu, axis=1)
-    dmu = ((norms - model.prior.gamma) / np.where(norms > 0.0, norms, 1.0))[:, None] * mu
-    dmu[norms == 0.0] = 0.0
-    return kld + model.prior.committed_rate, dmu, None
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _elbo_forward_backward(model, x, eps, want_grads=True):
+def _elbo_forward_backward(model, x, eps):
     """Mean (recon, kld) over a batch with fixed noise, plus the parameter
-    gradients as a flat buffer laid out like model.params.
+    gradients as a flat buffer laid out like model.params. The KLD per row is
+    kld_rows plus the committed rate.
 
     Keeping the noise an explicit argument makes the function a deterministic
     map of (parameters, batch, noise), which is what both the optimizer step
@@ -234,36 +233,27 @@ def _elbo_forward_backward(model, x, eps, want_grads=True):
     """
     b = x.shape[0]
     enc_caches, dec_caches = [], []
-    enc_out = _mlp_forward(model.encoder, x, "encoder", enc_caches)
-    if model.is_tilted:
-        mu, log_sigma = enc_out, None
-        z = mu + eps
-    else:
-        mu, raw = enc_out[:, : model.d_z], enc_out[:, model.d_z:]
-        log_sigma = np.clip(raw, -_LOG_SIGMA_CLAMP, _LOG_SIGMA_CLAMP)
-        unclamped = np.abs(raw) < _LOG_SIGMA_CLAMP
-        sigma = np.exp(log_sigma)
-        z = mu + eps * sigma
-    xhat = _mlp_forward(model.decoder, z, "decoder", dec_caches)
+    mu, log_sigma = _posterior(model, _mlp_forward(model.encoder, x, "encoder", enc_caches))
+    sigma = 1.0 if log_sigma is None else np.exp(log_sigma)
+    xhat = _mlp_forward(model.decoder, mu + eps * sigma, "decoder", dec_caches)
     diff = xhat - x
     recon = np.sum(diff * diff, axis=1)
-    kld, dmu_kld, dlog_sigma_kld = _kld_terms(model, mu, log_sigma)
-    recon_mean = float(recon.mean())
-    kld_mean = float(kld.mean())
-    if not want_grads:
-        return recon_mean, kld_mean, None
+    kld = kld_rows(model, mu, log_sigma) + model.prior.committed_rate
 
     grads = np.empty_like(model.params)
     enc_grads, dec_grads = _carve(grads, (model.encoder, model.decoder))
     dz = _mlp_backward(model.decoder, dec_caches, 2.0 * diff / b, dec_grads)
-    dmu = dz + dmu_kld / b
-    if model.is_tilted:
-        denc = dmu
+    if log_sigma is None:
+        norms = np.linalg.norm(mu, axis=1)
+        dmu = ((norms - model.prior.gamma) / np.where(norms > 0.0, norms, 1.0))[:, None] * mu
+        dmu[norms == 0.0] = 0.0
+        denc = dz + dmu / b
     else:
-        dlog_sigma = (dz * eps * sigma + dlog_sigma_kld / b) * unclamped
-        denc = np.concatenate([dmu, dlog_sigma], axis=1)
+        unclamped = np.abs(log_sigma) < _LOG_SIGMA_CLAMP
+        dlog_sigma = (dz * eps * sigma + (np.exp(2.0 * log_sigma) - 1.0) / b) * unclamped
+        denc = np.concatenate([dz + mu / b, dlog_sigma], axis=1)
     _mlp_backward(model.encoder, enc_caches, denc, enc_grads, input_grad=False)
-    return recon_mean, kld_mean, grads
+    return float(recon.mean()), float(kld.mean()), grads
 
 
 @dataclass(frozen=True)
@@ -374,16 +364,13 @@ def train(model: VaeModel, dataset: Dataset, config: TrainConfig) -> TrainResult
 def save_checkpoint(model: VaeModel, path, z_bar: float | None = None) -> None:
     """Versioned binary container (little-endian float64 tensors, row-major)
     plus a key-value manifest at <path>.manifest."""
-    prior_tag = 1 if model.is_tilted else 0
-    tau = model.prior.tau if model.is_tilted else 0.0
-    gamma = model.prior.gamma if model.is_tilted else 0.0
-    rate = model.prior.committed_rate if model.is_tilted else 0.0
-    log_z = model.prior.log_z_tau if model.is_tilted else 0.0
+    prior = model.prior
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IIIB", _CHECKPOINT_VERSION, model.d_x, model.d_z, prior_tag))
-        fh.write(struct.pack("<5d", tau, gamma, rate, log_z,
-                             math.nan if z_bar is None else z_bar))
+        fh.write(struct.pack("<IIIB", _CHECKPOINT_VERSION, model.d_x, model.d_z,
+                             1 if model.is_tilted else 0))
+        fh.write(struct.pack("<5d", prior.tau, prior.gamma, prior.committed_rate,
+                             prior.log_z_tau, math.nan if z_bar is None else z_bar))
         for mlp in (model.encoder, model.decoder):
             fh.write(struct.pack("<I", len(mlp.weights)))
             for w, b in zip(mlp.weights, mlp.biases):
@@ -395,9 +382,9 @@ def save_checkpoint(model: VaeModel, path, z_bar: float | None = None) -> None:
         "d_x": model.d_x,
         "d_z": model.d_z,
         "prior": "tilted" if model.is_tilted else "gaussian",
-        "tau": repr(tau),
-        "gamma": repr(gamma),
-        "committed_rate": repr(rate),
+        "tau": repr(prior.tau),
+        "gamma": repr(prior.gamma),
+        "committed_rate": repr(prior.committed_rate),
         "z_bar": "" if z_bar is None else repr(z_bar),
     }
     with open(f"{path}.manifest", "w") as fh:

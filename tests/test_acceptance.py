@@ -244,9 +244,9 @@ def test_criterion_05_gradient_checks():
             h = 1e-5 * max(1.0, abs(p[idx]))
             orig = p[idx]
             p[idx] = orig + h
-            r1, k1, _ = V._elbo_forward_backward(model, x, eps, want_grads=False)
+            r1, k1, _ = V._elbo_forward_backward(model, x, eps)
             p[idx] = orig - h
-            r2, k2, _ = V._elbo_forward_backward(model, x, eps, want_grads=False)
+            r2, k2, _ = V._elbo_forward_backward(model, x, eps)
             p[idx] = orig
             fd = ((r1 + k1) - (r2 + k2)) / (2.0 * h)
             scale = max(1e-6, abs(fd), abs(float(g[idx])))

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import tiltvae.cli
 import tiltvae.tilted
 from tiltvae._fields import REQUIRED
 from tiltvae.cli import _TRAIN_FIELDS, COMMANDS, build_parser, main
@@ -144,7 +145,7 @@ class TestSweep:
         assert code == 1
         assert all(r[5] == "violation" for r in rows)
 
-    @pytest.mark.parametrize("mu_max", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("mu_max", ["inf", "nan", "-1", "1e200"])
     def test_bad_mu_max_is_usage_error_and_writes_nothing(self, tmp_path, mu_max):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--d-grid", "2", "--w-grid", "0", "--points", "10",
@@ -154,12 +155,14 @@ class TestSweep:
     @pytest.mark.parametrize("w", [3000, 4000])
     def test_tilt_out_of_range_is_an_error_cell(self, tmp_path, w):
         # 1.2^3000 exceeds the largest tilt and 1.2^4000 overflows a double
-        # (recorded as inf); each is an error cell and exit 1, not a traceback.
+        # (recorded as inf); each is its own error cell and exit 1, not a
+        # traceback, and w = 0 in the same column still fits.
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--d-grid", "2", "--w-grid", str(w), "--points", "10",
+        assert main(["sweep", "--d-grid", "2", "--w-grid", f"0,{w}", "--points", "10",
                      "--out", str(out)]) == 1
         with open(out, newline="") as fh:
-            (row,) = csv.DictReader(fh)
+            fitted, row = csv.DictReader(fh)
+        assert fitted["status"] == "violation"
         assert float(row["tau"]) == (1.2 ** w if w == 3000 else float("inf"))
         assert row["status"].startswith("error: tau must be non-negative")
 
@@ -555,3 +558,21 @@ class TestRefusals:
         assert main(["bench", "--model", str(tmp_path / "m.ckpt"), "--data", "noise:n=4,h=2,w=2",
                      "--repeat", "0", "--out", str(tmp_path / "b.csv")]) == 1
         assert capsys.readouterr().err == "error: --repeat: repeat = '0': must be >= 1\n"
+
+    def test_sweep_points(self, tmp_path, capsys):
+        assert main(["sweep", "--d-grid", "2", "--w-grid", "0", "--points", "1",
+                     "--out", str(tmp_path / "sweep.csv")]) == 1
+        assert capsys.readouterr().err == "error: --points: points = '1': must be >= 2\n"
+
+    def test_allocation_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
+        # numpy refuses a 745 GiB grid at once like this; no test allocates it.
+        message = ("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+                   "and data type float64")
+
+        def refuse(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(tiltvae.cli, "verify_bound_sweep", refuse)
+        assert main(["sweep", "--d-grid", "2", "--w-grid", "0", "--points", "100000000000",
+                     "--out", str(tmp_path / "sweep.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -194,5 +194,6 @@ class TestPriorSamplerInputs:
 
     def test_radial_mode_of_the_largest_tilt_is_finite(self):
         # tau^2 overflows above 1.34e154; the largest accepted tau is 1.9e154.
-        prior = TiltedPrior(tau=1.8e154, d_z=10, log_z_tau=0.0, gamma=0.0, committed_rate=0.0)
+        prior = TiltedPrior(tau=1.8e154, d_z=10, log_z_tau=0.0, gamma=0.0, committed_rate=0.0,
+                            log_z_scaled=0.0)
         assert tilted_radial_mode(prior) == 1.8e154

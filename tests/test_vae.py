@@ -188,8 +188,7 @@ class TestReparameterize:
 def _elbo_terms(model, seed, x):
     """Batch-mean (recon, kld) of one sample with one reparameterized draw."""
     eps = RngStream(seed).generator.standard_normal((1, model.d_z))
-    recon, kld, _ = V._elbo_forward_backward(model, np.asarray(x)[None, :], eps,
-                                             want_grads=False)
+    recon, kld, _ = V._elbo_forward_backward(model, np.asarray(x)[None, :], eps)
     return recon, kld
 
 
@@ -251,9 +250,9 @@ class TestGradients:
             h = 1e-5 * max(1.0, abs(p[idx]))
             orig = p[idx]
             p[idx] = orig + h
-            r1, k1, _ = V._elbo_forward_backward(model, x, eps, want_grads=False)
+            r1, k1, _ = V._elbo_forward_backward(model, x, eps)
             p[idx] = orig - h
-            r2, k2, _ = V._elbo_forward_backward(model, x, eps, want_grads=False)
+            r2, k2, _ = V._elbo_forward_backward(model, x, eps)
             p[idx] = orig
             fd = ((r1 + k1) - (r2 + k2)) / (2 * h)
             scale = max(1e-6, abs(fd), abs(float(g[idx])))
@@ -357,9 +356,9 @@ class TestTrain:
 
         raw = V._elbo_forward_backward
 
-        def frozen_sigma(model, x, eps, want_grads=True):
-            out = raw(model, x, eps, want_grads)
-            if want_grads and not model.is_tilted:
+        def frozen_sigma(model, x, eps):
+            out = raw(model, x, eps)
+            if not model.is_tilted:
                 enc_grads, _ = V._carve(out[2], (model.encoder, model.decoder))
                 enc_grads.weights[-1][:, d_z:] = 0.0
                 enc_grads.biases[-1][d_z:] = 0.0
@@ -413,6 +412,13 @@ class TestExactElbo:
         klds = _exact_klds(model, ds.samples)
         norms = V.encode_norms(model, ds)
         assert klds == pytest.approx(0.5 * norms**2, rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+def test_standard_gaussian_holds_the_zero_tilt_fit(d):
+    fit, gauss = TiltedPrior.fit(0.0, d), V.StandardGaussian()
+    names = ("tau", "gamma", "committed_rate", "log_z_tau")
+    assert [getattr(gauss, n) for n in names] == [getattr(fit, n) for n in names]
 
 
 class TestCheckpoint:
