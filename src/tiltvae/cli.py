@@ -25,7 +25,7 @@ from . import __version__
 from ._csvfloat import write_rows
 from ._fields import (IN_PATH, OUT_PATH, REQUIRED, VAL, Field, choice, count, counts, fmt_ints,
                       grid_points, non_negative, parse_fields, positive)
-from .data import IdxFormatError, parse_spec
+from .data import parse_spec
 from .errors import ConvergenceError, DomainError, NumericalError
 from .ood import read_scores_csv, roc, score_arrays, write_scores_csv
 from .sampler import (
@@ -65,15 +65,14 @@ class Command:
     name = ""
     help = ""
     fields = ()
-    repeatable = ()
 
     def add_arguments(self, sub):
-        p = sub.add_parser(self.name, help=self.help)
+        # Each option appends, so that main can refuse one given twice.
+        p = sub.add_parser(self.name, help=self.help, allow_abbrev=False)
         for f in self.fields:
-            how = ({"action": "append"} if f.key in self.repeatable
-                   else {"required": f.default is REQUIRED})
-            p.add_argument(_flag(f.key), dest=f.key, default=None, help=f.help, **how)
-        p.add_argument("--manifest", dest="manifest", default=None,
+            p.add_argument(_flag(f.key), dest=f.key, action="append",
+                           help=f.help + (" (required)" if f.default is REQUIRED else ""))
+        p.add_argument("--manifest", action="append",
                        help="run manifest path (default: <command>.manifest next to the outputs)")
         return p
 
@@ -187,72 +186,45 @@ def _parse_kv_file(path):
     return values, sources
 
 
-# The training config file's keys; the manifest records each resolved value
-# as train.<key> through the field's fmt.
-_TRAIN_FIELDS = (
-    Field("prior", choice("tilted", "gaussian")),
-    Field("tau", non_negative, 0.0, repr),
-    Field("dz", count),
-    Field("hidden", counts, [256, 128], fmt_ints),
-    Field("weight_std", positive, 0.2, repr),
-    Field("data"),
-    Field("epochs", count),
-    Field("batch_size", count, 64),
-    Field("learning_rate", positive, 1e-4, repr),
-    Field("grad_clip", positive, 100.0, repr),
-    Field("seed", int, 0),
-)
-
-
 class TrainCommand(Command):
     name = "train"
-    help = "train a VAE from a key-value config file"
-    repeatable = ("set",)
+    help = "train a VAE; options beat the values of an optional config file"
     fields = (
-        Field("config", default=None, kind=IN_PATH, help="key = value config file"),
-        Field("set", lambda s: [v for v in s.split(";") if v], [], ";".join,
-              help="override a config entry, e.g. --set epochs=5 (repeatable)"),
+        Field("config", default=None, kind=IN_PATH, help="key = value file of the values below"),
+        Field("prior", choice("tilted", "gaussian"), help="tilted or gaussian"),
+        Field("tau", non_negative, 0.0, repr, help="tilt of the tilted prior"),
+        Field("dz", count, help="latent dimension"),
+        Field("hidden", counts, [256, 128], fmt_ints, help="hidden widths, e.g. 256,128 or ''"),
+        Field("weight_std", positive, 0.2, repr, help="initial weight scale"),
+        Field("data", help="training data spec (see tiltvae.data.parse_spec)"),
+        Field("epochs", count, help="passes over the data"),
+        Field("batch_size", count, 64, help="minibatch rows"),
+        Field("learning_rate", positive, 1e-4, repr, help="Adam step size"),
+        Field("grad_clip", positive, 100.0, repr, help="global gradient-norm clip"),
+        Field("seed", int, 0, help="seed for data, initialization and training"),
         Field("checkpoint", default="model.ckpt", kind=OUT_PATH, help="checkpoint output"),
         Field("log", default="train_log.csv", kind=OUT_PATH, help="per-epoch CSV log"),
     )
 
     def run(self, config):
-        values, sources = _parse_kv_file(config["config"]) if config["config"] else ({}, {})
-        for item in config["set"]:
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise DomainError(f"--set: expected key=value, got {item!r}")
-            values[key.strip()] = value.strip()
-            sources[key.strip()] = "--set"
-        tc = parse_fields(_TRAIN_FIELDS, values,
-                          lambda key: sources.get(key, config["config"] or "--set"))
-
-        dataset = parse_spec(tc["data"], tc["seed"])
-        prior = (TiltedPrior.fit(tc["tau"], tc["dz"]) if tc["prior"] == "tilted"
+        dataset = parse_spec(config["data"], config["seed"])
+        prior = (TiltedPrior.fit(config["tau"], config["dz"]) if config["prior"] == "tilted"
                  else StandardGaussian())
-        model = build_model(
-            RngStream(tc["seed"], stream=0), dataset.d_x, tc["dz"], prior,
-            hidden=tuple(tc["hidden"]), weight_std=tc["weight_std"],
-        )
-        train_config = TrainConfig(
-            epochs=tc["epochs"], batch_size=tc["batch_size"],
-            learning_rate=tc["learning_rate"], grad_clip=tc["grad_clip"],
-            seed=tc["seed"],
-        )
-        result = train(model, dataset, train_config)
+        model = build_model(RngStream(config["seed"], stream=0), dataset.d_x, config["dz"], prior,
+                            hidden=tuple(config["hidden"]), weight_std=config["weight_std"])
+        keys = ("epochs", "batch_size", "learning_rate", "grad_clip", "seed")
+        result = train(model, dataset, TrainConfig(**{key: config[key] for key in keys}))
         save_checkpoint(result.model, config["checkpoint"], z_bar=result.z_bar)
         with open(config["log"], "w") as fh:
             fh.write("epoch,recon,kld\n")
             for i, (recon, kld) in enumerate(result.history, 1):
                 fh.write(f"{i},{repr(recon)},{repr(kld)}\n")
         last = result.history[-1]
-        print(f"epochs={tc['epochs']} final recon={last[0]!r} kld={last[1]!r}")
+        print(f"epochs={config['epochs']} final recon={last[0]!r} kld={last[1]!r}")
         print(f"z_bar = {result.z_bar!r}")
-        if tc["prior"] == "tilted":
+        if config["prior"] == "tilted":
             print(f"gamma = {prior.gamma!r} (z_bar > gamma: {result.z_bar > prior.gamma})")
-        # Fold the resolved training config into the manifest for replay.
-        self.extra_manifest = {f"train.{f.key}": f.fmt(tc[f.key]) for f in _TRAIN_FIELDS}
-        return {"checkpoint": config["checkpoint"], "log": config["log"]}, tc["seed"]
+        return {"checkpoint": config["checkpoint"], "log": config["log"]}, config["seed"]
 
 
 class ScoreCommand(Command):
@@ -320,19 +292,26 @@ class SampleCommand(Command):
               help="decoded CSV (model runs only)"),
     )
 
+    def config(self, strings, where, place):
+        """Refuses an option that the run would ignore."""
+        config = super().config(strings, where, place)
+        model, prior = config["model"] is not None, config["sampler"] == "prior"
+        for key, other, ignored in (("tau", "--model", model), ("dz", "--model", model),
+                                    ("zbar", "--sampler prior", prior),
+                                    ("tau", "--sampler posterior", not prior)):
+            if ignored and config[key] is not None:
+                raise DomainError(f"{where(key)}: not used with {other}")
+        return config
+
     def run(self, config):
         model = None
+        d_z, tau, zbar = config["dz"], config["tau"] or 0.0, config["zbar"]
         if config["model"] is not None:
             model, ckpt_zbar = load_checkpoint(config["model"])
-            d_z = model.d_z
-            tau = model.prior.tau
-            zbar = config["zbar"] if config["zbar"] is not None else ckpt_zbar
-        else:
-            if config["dz"] is None:
-                raise DomainError("sample needs --model or --dz")
-            d_z = config["dz"]
-            tau = config["tau"] if config["tau"] is not None else 0.0
-            zbar = config["zbar"]
+            d_z, tau = model.d_z, model.prior.tau
+            zbar = ckpt_zbar if zbar is None else zbar
+        elif d_z is None:
+            raise DomainError("sample needs --model or --dz")
         rng = RngStream(config["seed"], stream=21)
         if config["sampler"] == "posterior":
             if zbar is None:
@@ -398,25 +377,10 @@ COMMANDS = {
 }
 
 
-def _write_manifest(path, command, config_strings, outputs, seed, duration, extra=None):
-    with open(path, "w") as fh:
-        fh.write(f"command = {command}\n")
-        fh.write(f"version = {__version__}\n")
-        fh.write(f"seed = {'' if seed is None else seed}\n")
-        fh.write(f"duration_s = {duration:.6f}\n")
-        for key in sorted(config_strings):
-            fh.write(f"config.{key} = {config_strings[key]}\n")
-        for key in sorted(extra or {}):
-            fh.write(f"{key} = {(extra or {})[key]}\n")
-        for key in sorted(outputs):
-            fh.write(f"output.{key} = {outputs[key]}\n")
-
-
 def _execute(command, config, manifest_path):
     """Run the command, write its manifest, then print what it printed: a
     stdout that cannot be written to still leaves a complete, replayable run."""
     command.exit_code = 0
-    command.extra_manifest = {}
     for f in command.fields:
         if f.kind == OUT_PATH and config[f.key]:
             os.makedirs(os.path.dirname(config[f.key]) or ".", exist_ok=True)
@@ -428,36 +392,38 @@ def _execute(command, config, manifest_path):
     if manifest_path is None:
         first = outputs[sorted(outputs)[0]]
         manifest_path = os.path.join(os.path.dirname(first), f"{command.name}.manifest")
-    _write_manifest(
-        manifest_path, command.name, command.format_config(config), outputs,
-        seed, duration, extra=command.extra_manifest,
-    )
+    entries = {f"config.{key}": value for key, value in command.format_config(config).items()}
+    entries.update((f"output.{key}", path) for key, path in outputs.items())
+    with open(manifest_path, "w") as fh:
+        fh.write(f"command = {command.name}\nversion = {__version__}\n"
+                 f"seed = {'' if seed is None else seed}\nduration_s = {duration:.6f}\n")
+        fh.writelines(f"{key} = {entries[key]}\n" for key in sorted(entries))
     sys.stdout.write(f"{held.getvalue()}manifest: {manifest_path}\n")
     sys.stdout.flush()
     return command.exit_code
 
 
 def _replay(manifest_path, out_dir):
+    """Re-run a manifest's command from its config.<key> values (train.<key>
+    in train manifests written before its settings were options). Keys of
+    retired options are ignored; an empty value is None where that is the default."""
     entries, _ = _parse_kv_file(manifest_path)
     name = entries.get("command")
     if name not in COMMANDS:
         raise DomainError(f"{manifest_path}: unknown command {name!r}")
     command = COMMANDS[name]
-    # Empty values stand for None; keys of retired options are ignored.
-    keys = {f.key for f in command.fields}
-    strings = {k[len("config."):]: v for k, v in entries.items()
-               if k.startswith("config.") and k[len("config."):] in keys and v != ""}
+    fields = {f.key: f for f in command.fields}
+    strings = {}
+    for entry, value in entries.items():
+        prefix, _, key = entry.partition(".")
+        if prefix in ("config", "train") and key in fields and (
+                value or fields[key].default is not None):
+            strings[key] = value
     os.makedirs(out_dir, exist_ok=True)
     config = command.config(
         strings, lambda key: f"{manifest_path}: config.{key}",
         lambda kind, path: os.path.join(out_dir, os.path.basename(path))
         if kind == OUT_PATH else path)
-    if name == "train":
-        # Replays must not depend on the original config file's continued
-        # existence: rebuild the overrides from the recorded resolved values.
-        config["config"] = None
-        config["set"] = [f"{k[len('train.'):]}={v}" for k, v in entries.items()
-                         if k.startswith("train.")]
     return _execute(command, config, os.path.join(out_dir, f"{name}.manifest"))
 
 
@@ -471,33 +437,45 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     """The argument parser, built once per process; each parse_args call
     still returns a fresh namespace."""
-    parser = _Parser(prog="tiltvae", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="tiltvae", description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS.values():
         command.add_arguments(sub)
-    replay = sub.add_parser("replay", help="re-run a recorded manifest")
+    replay = sub.add_parser("replay", help="re-run a recorded manifest", allow_abbrev=False)
     replay.add_argument("manifest")
-    replay.add_argument("--out-dir", required=True)
+    replay.add_argument("--out-dir", action="append", required=True)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
     try:
-        if args.command == "replay":
-            return _replay(args.manifest, args.out_dir)
-        command = COMMANDS[args.command]
-        strings = {f.key: ";".join(raw) if isinstance(raw, list) else raw
-                   for f in command.fields if (raw := getattr(args, f.key)) is not None}
-        config = command.config(strings, _flag,
+        for key, raw in args.items():
+            if isinstance(raw, list):
+                if len(raw) > 1:
+                    raise DomainError(f"{_flag(key)}: given {len(raw)} times")
+                args[key] = raw[0]
+        if args["command"] == "replay":
+            return _replay(args["manifest"], args["out_dir"])
+        command = COMMANDS[args["command"]]
+        strings = {f.key: args[f.key] for f in command.fields if args[f.key] is not None}
+        sources = {}
+        if "config" in strings:
+            # Options beat train's --config file, which may hold only value fields.
+            values, lines = _parse_kv_file(strings["config"])
+            bad = sorted(set(values) - {f.key for f in command.fields if f.kind == VAL})
+            if bad:
+                raise DomainError(f"{lines[bad[0]]}: unrecognized keys {bad}")
+            sources = {key: lines[key] for key in values if key not in strings}
+            strings = {**values, **strings}
+        config = command.config(strings, lambda key: sources.get(key, _flag(key)),
                                 lambda kind, path: os.path.abspath(path))
-        return _execute(command, config, args.manifest)
+        return _execute(command, config, args["manifest"])
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, IdxFormatError, NumericalError, ValueError, MemoryError) as exc:
+    except (ValueError, NumericalError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -5,11 +5,12 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative computation failed to converge.
+class ContextError(RuntimeError):
+    """A failure that carries keyword context, shown after its message.
 
-    Carries enough context to reproduce the failing call: for series it is
-    (a, b, z), for the gamma solver it is the final iterate.
+    The context is enough to reproduce the failing call: for series it is
+    (a, b, z), for the gamma solver the final iterate, for training the
+    epoch and batch.
     """
 
     def __init__(self, message, **context):
@@ -24,10 +25,9 @@ class ConvergenceError(RuntimeError):
         return base
 
 
-class NumericalError(RuntimeError):
+class ConvergenceError(ContextError):
+    """An iterative computation failed to converge."""
+
+
+class NumericalError(ContextError):
     """A forward/backward pass produced non-finite values."""
-
-    def __init__(self, message, **context):
-        super().__init__(message)
-        self.context = dict(context)
-

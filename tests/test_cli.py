@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -11,8 +13,8 @@ import pytest
 
 import tiltvae.cli
 import tiltvae.tilted
-from tiltvae._fields import REQUIRED
-from tiltvae.cli import _TRAIN_FIELDS, COMMANDS, build_parser, main
+from tiltvae._fields import REQUIRED, VAL
+from tiltvae.cli import COMMANDS, _flag, _parse_kv_file, build_parser, main
 
 
 def _run_python(args, cwd, timeout=120, stdout=subprocess.PIPE):
@@ -180,12 +182,24 @@ class TestTrain:
         assert len(rows) == 2
         assert "z_bar = " in capsys.readouterr().out
 
-    def test_override_with_set(self, tmp_path, train_cfg):
-        assert main(["train", "--config", str(train_cfg), "--set", "epochs=1",
+    def test_a_flag_beats_the_file(self, tmp_path, train_cfg):
+        assert main(["train", "--config", str(train_cfg), "--epochs", "1",
                      "--checkpoint", str(tmp_path / "m.ckpt"),
                      "--log", str(tmp_path / "l.csv")]) == 0
         _, rows = _read_csv(tmp_path / "l.csv")
         assert len(rows) == 1
+
+    def test_flags_alone_match_the_file(self, tmp_path, train_cfg):
+        # Every key of the file given as a flag instead trains the same model.
+        values, _ = _parse_kv_file(train_cfg)
+        argv = [arg for key, value in values.items() for arg in (_flag(key), value)]
+        for name, options in (("file", ["--config", str(train_cfg)]), ("flags", argv)):
+            assert main(["train", *options, "--checkpoint", str(tmp_path / f"{name}.ckpt"),
+                         "--log", str(tmp_path / f"{name}.csv"),
+                         "--manifest", str(tmp_path / f"{name}.manifest")]) == 0
+        assert (tmp_path / "flags.ckpt").read_bytes() == (tmp_path / "file.ckpt").read_bytes()
+        assert "config.epochs = 2\n" in (tmp_path / "flags.manifest").read_text()
+        assert "config.config = \n" in (tmp_path / "flags.manifest").read_text()
 
     def test_missing_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -194,7 +208,7 @@ class TestTrain:
                      "--checkpoint", str(tmp_path / "m.ckpt"),
                      "--log", str(tmp_path / "l.csv")])
         assert code == 1
-        assert "'dz'" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --dz: missing key 'dz'\n"
 
 
 class TestScoreRocSampleBench:
@@ -340,28 +354,25 @@ class TestCachedParser:
         assert "config.tau = 1.0\n" in first and "config.dz = 2\n" in first
         assert "config.tau = 3.0\n" in second and "config.dz = 5\n" in second
 
-    def test_consecutive_set_lists_do_not_accumulate(self, tmp_path, train_cfg):
-        for name, sets in (("a", ["epochs=1", "batch_size=32"]), ("b", ["seed=3"])):
-            argv = ["train", "--config", str(train_cfg),
-                    "--checkpoint", str(tmp_path / f"{name}.ckpt"),
-                    "--log", str(tmp_path / f"{name}.csv"),
-                    "--manifest", str(tmp_path / f"{name}.manifest")]
-            for item in sets:
-                argv += ["--set", item]
-            assert main(argv) == 0
+    def test_consecutive_train_runs_keep_their_own_options(self, tmp_path, train_cfg):
+        for name, options in (("a", ["--epochs", "1", "--batch-size", "32"]),
+                              ("b", ["--seed", "3"])):
+            assert main(["train", "--config", str(train_cfg), *options,
+                         "--checkpoint", str(tmp_path / f"{name}.ckpt"),
+                         "--log", str(tmp_path / f"{name}.csv"),
+                         "--manifest", str(tmp_path / f"{name}.manifest")]) == 0
         first = (tmp_path / "a.manifest").read_text()
         second = (tmp_path / "b.manifest").read_text()
-        assert "config.set = epochs=1;batch_size=32\n" in first
-        assert "config.set = seed=3\n" in second
-        assert "train.epochs = 2\n" in second and "train.batch_size = 64\n" in second
+        assert "config.epochs = 1\n" in first and "config.batch_size = 32\n" in first
+        assert "config.seed = 3\n" in second
+        assert "config.epochs = 2\n" in second and "config.batch_size = 64\n" in second
 
     def test_usage_error_after_a_successful_call_exits_1(self, tmp_path, capsys):
         assert main(["gamma", "--tau", "1", "--dz", "2",
                      "--out", str(tmp_path / "g.csv")]) == 0
-        with pytest.raises(SystemExit) as exc:
-            main(["gamma", "--tau", "1"])
-        assert exc.value.code == 1
-        assert "--dz" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["gamma", "--tau", "1"]) == 1
+        assert capsys.readouterr().err == "error: --dz: missing key 'dz'\n"
 
 
 class TestManifestAndReplay:
@@ -409,14 +420,36 @@ class TestManifestAndReplay:
         # hidden = (empty) means no hidden layer; the manifest records it as an
         # empty value, which replay must not swap for the default widths.
         ckpt = tmp_path / "model.ckpt"
-        assert main(["train", "--config", str(train_cfg), "--set", "hidden=",
+        assert main(["train", "--config", str(train_cfg), "--hidden", "",
                      "--checkpoint", str(ckpt), "--log", str(tmp_path / "log.csv"),
                      "--manifest", str(tmp_path / "run.manifest")]) == 0
-        assert "train.hidden = \n" in (tmp_path / "run.manifest").read_text()
+        assert "config.hidden = \n" in (tmp_path / "run.manifest").read_text()
         replay_dir = tmp_path / "replayed"
         assert main(["replay", str(tmp_path / "run.manifest"),
                      "--out-dir", str(replay_dir)]) == 0
         assert (replay_dir / "model.ckpt").read_bytes() == ckpt.read_bytes()
+
+    def test_train_manifest_from_before_options_replays(self, tmp_path, train_cfg):
+        # Before train's settings were options its manifest recorded them as
+        # train.<key> lines, beside the retired config.set overrides.
+        ckpt, log = tmp_path / "model.ckpt", tmp_path / "log.csv"
+        assert main(["train", "--config", str(train_cfg), "--hidden", "", "--epochs", "1",
+                     "--checkpoint", str(ckpt), "--log", str(log)]) == 0
+        manifest = tmp_path / "old.manifest"
+        manifest.write_text(
+            "command = train\nversion = 0.1.0\nseed = 7\nduration_s = 0.02\n"
+            f"config.checkpoint = {ckpt}\nconfig.config = {train_cfg}\nconfig.log = {log}\n"
+            "config.set = hidden=;epochs=1\ntrain.batch_size = 64\n"
+            "train.data = blobs:n=64,h=8,w=8,preset=two\ntrain.dz = 10\ntrain.epochs = 1\n"
+            "train.grad_clip = 100.0\ntrain.hidden = \ntrain.learning_rate = 0.001\n"
+            "train.prior = tilted\ntrain.seed = 7\ntrain.tau = 10.0\ntrain.weight_std = 0.2\n"
+            f"output.checkpoint = {ckpt}\noutput.log = {log}\n")
+        os.unlink(train_cfg)
+        replay_dir = tmp_path / "replayed"
+        assert main(["replay", str(manifest), "--out-dir", str(replay_dir)]) == 0
+        assert (replay_dir / "model.ckpt").read_bytes() == ckpt.read_bytes()
+        assert (replay_dir / "log.csv").read_bytes() == log.read_bytes()
+        assert "config.set" not in (replay_dir / "train.manifest").read_text()
 
     def test_replay_writes_default_outputs_into_out_dir(self, tmp_path, monkeypatch):
         # A manifest that records no config.out replays to the default name,
@@ -460,9 +493,12 @@ class TestManifestAndReplay:
 
 
 def _fields_with_defaults():
-    owners = [(c.name, c.fields) for c in COMMANDS.values()] + [("train-config", _TRAIN_FIELDS)]
-    return [pytest.param(f, id=f"{name}.{f.key}") for name, fields in owners
-            for f in fields if f.default is not REQUIRED and f.default is not None]
+    """Each field with a default, as COMMAND.key, or as train-config.key for a
+    training value, which a train config file may also hold."""
+    def owner(c, f):
+        return "train-config" if c.name == "train" and f.kind == VAL else c.name
+    return [pytest.param(f, id=f"{owner(c, f)}.{f.key}") for c in COMMANDS.values()
+            for f in c.fields if f.default is not REQUIRED and f.default is not None]
 
 
 class TestFields:
@@ -481,11 +517,13 @@ class TestFields:
         assert capsys.readouterr().err.startswith(f"error: {manifest}: config.dz: dz = 'two': ")
 
 
-def _train(tmp_path, cfg, *sets):
+def _train(tmp_path, cfg, *items):
+    """train from cfg, each "key=value" item given as its flag."""
     argv = ["train", "--config", str(cfg), "--checkpoint", str(tmp_path / "m.ckpt"),
             "--log", str(tmp_path / "log.csv")]
-    for item in sets:
-        argv += ["--set", item]
+    for item in items:
+        key, _, value = item.partition("=")
+        argv += [_flag(key), value]
     return main(argv)
 
 
@@ -495,13 +533,13 @@ class TestRefusals:
     naming the key and its source."""
 
     @pytest.mark.parametrize("item,expected", [
-        ("grad_clip=nan", "--set: grad_clip = 'nan': must be finite and > 0"),
-        ("hidden=0", "--set: hidden = '0': must be >= 1"),
-        ("hidden=16,0", "--set: hidden = '16,0': must be >= 1"),
-        ("learning_rate=inf", "--set: learning_rate = 'inf': must be finite and > 0"),
-        ("weight_std=nan", "--set: weight_std = 'nan': must be finite and > 0"),
-        ("epochs=0", "--set: epochs = '0': must be >= 1"),
-        ("tau=-1", "--set: tau = '-1': must be finite and >= 0"),
+        ("grad_clip=nan", "--grad-clip: grad_clip = 'nan': must be finite and > 0"),
+        ("hidden=0", "--hidden: hidden = '0': must be >= 1"),
+        ("hidden=16,0", "--hidden: hidden = '16,0': must be >= 1"),
+        ("learning_rate=inf", "--learning-rate: learning_rate = 'inf': must be finite and > 0"),
+        ("weight_std=nan", "--weight-std: weight_std = 'nan': must be finite and > 0"),
+        ("epochs=0", "--epochs: epochs = '0': must be >= 1"),
+        ("tau=-1", "--tau: tau = '-1': must be finite and >= 0"),
         ("data=noise:n=3,h=0,w=4", "data spec 'noise:n=3,h=0,w=4': h = '0': must be >= 1"),
         ("data=noise:n=3,h=-2,w=4", "data spec 'noise:n=3,h=-2,w=4': h = '-2': must be >= 1"),
         ("data=blobs:n=8,h=8,w=8,preset=two,noise=nan",
@@ -536,8 +574,86 @@ class TestRefusals:
             "got 'epochs = 1'\n")
 
     def test_unknown_train_key(self, tmp_path, train_cfg, capsys):
-        assert _train(tmp_path, train_cfg, "epoch=3") == 1
-        assert capsys.readouterr().err == "error: --set: unrecognized keys ['epoch']\n"
+        lines = train_cfg.read_text().splitlines() + ["epoch = 3"]
+        train_cfg.write_text("\n".join(lines) + "\n")
+        assert _train(tmp_path, train_cfg) == 1
+        assert capsys.readouterr().err == (
+            f"error: {train_cfg}:{len(lines)}: unrecognized keys ['epoch']\n")
+
+    @pytest.mark.parametrize("key", ["checkpoint", "log", "config"])
+    def test_train_file_holds_only_values(self, tmp_path, train_cfg, capsys, key):
+        # Paths stay options: the file may set only the training values.
+        lines = train_cfg.read_text().splitlines() + [f"{key} = x"]
+        train_cfg.write_text("\n".join(lines) + "\n")
+        assert _train(tmp_path, train_cfg) == 1
+        assert capsys.readouterr().err == (
+            f"error: {train_cfg}:{len(lines)}: unrecognized keys [{key!r}]\n")
+        assert not (tmp_path / "x").exists() and not (tmp_path / "m.ckpt").exists()
+
+    def test_each_error_names_its_own_source(self, tmp_path, train_cfg, capsys):
+        lines = train_cfg.read_text().replace("epochs = 2", "epochs = 1e9").splitlines()
+        lines.append("batch_size = 0")
+        train_cfg.write_text("\n".join(lines) + "\n")
+        # The flag beats the file's bad epochs; its bad batch size stays.
+        assert _train(tmp_path, train_cfg, "epochs=1") == 1
+        assert capsys.readouterr().err == (
+            f"error: {train_cfg}:{len(lines)}: batch_size = '0': must be >= 1\n")
+        assert _train(tmp_path, train_cfg, "epochs=1", "batch_size=8",
+                      "learning_rate=inf") == 1
+        assert capsys.readouterr().err == (
+            "error: --learning-rate: learning_rate = 'inf': must be finite and > 0\n")
+        assert _train(tmp_path, train_cfg, "epochs=1", "batch_size=8") == 0
+        assert len(_read_csv(tmp_path / "log.csv")[1]) == 1
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["gamma", "--tau", "1", "--tau", "2", "--dz", "3"], "--tau"),
+        (["gamma", "--tau", "1", "--dz", "3", "--manifest", "a", "--manifest=b"], "--manifest"),
+        (["replay", "run.manifest", "--out-dir", "a", "--out-dir", "b"], "--out-dir"),
+    ], ids=["value", "manifest", "replay"])
+    def test_repeated_option(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # Once the last of the two won without a word.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag}: given 2 times\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "--ta", "1", "--d", "2"],
+        ["train", "--config", "train.cfg", "--epoch", "3"],
+    ], ids=["gamma", "train"])
+    def test_abbreviated_option(self, tmp_path, capsys, monkeypatch, train_cfg, argv):
+        # argparse once took a prefix for the option it starts.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: unrecognized arguments: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.cfg"]
+
+    @pytest.mark.parametrize("options,expected", [
+        (["--model", "m.ckpt", "--dz", "5"], "--dz: not used with --model"),
+        (["--model", "m.ckpt", "--tau", "3", "--sampler", "prior"],
+         "--tau: not used with --model"),
+        (["--dz", "5", "--tau", "3", "--zbar", "2", "--sampler", "prior"],
+         "--zbar: not used with --sampler prior"),
+        (["--dz", "5", "--tau", "3", "--zbar", "2"], "--tau: not used with --sampler posterior"),
+    ], ids=["model-dz", "model-tau", "prior-zbar", "posterior-tau"])
+    def test_sample_option_it_would_ignore(self, tmp_path, capsys, monkeypatch, options,
+                                           expected):
+        # Each once ran with exit 0, the option dropped. The refusal comes
+        # before the checkpoint is opened, so m.ckpt need not exist.
+        monkeypatch.chdir(tmp_path)
+        assert main(["sample", *options, "--n", "3", "--out", "out/l.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_non_finite_loss_names_its_batch(self, tmp_path, train_cfg):
+        proc = _run_python(["-m", "tiltvae.cli", "train", "--config", str(train_cfg),
+                            "--weight-std", "1e30", "--learning-rate", "1e6",
+                            "--grad-clip", "1e12"], cwd=tmp_path)
+        assert proc.returncode == 1
+        assert re.fullmatch(r"error: non-finite loss \(batch_start=0, epoch=0, kld=\S+, "
+                            r"recon=\S+\)\n", proc.stderr), proc.stderr
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_prior_sampler_count(self, tmp_path, capsys, n):
@@ -576,3 +692,33 @@ class TestRefusals:
         assert main(["sweep", "--d-grid", "2", "--w-grid", "0", "--points", "100000000000",
                      "--out", str(tmp_path / "sweep.csv")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _readme_block(after):
+    """The first fenced code block after the README line that starts with after."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    return re.search(rf"^{re.escape(after)}.*?^```\n(.*?)^```", text, re.M | re.S).group(1)
+
+
+class TestReadme:
+    """The README's examples stay in step with the parser; nothing is run."""
+
+    def test_cli_block_parses(self):
+        lines = [line for line in _readme_block("## CLI").splitlines()
+                 if line.startswith("tiltvae ")]
+        argvs = [shlex.split(line, comments=True)[1:] for line in lines]
+        assert {argv[0] for argv in argvs} == set(COMMANDS) | {"replay"}
+        for argv in argvs:
+            build_parser().parse_args(argv)
+
+    def test_training_config_example_parses(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(_readme_block("Training configs are"))
+        values, lines = _parse_kv_file(cfg)
+        train = COMMANDS["train"]
+        assert set(values) <= {f.key for f in train.fields if f.kind == VAL}
+        config = train.config(values, lines.get, lambda kind, path: path)
+        assert config["prior"] == "tilted" and config["epochs"] >= 1

@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import tiltvae.vae as V
-from tiltvae.cli import _TRAIN_FIELDS, COMMANDS, _flag, main
+from tiltvae._fields import VAL
+from tiltvae.cli import COMMANDS, _flag, main
 from tiltvae.data import IdxFormatError, gen_noise, load_idx, parse_spec, write_idx
 from tiltvae.errors import DomainError
 from tiltvae.sampler import RngStream
@@ -303,14 +304,19 @@ class TestFieldFuzz:
         try:
             config = command.config(strings, _flag, place)
         except DomainError as exc:
-            # "--flag: key = 'raw': reason", or "--flag: missing key 'key'"
+            # "--flag: key = 'raw': reason", "--flag: missing key 'key'", or
+            # sample's "--flag: not used with ..."
             assert any(str(exc).startswith((f"{_flag(f.key)}: {f.key} = ",
-                                            f"{_flag(f.key)}: missing key {f.key!r}"))
+                                            f"{_flag(f.key)}: missing key {f.key!r}",
+                                            f"{_flag(f.key)}: not used with "))
                        for f in command.fields), str(exc)
             return
-        # What the manifest records parses back to the same record.
+        # What the manifest records parses back to the same record; replay
+        # reads an empty value as None where that is the default.
         recorded = command.format_config(config)
-        again = command.config({k: v for k, v in recorded.items() if v != ""}, _flag, place)
+        defaults = {f.key: f.default for f in command.fields}
+        again = command.config({k: v for k, v in recorded.items()
+                                if v != "" or defaults[k] is not None}, _flag, place)
         assert command.format_config(again) == recorded
 
     @_FIELD_FUZZ
@@ -332,20 +338,21 @@ class TestFieldFuzz:
     @settings(max_examples=60, deadline=timedelta(seconds=5),
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_train_config_and_set_exit_with_one_line(self, tmp_path, data, capsys):
+    def test_train_config_and_options_exit_with_one_line(self, tmp_path, data, capsys):
         values = {"prior": "tilted", "tau": "2", "dz": "2", "hidden": "4",
                   "data": "noise:n=4,h=2,w=2", "epochs": "1", "seed": "1"}
-        keys = [f.key for f in _TRAIN_FIELDS]
-        in_file = data.draw(st.dictionaries(st.sampled_from(keys + ["zoom"]),
+        keys = [f.key for f in COMMANDS["train"].fields if f.kind == VAL]
+        in_file = data.draw(st.dictionaries(st.sampled_from(keys + ["zoom", "log"]),
                                             st.one_of(_TEXT, _SPECS), max_size=3), label="file")
-        in_set = data.draw(st.dictionaries(st.sampled_from(keys), _TEXT, max_size=2), label="set")
+        options = data.draw(st.dictionaries(st.sampled_from(keys), _TEXT, max_size=2),
+                            label="options")
         values.update(in_file)
         cfg = tmp_path / "train.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
         argv = ["train", "--config", str(cfg), "--checkpoint", str(tmp_path / "m.ckpt"),
                 "--log", str(tmp_path / "log.csv")]
-        for k, v in in_set.items():
-            argv += ["--set", f"{k}={v}"]
+        for k, v in options.items():
+            argv.append(f"{_flag(k)}={v}")
         capsys.readouterr()
         code = main(argv)
         event(f"exit {code}")
@@ -354,6 +361,7 @@ class TestFieldFuzz:
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1
         if code == 1:
-            sources = (f"{cfg}:", f"{cfg}: missing key", "--set: ", "error: data spec ",
+            sources = (f"{cfg}:", *(f"error: {_flag(k)}: " for k in options),
+                       "error: data spec ",
                        "error: unknown data spec kind", "non-finite")
             assert any(s in err for s in sources), err
