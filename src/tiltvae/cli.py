@@ -455,6 +455,9 @@ def main(argv=None):
             if isinstance(raw, list):
                 if len(raw) > 1:
                     raise DomainError(f"{_flag(key)}: given {len(raw)} times")
+                if not isinstance(raw[0], str):
+                    # argparse drops a value of "--" ("--tau=--"), leaving an empty list.
+                    raise DomainError(f"{_flag(key)}: expected one value")
                 args[key] = raw[0]
         if args["command"] == "replay":
             return _replay(args["manifest"], args["out_dir"])

@@ -617,6 +617,18 @@ class TestRefusals:
         assert capsys.readouterr().err == f"error: {flag}: given 2 times\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["gamma", "--tau=--", "--dz", "3"], "--tau"),
+        (["gamma", "--tau", "1", "--dz", "3", "--manifest=--"], "--manifest"),
+        (["replay", "run.manifest", "--out-dir=--"], "--out-dir"),
+    ], ids=["value", "manifest", "replay"])
+    def test_option_without_value(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # argparse leaves no text for "--", which once reached the field parser.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag}: expected one value\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["gamma", "--ta", "1", "--d", "2"],
         ["train", "--config", "train.cfg", "--epoch", "3"],
