@@ -64,5 +64,19 @@ def counts(text):
     return [count(v) for v in text.split(",") if v != ""]
 
 
+def int_ranges(text):
+    """Comma list of ints, with a..b range syntax; empty items are skipped."""
+    out = []
+    for part in filter(None, text.split(",")):
+        lo, sep, hi = part.partition("..")
+        lo, hi = int(lo), int(hi if sep else lo)
+        if hi < lo:
+            raise ValueError(f"range {part!r} runs backwards")
+        out.extend(range(lo, hi + 1))
+    if not out:
+        raise ValueError("must name at least one value")
+    return out
+
+
 def fmt_ints(values):
     return ",".join(str(v) for v in values)

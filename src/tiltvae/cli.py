@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from ._csvfloat import write_rows
 from ._fields import (IN_PATH, OUT_PATH, REQUIRED, VAL, Field, choice, count, counts, fmt_ints,
-                      grid_points, non_negative, parse_fields, positive)
+                      grid_points, int_ranges, non_negative, parse_fields, positive)
 from .data import parse_spec
 from .errors import ConvergenceError, DomainError, NumericalError
 from .ood import read_scores_csv, roc, score_arrays, write_scores_csv
@@ -49,15 +49,6 @@ from .vae import (
     save_checkpoint,
     train,
 )
-
-def _parse_range_list(text):
-    """Comma list of ints, with a..b range syntax."""
-    out = []
-    for part in filter(None, text.split(",")):
-        lo, sep, hi = part.partition("..")
-        out.extend(range(int(lo), int(hi if sep else lo) + 1))
-    return out
-
 
 class Command:
     """One subcommand: its option fields plus a runner over resolved config."""
@@ -147,8 +138,8 @@ class SweepCommand(Command):
     name = "sweep"
     help = "margin sweep of exact minus quadratic KLD over a (d_z, tau) grid"
     fields = (
-        Field("d_grid", _parse_range_list, fmt=fmt_ints, help="latent dims, e.g. 2,5,10 or 2..20"),
-        Field("w_grid", _parse_range_list, fmt=fmt_ints,
+        Field("d_grid", int_ranges, fmt=fmt_ints, help="latent dims, e.g. 2,5,10 or 2..20"),
+        Field("w_grid", int_ranges, fmt=fmt_ints,
               help="tilt exponents (tau = 1.2^w), e.g. -20..25"),
         Field("points", grid_points, 1000, help="mu grid size"),
         Field("mu_max", positive, 200.0, repr, help="largest posterior-mean norm"),

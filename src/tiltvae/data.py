@@ -1,11 +1,12 @@
 """Dataset ingestion and synthesis.
 
-IDX-container loading (the MNIST-family binary format), uniform Noise and
+IDX image loading (the MNIST-family binary format), uniform Noise and
 Constant synthetic sets, soft-disc blob datasets for desk-scale experiments,
 and the channel conversions used to move between grayscale and RGB. Every
 loader and generator emits pixel values in [0, 1].
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -31,7 +32,6 @@ class Dataset:
     width: int
     channels: int
     tag: str
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -54,24 +54,28 @@ class Dataset:
         return self.samples.shape[1]
 
 
-def _read_idx_header(raw: bytes, path):
+def load_idx(path) -> Dataset:
+    """Load an IDX image file, (n, h, w) or (n, h, w, c) ubytes, as a Dataset.
+
+    Pixels are scaled by 1/255 into [0, 1]; row order is preserved as stored.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < 4:
         raise IdxFormatError(f"{path}: truncated magic, need 4 bytes, got {len(raw)}")
-    zero0, zero1, dtype, ndim = raw[0], raw[1], raw[2], raw[3]
-    if zero0 != 0 or zero1 != 0 or dtype != _IDX_UBYTE:
+    if raw[:3] != bytes([0, 0, _IDX_UBYTE]):
         magic = struct.unpack(">I", raw[:4])[0]
         raise IdxFormatError(f"{path}: bad magic 0x{magic:08x} at offset 0 (expected ubyte IDX)")
-    if not 1 <= ndim <= 4:
-        raise IdxFormatError(f"{path}: unsupported dimension count {ndim} at offset 3")
+    ndim = raw[3]
+    if ndim not in (3, 4):
+        raise IdxFormatError(f"{path}: image files need 3 or 4 dimensions, got {ndim} at offset 3")
     header_len = 4 + 4 * ndim
     if len(raw) < header_len:
         raise IdxFormatError(
             f"{path}: truncated header, need {header_len} bytes, got {len(raw)}"
         )
     dims = struct.unpack(f">{ndim}I", raw[4:header_len])
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     if count > 2**40:
         raise IdxFormatError(f"{path}: dimension overflow, {dims} implies {count} bytes")
     avail = len(raw) - header_len
@@ -85,58 +89,10 @@ def _read_idx_header(raw: bytes, path):
             f"{path}: {avail - count} trailing bytes after the payload at offset "
             f"{header_len + count}"
         )
-    return dims, header_len, count
-
-
-def load_idx(images_path, labels_path=None) -> Dataset:
-    """Load an IDX image file (and optional IDX label file) as a Dataset.
-
-    Pixels are scaled by 1/255 into [0, 1]; row order is preserved as stored.
-    """
-    with open(images_path, "rb") as fh:
-        raw = fh.read()
-    dims, off, count = _read_idx_header(raw, images_path)
-    if len(dims) < 3:
-        raise IdxFormatError(
-            f"{images_path}: image files need 3 or 4 dimensions, got {len(dims)}"
-        )
-    n, h, w = dims[0], dims[1], dims[2]
-    c = dims[3] if len(dims) == 4 else 1
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=count, offset=off)
+    n, h, w, c = dims if ndim == 4 else dims + (1,)
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=count, offset=header_len)
     samples = pixels.reshape(n, h * w * c).astype(np.float64) / 255.0
-
-    labels = None
-    if labels_path is not None:
-        with open(labels_path, "rb") as fh:
-            lraw = fh.read()
-        ldims, loff, lcount = _read_idx_header(lraw, labels_path)
-        if len(ldims) != 1:
-            raise IdxFormatError(f"{labels_path}: label files need 1 dimension, got {len(ldims)}")
-        if ldims[0] != n:
-            raise IdxFormatError(
-                f"{labels_path}: {ldims[0]} labels for {n} images"
-            )
-        labels = np.frombuffer(lraw, dtype=np.uint8, count=lcount, offset=loff).copy()
-
-    return Dataset(samples, h, w, c, tag=f"idx:{images_path}", labels=labels)
-
-
-def write_idx(ds: Dataset, images_path, labels_path=None) -> None:
-    """Write a Dataset back to IDX bytes (8-bit quantization)."""
-    pixels = np.round(ds.samples * 255.0).astype(np.uint8)
-    if ds.channels == 1:
-        dims = (ds.n, ds.height, ds.width)
-    else:
-        dims = (ds.n, ds.height, ds.width, ds.channels)
-    with open(images_path, "wb") as fh:
-        fh.write(bytes([0, 0, _IDX_UBYTE, len(dims)]))
-        fh.write(struct.pack(f">{len(dims)}I", *dims))
-        fh.write(pixels.tobytes())
-    if labels_path is not None and ds.labels is not None:
-        with open(labels_path, "wb") as fh:
-            fh.write(bytes([0, 0, _IDX_UBYTE, 1]))
-            fh.write(struct.pack(">I", len(ds.labels)))
-            fh.write(np.asarray(ds.labels, dtype=np.uint8).tobytes())
+    return Dataset(samples, h, w, c, tag=f"idx:{path}")
 
 
 def gen_noise(rng: RngStream, n: int, h: int, w: int, c: int = 1) -> Dataset:
@@ -204,7 +160,7 @@ def to_grayscale(ds: Dataset) -> Dataset:
         raise DomainError(f"to_grayscale needs 3 channels, got {ds.channels}")
     imgs = ds.samples.reshape(ds.n, ds.height, ds.width, 3)
     gray = imgs[:, :, :, 0].reshape(ds.n, ds.height * ds.width)
-    return Dataset(gray, ds.height, ds.width, 1, tag=f"{ds.tag}|gray", labels=ds.labels)
+    return Dataset(gray, ds.height, ds.width, 1, tag=f"{ds.tag}|gray")
 
 
 def to_rgb(ds: Dataset) -> Dataset:
@@ -213,7 +169,7 @@ def to_rgb(ds: Dataset) -> Dataset:
         raise DomainError(f"to_rgb needs 1 channel, got {ds.channels}")
     imgs = ds.samples.reshape(ds.n, ds.height, ds.width, 1)
     rgb = np.repeat(imgs, 3, axis=3).reshape(ds.n, ds.height * ds.width * 3)
-    return Dataset(rgb, ds.height, ds.width, 3, tag=f"{ds.tag}|rgb", labels=ds.labels)
+    return Dataset(rgb, ds.height, ds.width, 3, tag=f"{ds.tag}|rgb")
 
 
 def resize_nearest(ds: Dataset, h: int, w: int) -> Dataset:
@@ -222,7 +178,7 @@ def resize_nearest(ds: Dataset, h: int, w: int) -> Dataset:
     cols = (np.arange(w) * ds.width // w).astype(np.intp)
     imgs = ds.samples.reshape(ds.n, ds.height, ds.width, ds.channels)
     out = imgs[:, rows][:, :, cols].reshape(ds.n, h * w * ds.channels)
-    return Dataset(out, h, w, ds.channels, tag=f"{ds.tag}|{h}x{w}", labels=ds.labels)
+    return Dataset(out, h, w, ds.channels, tag=f"{ds.tag}|{h}x{w}")
 
 
 def subsample(ds: Dataset, rng: RngStream, max_samples: int) -> Dataset:
@@ -230,11 +186,8 @@ def subsample(ds: Dataset, rng: RngStream, max_samples: int) -> Dataset:
     if ds.n <= max_samples:
         return ds
     keep = np.sort(rng.generator.permutation(ds.n)[:max_samples])
-    labels = ds.labels[keep] if ds.labels is not None else None
-    return Dataset(
-        ds.samples[keep], ds.height, ds.width, ds.channels,
-        tag=f"{ds.tag}|sub{max_samples}", labels=labels,
-    )
+    return Dataset(ds.samples[keep], ds.height, ds.width, ds.channels,
+                   tag=f"{ds.tag}|sub{max_samples}")
 
 
 def _parse_modes(text):
@@ -253,8 +206,9 @@ _SPEC_FIELDS = {
     "noise": _SIZE + (Field("c", count, 1),),
     "constant": _SIZE + (Field("c", count, 1),),
     "blobs": _SIZE + (Field("noise", non_negative, 0.02),
-                      Field("preset", default=None), Field("modes", _parse_modes, None)),
-    "idx": (Field("path"), Field("labels", default=None), Field("resize", count, None),
+                      Field("preset", choice("two", "two_shifted"), None),
+                      Field("modes", _parse_modes, None)),
+    "idx": (Field("path"), Field("resize", count, None),
             Field("gray", choice("0", "1"), "0"), Field("rgb", choice("0", "1"), "0"),
             Field("max", count, None)),
 }
@@ -268,7 +222,7 @@ def parse_spec(spec: str, seed: int) -> Dataset:
       constant:n=1000,h=16,w=16,c=1
       blobs:n=2000,h=16,w=16,preset=two[,noise=0.02]
       blobs:n=2000,h=16,w=16,modes=4.5x4.5x2x1+11x11x2x1[,noise=0.02]
-      idx:path=images.idx[,labels=labels.idx][,resize=32][,gray=1][,rgb=1][,max=50000]
+      idx:path=images.idx[,resize=32][,gray=1][,rgb=1][,max=50000]
 
     Counts must be >= 1, blob noise finite and >= 0; a repeated key is refused.
     """
@@ -295,13 +249,16 @@ def parse_spec(spec: str, seed: int) -> Dataset:
             raise DomainError(f"{where}: needs one of preset= or modes=")
         modes = opts["modes"] or blob_preset(opts["preset"], opts["h"], opts["w"])
         return gen_blobs(rng, opts["n"], opts["h"], opts["w"], modes, noise=opts["noise"])
-    ds = load_idx(opts["path"], opts["labels"])
+    ds = load_idx(opts["path"])
     if opts["resize"] is not None:
         ds = resize_nearest(ds, opts["resize"], opts["resize"])
-    if opts["gray"] == "1":
-        ds = to_grayscale(ds)
-    if opts["rgb"] == "1":
-        ds = to_rgb(ds)
+    try:
+        if opts["gray"] == "1":
+            ds = to_grayscale(ds)
+        if opts["rgb"] == "1":
+            ds = to_rgb(ds)
+    except DomainError as exc:
+        raise DomainError(f"{where}: {exc}") from None
     if opts["max"] is not None:
         ds = subsample(ds, rng, opts["max"])
     return ds

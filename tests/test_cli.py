@@ -15,6 +15,7 @@ import tiltvae.cli
 import tiltvae.tilted
 from tiltvae._fields import REQUIRED, VAL
 from tiltvae.cli import COMMANDS, _flag, _parse_kv_file, build_parser, main
+from tiltvae.data import _SPEC_FIELDS
 
 
 def _run_python(args, cwd, timeout=120, stdout=subprocess.PIPE):
@@ -152,6 +153,19 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--d-grid", "2", "--w-grid", "0", "--points", "10",
                      f"--mu-max={mu_max}", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid,reason", [
+        ("", "must name at least one value"),
+        (",", "must name at least one value"),
+        ("5..1", "range '5..1' runs backwards"),
+        ("3,5..1", "range '5..1' runs backwards"),
+    ])
+    def test_empty_or_reversed_grid_names_its_flag(self, tmp_path, capsys, grid, reason):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--d-grid", grid, "--w-grid", "0", "--points", "10",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --d-grid: d_grid = {grid!r}: {reason}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("w", [3000, 4000])
@@ -549,6 +563,11 @@ class TestRefusals:
          "data spec 'blobs:n=8,h=8,w=8,preset=two,noise=-1': noise = '-1': "
          "must be finite and >= 0"),
         ("data=noise:n=3,h=2,w=2,n=4", "data spec 'noise:n=3,h=2,w=2,n=4': repeated key 'n'"),
+        ("data=blobs:n=8,h=8,w=8,preset=three",
+         "data spec 'blobs:n=8,h=8,w=8,preset=three': preset = 'three': "
+         "must be one of two, two_shifted"),
+        ("data=idx:path=a.idx,labels=l.idx",
+         "data spec 'idx:path=a.idx,labels=l.idx': unrecognized keys ['labels']"),
     ])
     def test_train_value(self, tmp_path, train_cfg, capsys, item, expected):
         assert _train(tmp_path, train_cfg, item) == 1
@@ -706,13 +725,16 @@ class TestRefusals:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _readme_text():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(path) as fh:
+        return fh.read()
+
+
 def _readme_block(after):
     """The first fenced code block after the README line that starts with after."""
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                          "README.md")
-    with open(readme) as fh:
-        text = fh.read()
-    return re.search(rf"^{re.escape(after)}.*?^```\n(.*?)^```", text, re.M | re.S).group(1)
+    return re.search(rf"^{re.escape(after)}.*?^```\n(.*?)^```", _readme_text(),
+                     re.M | re.S).group(1)
 
 
 class TestReadme:
@@ -734,3 +756,14 @@ class TestReadme:
         assert set(values) <= {f.key for f in train.fields if f.kind == VAL}
         config = train.config(values, lines.get, lambda kind, path: path)
         assert config["prior"] == "tilted" and config["epochs"] >= 1
+
+    def test_dataset_spec_keys_match_the_parser(self):
+        # Each `kind:...` form in the "Dataset specs" paragraph lists only keys
+        # that kind takes, and its forms together list every one of them.
+        paragraph = re.search(r"^Dataset specs.*?\n\n", _readme_text(), re.M | re.S).group(0)
+        listed = {}
+        for kind, rest in re.findall(r"`(\w+):([^`]*)`", paragraph):
+            keys = set(re.findall(r"(\w+)=", rest))
+            assert keys <= {f.key for f in _SPEC_FIELDS[kind]}, (kind, rest)
+            listed.setdefault(kind, set()).update(keys)
+        assert listed == {kind: {f.key for f in fields} for kind, fields in _SPEC_FIELDS.items()}

@@ -21,18 +21,15 @@ from tiltvae.data import (
     subsample,
     to_grayscale,
     to_rgb,
-    write_idx,
 )
 from tiltvae.errors import DomainError
 from tiltvae.sampler import RngStream
 
+from idx_files import write_idx
+
 
 def _idx_image_bytes(n, h, w, pixels):
     return bytes([0, 0, 8, 3]) + struct.pack(">3I", n, h, w) + bytes(pixels)
-
-
-def _idx_label_bytes(labels):
-    return bytes([0, 0, 8, 1]) + struct.pack(">I", len(labels)) + bytes(labels)
 
 
 class TestIdx:
@@ -45,14 +42,6 @@ class TestIdx:
         assert ds.samples[0, 1] == pytest.approx(7 / 255)
         assert ds.samples.min() >= 0.0 and ds.samples.max() <= 1.0
 
-    def test_load_labels(self, tmp_path):
-        imgs = tmp_path / "imgs.idx"
-        labels = tmp_path / "labels.idx"
-        imgs.write_bytes(_idx_image_bytes(2, 2, 2, [0, 64, 128, 255] * 2))
-        labels.write_bytes(_idx_label_bytes([3, 9]))
-        ds = load_idx(imgs, labels)
-        assert list(ds.labels) == [3, 9]
-
     def test_truncated_payload_names_byte_counts(self, tmp_path):
         raw = _idx_image_bytes(2, 28, 28, [0] * 100)
         path = tmp_path / "trunc.idx"
@@ -60,16 +49,11 @@ class TestIdx:
         with pytest.raises(IdxFormatError, match="expected 1568 bytes, got 100"):
             load_idx(path)
 
-    def test_trailing_bytes_are_refused_in_image_and_label_files(self, tmp_path):
-        imgs, labels = tmp_path / "imgs.idx", tmp_path / "labels.idx"
+    def test_trailing_bytes_are_refused(self, tmp_path):
+        imgs = tmp_path / "imgs.idx"
         imgs.write_bytes(_idx_image_bytes(2, 2, 2, [0] * 8) + b"\x00" * 3)
-        labels.write_bytes(_idx_label_bytes([1, 2]))
         with pytest.raises(IdxFormatError, match=f"{imgs}: 3 trailing bytes .* offset 24"):
-            load_idx(imgs, labels)
-        imgs.write_bytes(_idx_image_bytes(2, 2, 2, [0] * 8))
-        labels.write_bytes(_idx_label_bytes([1, 2]) + b"\x07")
-        with pytest.raises(IdxFormatError, match=f"{labels}: 1 trailing bytes"):
-            load_idx(imgs, labels)
+            load_idx(imgs)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
@@ -77,13 +61,22 @@ class TestIdx:
         with pytest.raises(IdxFormatError, match="bad magic"):
             load_idx(path)
 
-    def test_label_count_mismatch(self, tmp_path):
-        imgs = tmp_path / "imgs.idx"
-        labels = tmp_path / "labels.idx"
-        imgs.write_bytes(_idx_image_bytes(2, 2, 2, [0] * 8))
-        labels.write_bytes(_idx_label_bytes([1, 2, 3]))
-        with pytest.raises(IdxFormatError, match="3 labels for 2 images"):
-            load_idx(imgs, labels)
+    @pytest.mark.parametrize("raw,message", [
+        (b"\x00\x00\x08\x02" + struct.pack(">2I", 1, 4) + bytes(4),
+         "image files need 3 or 4 dimensions, got 2 at offset 3"),
+        (b"\x00\x00\x08\x05" + struct.pack(">5I", 1, 1, 1, 1, 1) + bytes(1),
+         "image files need 3 or 4 dimensions, got 5 at offset 3"),
+        (b"\x00\x00\x08\x03" + struct.pack(">2I", 1, 2),
+         "truncated header, need 16 bytes, got 12"),
+        (b"\x00\x00\x08\x03" + struct.pack(">3I", 2**16, 2**16, 2**16),
+         "dimension overflow, (65536, 65536, 65536) implies 281474976710656 bytes"),
+    ])
+    def test_header_refusal_names_the_file(self, tmp_path, raw, message):
+        path = tmp_path / "bad.idx"
+        path.write_bytes(raw)
+        with pytest.raises(IdxFormatError) as err:
+            load_idx(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_roundtrip_exact_at_8_bit(self, tmp_path):
         ds = gen_noise(RngStream(3), 5, 4, 6)
@@ -268,6 +261,8 @@ class TestSpecRefusals:
         ("blobs:n=3,h=4,w=4,preset=two,modes=1x1x1x1", "needs one of preset= or modes="),
         ("noise:n=3,h=2,w=2,h=3", "repeated key 'h'"),
         ("idx:path=a.idx,gray=yes", "gray = 'yes': must be one of 0, 1"),
+        ("idx:path=a.idx,labels=l.idx", "unrecognized keys ['labels']"),
+        ("blobs:n=3,h=4,w=4,preset=three", "preset = 'three': must be one of two, two_shifted"),
     ])
     def test_refused_naming_the_spec(self, spec, message):
         with pytest.raises(DomainError) as err:
@@ -275,10 +270,17 @@ class TestSpecRefusals:
         assert str(err.value) == f"data spec {spec!r}: {message}"
 
     def test_gray_0_keeps_the_channels(self, tmp_path):
-        path = tmp_path / "rgb.idx"
+        path, gray = tmp_path / "rgb.idx", tmp_path / "gray.idx"
         write_idx(gen_noise(RngStream(21), 2, 2, 2, c=3), path)
+        write_idx(gen_noise(RngStream(22), 2, 2, 2), gray)
         assert parse_spec(f"idx:path={path},gray=0", seed=1).channels == 3
         assert parse_spec(f"idx:path={path},gray=1", seed=1).channels == 1
+        # A conversion the file's channel count does not allow names the spec.
+        for spec, message in [(f"idx:path={gray},gray=1", "to_grayscale needs 3 channels, got 1"),
+                              (f"idx:path={path},rgb=1", "to_rgb needs 1 channel, got 3")]:
+            with pytest.raises(DomainError) as err:
+                parse_spec(spec, seed=1)
+            assert str(err.value) == f"data spec {spec!r}: {message}"
 
 
 def test_nan_pixels_are_refused():

@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 import tiltvae.vae as V
 from tiltvae._fields import VAL
 from tiltvae.cli import COMMANDS, _flag, main
-from tiltvae.data import IdxFormatError, gen_noise, load_idx, parse_spec, write_idx
+from tiltvae.data import IdxFormatError, gen_noise, load_idx, parse_spec
 from tiltvae.errors import DomainError
 from tiltvae.sampler import RngStream
 from tiltvae.tilted import TiltedPrior
+
+from idx_files import write_idx
 
 _FUZZ = settings(max_examples=200, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
