@@ -54,6 +54,7 @@ def choice(*options):
 
 
 count = checked(int, lambda v: v >= 1, "must be >= 1")
+non_negative_int = checked(int, lambda v: v >= 0, "must be >= 0")
 grid_points = checked(int, lambda v: v >= 2, "must be >= 2")
 positive = checked(float, lambda v: 0.0 < v < math.inf, "must be finite and > 0")
 non_negative = checked(float, lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")

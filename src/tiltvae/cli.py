@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__
 from ._csvfloat import write_rows
 from ._fields import (IN_PATH, OUT_PATH, REQUIRED, VAL, Field, choice, count, counts, fmt_ints,
-                      grid_points, int_ranges, non_negative, parse_fields, positive)
+                      grid_points, int_ranges, non_negative, non_negative_int, parse_fields,
+                      positive)
 from .data import parse_spec
 from .errors import ConvergenceError, DomainError, NumericalError
 from .ood import read_scores_csv, roc, score_arrays, write_scores_csv
@@ -93,8 +94,8 @@ class GammaCommand(Command):
     name = "gamma"
     help = "solve for the divergence-minimizing posterior norm"
     fields = (
-        Field("tau", float, fmt=repr, help="tilt parameter"),
-        Field("dz", int, help="latent dimension"),
+        Field("tau", non_negative, fmt=repr, help="tilt parameter"),
+        Field("dz", count, help="latent dimension"),
         Field("out", default="gamma.csv", kind=OUT_PATH, help="output CSV"),
     )
 
@@ -116,8 +117,8 @@ class KldTableCommand(Command):
     name = "kld-table"
     help = "tabulate exact and quadratic KLD over a mu grid"
     fields = (
-        Field("tau", float, fmt=repr, help="tilt parameter"),
-        Field("dz", int, help="latent dimension"),
+        Field("tau", non_negative, fmt=repr, help="tilt parameter"),
+        Field("dz", count, help="latent dimension"),
         Field("mu_max", positive, 20.0, repr, help="largest posterior-mean norm"),
         Field("points", grid_points, 200, help="grid size"),
         Field("out", default="kld_table.csv", kind=OUT_PATH, help="output CSV"),
@@ -224,7 +225,8 @@ class ScoreCommand(Command):
     fields = (
         Field("model", kind=IN_PATH, help="checkpoint path"),
         Field("data", help="data spec (see tiltvae.data.parse_spec)"),
-        Field("draws", int, 0, help="latent draws for the averaged variant (0 = deterministic)"),
+        Field("draws", non_negative_int, 0,
+              help="latent draws for the averaged variant (0 = deterministic)"),
         Field("seed", int, 0, help="seed for dataset generation and sampling"),
         Field("out", default="scores.csv", kind=OUT_PATH, help="output CSV"),
     )
@@ -271,12 +273,12 @@ class SampleCommand(Command):
     help = "draw latents (and decoded samples when a model is given)"
     fields = (
         Field("model", default=None, kind=IN_PATH, help="checkpoint path (optional)"),
-        Field("tau", float, None, repr, help="tilt (when no model is given)"),
-        Field("dz", int, None, help="latent dimension (when no model is given)"),
-        Field("zbar", float, None, repr, help="radial mean of the aggregated posterior"),
+        Field("tau", non_negative, None, repr, help="tilt (when no model is given)"),
+        Field("dz", count, None, help="latent dimension (when no model is given)"),
+        Field("zbar", positive, None, repr, help="radial mean of the aggregated posterior"),
         Field("sampler", choice("posterior", "prior"), "posterior",
               help="posterior (radius x direction) or prior (rejection)"),
-        Field("n", int, 100, help="number of draws"),
+        Field("n", count, 100, help="number of draws"),
         Field("seed", int, 0, help="rng seed"),
         Field("out", default="latents.csv", kind=OUT_PATH, help="latent CSV"),
         Field("decoded", default="samples.csv", kind=OUT_PATH,
@@ -328,7 +330,7 @@ class BenchCommand(Command):
     fields = (
         Field("model", kind=IN_PATH, help="checkpoint path"),
         Field("data", help="data spec"),
-        Field("draws", int, 256, help="draws for the averaged variant"),
+        Field("draws", non_negative_int, 256, help="draws for the averaged variant"),
         Field("repeat", count, 3, help="timing repeats"),
         Field("seed", int, 0, help="seed"),
         Field("out", default="bench.csv", kind=OUT_PATH, help="timings CSV"),

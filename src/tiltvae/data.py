@@ -1,9 +1,8 @@
 """Dataset ingestion and synthesis.
 
 IDX image loading (the MNIST-family binary format), uniform Noise and
-Constant synthetic sets, soft-disc blob datasets for desk-scale experiments,
-and the channel conversions used to move between grayscale and RGB. Every
-loader and generator emits pixel values in [0, 1].
+Constant synthetic sets, and soft-disc blob datasets for desk-scale
+experiments. Every dataset holds pixel values in [0, 1].
 """
 
 import math
@@ -16,8 +15,6 @@ from ._fields import Field, choice, count, non_negative, parse_fields
 from .errors import DomainError
 from .sampler import RngStream
 
-_IDX_UBYTE = 0x08
-
 
 class IdxFormatError(ValueError):
     """Malformed IDX container; message carries the failing byte offsets."""
@@ -25,23 +22,15 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """N samples as rows of an (N, d_x) matrix with pixel-shape metadata."""
+    """N samples as the rows of an (N, d_x) matrix of pixels in [0, 1], and a tag."""
 
     samples: np.ndarray
-    height: int
-    width: int
-    channels: int
     tag: str
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 2:
             raise DomainError(f"samples must be 2-D, got shape {self.samples.shape}")
-        if self.height * self.width * self.channels != self.samples.shape[1]:
-            raise DomainError(
-                f"shape metadata {self.height}x{self.width}x{self.channels} "
-                f"inconsistent with d_x={self.samples.shape[1]}"
-            )
         if self.samples.size and not (self.samples.min() >= 0.0 and self.samples.max() <= 1.0):
             raise DomainError("pixel values must lie in [0, 1]")
 
@@ -54,16 +43,16 @@ class Dataset:
         return self.samples.shape[1]
 
 
-def load_idx(path) -> Dataset:
-    """Load an IDX image file, (n, h, w) or (n, h, w, c) ubytes, as a Dataset.
-
-    Pixels are scaled by 1/255 into [0, 1]; row order is preserved as stored.
-    """
+def load_idx(path) -> np.ndarray:
+    """Read an IDX image file of (n, h, w) or (n, h, w, c) ubytes as an
+    (n, h, w, c) uint8 array (c = 1 for 3 dimensions), rows as stored. A
+    malformed file or a dimension of 0 is an IdxFormatError naming the file
+    and the failing byte offset."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4:
         raise IdxFormatError(f"{path}: truncated magic, need 4 bytes, got {len(raw)}")
-    if raw[:3] != bytes([0, 0, _IDX_UBYTE]):
+    if raw[:3] != b"\x00\x00\x08":  # two zero bytes, then the ubyte type code
         magic = struct.unpack(">I", raw[:4])[0]
         raise IdxFormatError(f"{path}: bad magic 0x{magic:08x} at offset 0 (expected ubyte IDX)")
     ndim = raw[3]
@@ -75,6 +64,10 @@ def load_idx(path) -> Dataset:
             f"{path}: truncated header, need {header_len} bytes, got {len(raw)}"
         )
     dims = struct.unpack(f">{ndim}I", raw[4:header_len])
+    if 0 in dims:
+        # An empty file trains an encoder of 0 inputs or scores nothing.
+        axis = dims.index(0)
+        raise IdxFormatError(f"{path}: dimension {axis} of {dims} is 0 at offset {4 + 4 * axis}")
     count = math.prod(dims)
     if count > 2**40:
         raise IdxFormatError(f"{path}: dimension overflow, {dims} implies {count} bytes")
@@ -89,10 +82,8 @@ def load_idx(path) -> Dataset:
             f"{path}: {avail - count} trailing bytes after the payload at offset "
             f"{header_len + count}"
         )
-    n, h, w, c = dims if ndim == 4 else dims + (1,)
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count, offset=header_len)
-    samples = pixels.reshape(n, h * w * c).astype(np.float64) / 255.0
-    return Dataset(samples, h, w, c, tag=f"idx:{path}")
+    return pixels.reshape(dims if ndim == 4 else dims + (1,))
 
 
 def gen_noise(rng: RngStream, n: int, h: int, w: int, c: int = 1) -> Dataset:
@@ -100,7 +91,7 @@ def gen_noise(rng: RngStream, n: int, h: int, w: int, c: int = 1) -> Dataset:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     levels = rng.generator.integers(0, 256, size=(n, h * w * c))
-    return Dataset(levels / 255.0, h, w, c, tag="noise")
+    return Dataset(levels / 255.0, tag="noise")
 
 
 def gen_constant(rng: RngStream, n: int, h: int, w: int, c: int = 1) -> Dataset:
@@ -109,7 +100,7 @@ def gen_constant(rng: RngStream, n: int, h: int, w: int, c: int = 1) -> Dataset:
         raise DomainError(f"n must be >= 1, got {n}")
     levels = rng.generator.integers(0, 256, size=(n, 1))
     samples = np.repeat(levels / 255.0, h * w * c, axis=1)
-    return Dataset(samples, h, w, c, tag="constant")
+    return Dataset(samples, tag="constant")
 
 
 def gen_blobs(rng: RngStream, n: int, h: int, w: int, modes, noise: float = 0.02) -> Dataset:
@@ -140,7 +131,7 @@ def gen_blobs(rng: RngStream, n: int, h: int, w: int, modes, noise: float = 0.02
     recipe = ";".join(
         f"({cy},{cx},r={radius},i={intensity})" for (cy, cx), radius, intensity in modes
     )
-    return Dataset(samples, h, w, 1, tag=f"blobs[{recipe}],noise={noise}")
+    return Dataset(samples, tag=f"blobs[{recipe}],noise={noise}")
 
 
 def blob_preset(name: str, h: int, w: int):
@@ -152,42 +143,6 @@ def blob_preset(name: str, h: int, w: int):
     if name == "two_shifted":
         return [((a * h, b * w), r, 1.0), ((b * h, a * w), r, 1.0)]
     raise DomainError(f"unknown blob preset {name!r}")
-
-
-def to_grayscale(ds: Dataset) -> Dataset:
-    """Keep the first channel, discard the rest."""
-    if ds.channels != 3:
-        raise DomainError(f"to_grayscale needs 3 channels, got {ds.channels}")
-    imgs = ds.samples.reshape(ds.n, ds.height, ds.width, 3)
-    gray = imgs[:, :, :, 0].reshape(ds.n, ds.height * ds.width)
-    return Dataset(gray, ds.height, ds.width, 1, tag=f"{ds.tag}|gray")
-
-
-def to_rgb(ds: Dataset) -> Dataset:
-    """Three copies of the single channel."""
-    if ds.channels != 1:
-        raise DomainError(f"to_rgb needs 1 channel, got {ds.channels}")
-    imgs = ds.samples.reshape(ds.n, ds.height, ds.width, 1)
-    rgb = np.repeat(imgs, 3, axis=3).reshape(ds.n, ds.height * ds.width * 3)
-    return Dataset(rgb, ds.height, ds.width, 3, tag=f"{ds.tag}|rgb")
-
-
-def resize_nearest(ds: Dataset, h: int, w: int) -> Dataset:
-    """Nearest-neighbor resampling (bit-exact reproducible)."""
-    rows = (np.arange(h) * ds.height // h).astype(np.intp)
-    cols = (np.arange(w) * ds.width // w).astype(np.intp)
-    imgs = ds.samples.reshape(ds.n, ds.height, ds.width, ds.channels)
-    out = imgs[:, rows][:, :, cols].reshape(ds.n, h * w * ds.channels)
-    return Dataset(out, h, w, ds.channels, tag=f"{ds.tag}|{h}x{w}")
-
-
-def subsample(ds: Dataset, rng: RngStream, max_samples: int) -> Dataset:
-    """Seeded uniform subsample, original row order preserved."""
-    if ds.n <= max_samples:
-        return ds
-    keep = np.sort(rng.generator.permutation(ds.n)[:max_samples])
-    return Dataset(ds.samples[keep], ds.height, ds.width, ds.channels,
-                   tag=f"{ds.tag}|sub{max_samples}")
 
 
 def _parse_modes(text):
@@ -224,12 +179,15 @@ def parse_spec(spec: str, seed: int) -> Dataset:
       blobs:n=2000,h=16,w=16,modes=4.5x4.5x2x1+11x11x2x1[,noise=0.02]
       idx:path=images.idx[,resize=32][,gray=1][,rgb=1][,max=50000]
 
-    Counts must be >= 1, blob noise finite and >= 0; a repeated key is refused.
+    idx: applies resize=, gray=1, rgb=1, then max= (a seeded subsample in stored
+    order), tagged idx:PATH|RxR|gray|rgb|subN. Counts must be >= 1, blob noise
+    finite and >= 0. An unknown kind, a repeated key, or a channel conversion
+    the file does not allow is refused naming the spec.
     """
+    where = f"data spec {spec!r}"
     kind, _, rest = spec.partition(":")
     if kind not in _SPEC_FIELDS:
-        raise DomainError(f"unknown data spec kind {kind!r}")
-    where = f"data spec {spec!r}"
+        raise DomainError(f"{where}: unknown kind {kind!r}")
     strings = {}
     for item in rest.split(",") if rest else ():
         key, sep, val = (t.strip() for t in item.partition("="))
@@ -249,16 +207,28 @@ def parse_spec(spec: str, seed: int) -> Dataset:
             raise DomainError(f"{where}: needs one of preset= or modes=")
         modes = opts["modes"] or blob_preset(opts["preset"], opts["h"], opts["w"])
         return gen_blobs(rng, opts["n"], opts["h"], opts["w"], modes, noise=opts["noise"])
-    ds = load_idx(opts["path"])
+    # The options select pixels of the file's uint8 images; only the result
+    # is scaled to [0, 1], which takes the same values as scaling first.
+    images = load_idx(opts["path"])
+    tag = f"idx:{opts['path']}"
     if opts["resize"] is not None:
-        ds = resize_nearest(ds, opts["resize"], opts["resize"])
-    try:
-        if opts["gray"] == "1":
-            ds = to_grayscale(ds)
-        if opts["rgb"] == "1":
-            ds = to_rgb(ds)
-    except DomainError as exc:
-        raise DomainError(f"{where}: {exc}") from None
-    if opts["max"] is not None:
-        ds = subsample(ds, rng, opts["max"])
-    return ds
+        size = opts["resize"]
+        rows = np.arange(size) * images.shape[1] // size
+        cols = np.arange(size) * images.shape[2] // size
+        images = images[:, rows][:, :, cols]
+        tag += f"|{size}x{size}"
+    if opts["gray"] == "1":
+        if images.shape[3] != 3:
+            raise DomainError(f"{where}: gray=1 needs 3 channels, got {images.shape[3]}")
+        images = images[..., :1]
+        tag += "|gray"
+    if opts["rgb"] == "1":
+        if images.shape[3] != 1:
+            raise DomainError(f"{where}: rgb=1 needs 1 channel, got {images.shape[3]}")
+        images = np.repeat(images, 3, axis=3)
+        tag += "|rgb"
+    if opts["max"] is not None and len(images) > opts["max"]:
+        keep = np.sort(rng.generator.permutation(len(images))[:opts["max"]])
+        images = images[keep]
+        tag += f"|sub{opts['max']}"
+    return Dataset(images.reshape(len(images), -1) / 255.0, tag)

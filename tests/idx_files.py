@@ -1,16 +1,16 @@
-"""IDX test fixtures: a Dataset written back as an IDX image file."""
+"""IDX test fixtures: uint8 images written as an IDX image file."""
 
 import struct
 
 import numpy as np
 
 
-def write_idx(ds, path):
-    """Write a Dataset as IDX ubyte images (8-bit quantization): (n, h, w) for
-    one channel, (n, h, w, c) otherwise."""
-    pixels = np.round(ds.samples * 255.0).astype(np.uint8)
-    dims = (ds.n, ds.height, ds.width) + ((ds.channels,) if ds.channels != 1 else ())
+def write_idx(path, images):
+    """Write a uint8 (n, h, w) or (n, h, w, c) array as IDX ubyte images,
+    with the array's own number of dimensions."""
+    images = np.asarray(images)
+    assert images.dtype == np.uint8 and images.ndim in (3, 4), (images.dtype, images.shape)
     with open(path, "wb") as fh:
-        fh.write(bytes([0, 0, 0x08, len(dims)]))
-        fh.write(struct.pack(f">{len(dims)}I", *dims))
-        fh.write(pixels.tobytes())
+        fh.write(bytes([0, 0, 0x08, images.ndim]))
+        fh.write(struct.pack(f">{images.ndim}I", *images.shape))
+        fh.write(images.tobytes())

@@ -17,6 +17,8 @@ from tiltvae._fields import REQUIRED, VAL
 from tiltvae.cli import COMMANDS, _flag, _parse_kv_file, build_parser, main
 from tiltvae.data import _SPEC_FIELDS
 
+from idx_files import write_idx
+
 
 def _run_python(args, cwd, timeout=120, stdout=subprocess.PIPE):
     """A fresh interpreter that imports this checkout's tiltvae."""
@@ -258,10 +260,11 @@ class TestScoreRocSampleBench:
         assert (replay_dir / "scores.csv").read_bytes() == (first / "scores.csv").read_bytes()
         assert len(_read_csv(first / "scores.csv")[1]) == 2500
 
-    def test_score_negative_draws_is_usage_error(self, tmp_path, checkpoint):
+    def test_score_negative_draws_is_usage_error(self, tmp_path, checkpoint, capsys):
         out = tmp_path / "s.csv"
         assert main(["score", "--model", str(checkpoint), "--data", "noise:n=4,h=8,w=8",
                      "--draws", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --draws: draws = '-1': must be >= 0\n"
         assert not out.exists()
 
     def test_score_missing_checkpoint_is_io_error(self, tmp_path):
@@ -319,22 +322,23 @@ class TestScoreRocSampleBench:
     def test_sample_needs_model_or_dz(self, tmp_path):
         assert main(["sample", "--n", "5", "--out", str(tmp_path / "l.csv")]) == 1
 
-    @pytest.mark.parametrize("options", [
-        ["--dz", "2", "--zbar", "nan", "--n", "3"],
-        ["--dz", "2", "--zbar", "inf", "--n", "3"],
-        ["--dz", "2", "--zbar", "0", "--n", "3"],
-        ["--dz", "2", "--zbar", "-1", "--n", "3"],
-        ["--dz", "0", "--zbar", "1", "--n", "3"],
-        ["--dz", "2", "--zbar", "1", "--n", "-3"],
+    @pytest.mark.parametrize("options,expected", [
+        (["--dz", "2", "--zbar", "nan", "--n", "3"],
+         "--zbar: zbar = 'nan': must be finite and > 0"),
+        (["--dz", "2", "--zbar", "inf", "--n", "3"],
+         "--zbar: zbar = 'inf': must be finite and > 0"),
+        (["--dz", "2", "--zbar", "0", "--n", "3"], "--zbar: zbar = '0': must be finite and > 0"),
+        (["--dz", "2", "--zbar", "-1", "--n", "3"], "--zbar: zbar = '-1': must be finite and > 0"),
+        (["--dz", "0", "--zbar", "1", "--n", "3"], "--dz: dz = '0': must be >= 1"),
+        (["--dz", "2", "--zbar", "1", "--n", "-3"], "--n: n = '-3': must be >= 1"),
     ], ids=["zbar-nan", "zbar-inf", "zbar-0", "zbar-neg", "dz-0", "n-neg"])
-    def test_sample_refuses_bad_posterior_inputs(self, tmp_path, options):
+    def test_sample_refuses_bad_posterior_inputs(self, tmp_path, options, expected):
         # A NaN radial mean once made the redraw loop run forever; the
         # timeout turns a hang into a failure.
         proc = _run_python(["-m", "tiltvae.cli", "sample", *options, "--out", "l.csv"],
                            cwd=tmp_path, timeout=30)
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: posterior sampler needs")
-        assert proc.stderr.count("\n") == 1
+        assert proc.stderr == f"error: {expected}\n"
         assert not (tmp_path / "l.csv").exists()
 
     def test_bench_schema(self, tmp_path, checkpoint, capsys):
@@ -521,6 +525,15 @@ class TestFields:
         # Replay re-parses what the manifest recorded through each field's fmt.
         assert field.parse(field.fmt(field.default)) == field.default
 
+    def test_shared_keys_share_one_parser(self):
+        # A key that several commands take refuses the same values in each,
+        # with an error that names its flag.
+        parsers = {}
+        for command in COMMANDS.values():
+            for f in command.fields:
+                parsers.setdefault(f.key, set()).add(f.parse)
+        assert {key: p for key, p in parsers.items() if len(p) > 1} == {}
+
     def test_error_names_source_key_and_text(self, tmp_path, capsys):
         assert main(["gamma", "--tau", "x", "--dz", "2", "--out", str(tmp_path / "g.csv")]) == 1
         assert capsys.readouterr().err == (
@@ -572,6 +585,37 @@ class TestRefusals:
     def test_train_value(self, tmp_path, train_cfg, capsys, item, expected):
         assert _train(tmp_path, train_cfg, item) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["gamma", "--tau", "1", "--dz", "0"], "--dz: dz = '0': must be >= 1"),
+        (["kld-table", "--tau", "-1", "--dz", "2"], "--tau: tau = '-1': must be finite and >= 0"),
+        (["sample", "--sampler", "prior", "--dz", "2", "--tau", "inf"],
+         "--tau: tau = 'inf': must be finite and >= 0"),
+        (["score", "--model", "m.ckpt", "--data", "noise:n=2,h=2,w=2", "--draws", "-1"],
+         "--draws: draws = '-1': must be >= 0"),
+        (["bench", "--model", "m.ckpt", "--data", "noise:n=2,h=2,w=2", "--draws", "-2"],
+         "--draws: draws = '-2': must be >= 0"),
+    ], ids=["gamma-dz", "kld-table-tau", "sample-tau", "score-draws", "bench-draws"])
+    def test_shared_key_names_its_flag(self, tmp_path, capsys, monkeypatch, argv, expected):
+        # Once a layer later refused these naming no flag (gamma, kld-table),
+        # or after loading the checkpoint and the data (score, bench); the
+        # refusal now comes first, so m.ckpt need not exist.
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "out/x.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("dims", [(0, 2, 2), (4, 0, 2), (4, 2, 2, 0)])
+    def test_idx_file_with_a_zero_dimension(self, tmp_path, train_cfg, capsys, dims):
+        # A file of no images once scored to a header-only CSV with a nan
+        # mean, and one of no pixels trained an encoder of 0 inputs.
+        path = tmp_path / "empty.idx"
+        write_idx(path, np.zeros(dims, dtype=np.uint8))
+        axis = dims.index(0)
+        expected = f"error: {path}: dimension {axis} of {dims} is 0 at offset {4 + 4 * axis}\n"
+        assert _train(tmp_path, train_cfg, f"data=idx:path={path}") == 1
+        assert capsys.readouterr().err == expected
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_train_file_line(self, tmp_path, train_cfg, capsys):
@@ -691,7 +735,7 @@ class TestRefusals:
         out = tmp_path / "l.csv"
         assert main(["sample", "--sampler", "prior", "--dz", "3", "--tau", "2", "--n", n,
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: prior sampler needs n >= 1, got n={n}\n"
+        assert capsys.readouterr().err == f"error: --n: n = '{n}': must be >= 1\n"
         assert not out.exists()
 
     def test_unknown_sampler(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""Dataset tests: hand-built IDX fixtures, generator statistics, channel
-conversions, and spec-string parsing."""
+"""Dataset tests: hand-built IDX fixtures, generator statistics, the idx:
+spec's options against numpy indexing of the file's images, and spec-string
+parsing."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +19,6 @@ from tiltvae.data import (
     gen_noise,
     load_idx,
     parse_spec,
-    resize_nearest,
-    subsample,
-    to_grayscale,
-    to_rgb,
 )
 from tiltvae.errors import DomainError
 from tiltvae.sampler import RngStream
@@ -32,14 +30,33 @@ def _idx_image_bytes(n, h, w, pixels):
     return bytes([0, 0, 8, 3]) + struct.pack(">3I", n, h, w) + bytes(pixels)
 
 
+def _images(seed, *shape):
+    return np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
+
+
+def _idx_spec(tmp_path, images, options=""):
+    """An idx: spec for images written to a fresh file under tmp_path."""
+    path = tmp_path / f"images{len(list(tmp_path.iterdir()))}.idx"
+    write_idx(path, images)
+    return path, f"idx:path={path}{options}"
+
+
+def _scaled(images):
+    """What an idx: spec makes of selected images: rows of pixels in [0, 1]."""
+    return images.reshape(len(images), -1) / 255.0
+
+
 class TestIdx:
     def test_load_two_28x28_images(self, tmp_path):
         pixels = [(i * 7) % 256 for i in range(2 * 28 * 28)]
         path = tmp_path / "imgs.idx"
         path.write_bytes(_idx_image_bytes(2, 28, 28, pixels))
-        ds = load_idx(path)
-        assert (ds.n, ds.d_x, ds.height, ds.width, ds.channels) == (2, 784, 28, 28, 1)
-        assert ds.samples[0, 1] == pytest.approx(7 / 255)
+        images = load_idx(path)
+        assert (images.dtype, images.shape) == (np.uint8, (2, 28, 28, 1))
+        assert images.tobytes() == bytes(pixels)
+        ds = parse_spec(f"idx:path={path}", seed=1)
+        assert (ds.n, ds.d_x, ds.tag) == (2, 784, f"idx:{path}")
+        assert ds.samples[0, 1] == 7 / 255
         assert ds.samples.min() >= 0.0 and ds.samples.max() <= 1.0
 
     def test_truncated_payload_names_byte_counts(self, tmp_path):
@@ -70,6 +87,13 @@ class TestIdx:
          "truncated header, need 16 bytes, got 12"),
         (b"\x00\x00\x08\x03" + struct.pack(">3I", 2**16, 2**16, 2**16),
          "dimension overflow, (65536, 65536, 65536) implies 281474976710656 bytes"),
+        # A file of no images, or of images with no pixels, is refused.
+        (b"\x00\x00\x08\x03" + struct.pack(">3I", 0, 4, 4),
+         "dimension 0 of (0, 4, 4) is 0 at offset 4"),
+        (b"\x00\x00\x08\x03" + struct.pack(">3I", 5, 0, 4),
+         "dimension 1 of (5, 0, 4) is 0 at offset 8"),
+        (b"\x00\x00\x08\x04" + struct.pack(">4I", 5, 2, 2, 0),
+         "dimension 3 of (5, 2, 2, 0) is 0 at offset 16"),
     ])
     def test_header_refusal_names_the_file(self, tmp_path, raw, message):
         path = tmp_path / "bad.idx"
@@ -79,20 +103,34 @@ class TestIdx:
         assert str(err.value) == f"{path}: {message}"
 
     def test_roundtrip_exact_at_8_bit(self, tmp_path):
+        # Noise pixels are 8-bit levels, so an IDX file holds them exactly.
         ds = gen_noise(RngStream(3), 5, 4, 6)
-        imgs = tmp_path / "rt.idx"
-        write_idx(ds, imgs)
-        back = load_idx(imgs)
-        assert np.array_equal(back.samples, ds.samples)
-        assert (back.height, back.width, back.channels) == (4, 6, 1)
+        images = np.round(ds.samples * 255.0).astype(np.uint8).reshape(5, 4, 6)
+        path, spec = _idx_spec(tmp_path, images)
+        assert np.array_equal(load_idx(path), images[..., None])
+        assert np.array_equal(parse_spec(spec, seed=1).samples, ds.samples)
 
     def test_roundtrip_rgb(self, tmp_path):
         ds = gen_noise(RngStream(4), 3, 4, 4, c=3)
-        imgs = tmp_path / "rgb.idx"
-        write_idx(ds, imgs)
-        back = load_idx(imgs)
-        assert back.channels == 3
-        assert np.array_equal(back.samples, ds.samples)
+        images = np.round(ds.samples * 255.0).astype(np.uint8).reshape(3, 4, 4, 3)
+        path, spec = _idx_spec(tmp_path, images)
+        back = load_idx(path)
+        assert (back.dtype, back.shape) == (np.uint8, (3, 4, 4, 3))
+        assert np.array_equal(back, images)
+        assert np.array_equal(parse_spec(spec, seed=1).samples, ds.samples)
+
+    def test_max_reads_no_float_copy_of_the_file(self, tmp_path):
+        # max= picks rows of the uint8 images; only those become float64.
+        images = _images(5, 4000, 16, 16)
+        _, spec = _idx_spec(tmp_path, images, ",max=10")
+        tracemalloc.start()
+        try:
+            ds = parse_spec(spec, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n == 10
+        assert peak < images.size * 8 / 4, peak
 
 
 class TestGenerators:
@@ -155,55 +193,79 @@ class TestGenerators:
 
 
 class TestChannels:
-    def test_grayscale_takes_first_channel(self):
-        samples = np.zeros((1, 2 * 2 * 3))
-        img = samples.reshape(1, 2, 2, 3)
-        img[0, :, :, 0] = 0.25
-        img[0, :, :, 1] = 0.5
-        img[0, :, :, 2] = 0.75
-        ds = Dataset(samples, 2, 2, 3, tag="t")
-        gray = to_grayscale(ds)
-        assert gray.channels == 1
-        assert np.all(gray.samples == 0.25)
+    def test_grayscale_takes_first_channel(self, tmp_path):
+        images = _images(14, 3, 4, 5, 3)
+        path, spec = _idx_spec(tmp_path, images, ",gray=1")
+        ds = parse_spec(spec, seed=1)
+        assert np.array_equal(ds.samples, _scaled(images[..., 0]))
+        assert ds.tag == f"idx:{path}|gray"
 
-    def test_rgb_copies_first_channel(self):
-        ds = gen_noise(RngStream(14), 3, 4, 4)
-        rgb = to_rgb(ds)
-        img = rgb.samples.reshape(3, 4, 4, 3)
-        assert np.array_equal(img[..., 0], img[..., 1])
-        assert np.array_equal(img[..., 0], img[..., 2])
+    def test_rgb_copies_first_channel(self, tmp_path):
+        images = _images(15, 3, 4, 5)
+        path, spec = _idx_spec(tmp_path, images, ",rgb=1")
+        ds = parse_spec(spec, seed=1)
+        assert np.array_equal(ds.samples, _scaled(np.stack([images] * 3, axis=-1)))
+        assert ds.tag == f"idx:{path}|rgb"
 
-    def test_roundtrip_identity(self):
-        ds = gen_noise(RngStream(15), 3, 4, 4)
-        back = to_grayscale(to_rgb(ds))
-        assert np.array_equal(back.samples, ds.samples)
+    def test_roundtrip_identity(self, tmp_path):
+        # The gray of an RGB copy of a grayscale file is that file.
+        images = _images(16, 3, 4, 4)
+        _, gray = _idx_spec(tmp_path, images)
+        _, rgb = _idx_spec(tmp_path, np.stack([images] * 3, axis=-1), ",gray=1")
+        assert np.array_equal(parse_spec(rgb, seed=1).samples, parse_spec(gray, seed=1).samples)
 
-    def test_channel_count_validation(self):
-        ds = gen_noise(RngStream(16), 2, 4, 4)
-        with pytest.raises(DomainError):
-            to_grayscale(ds)
-        with pytest.raises(DomainError):
-            to_rgb(to_rgb(ds))
+    def test_channel_count_validation(self, tmp_path):
+        for shape, options, message in [
+            ((2, 4, 4), ",gray=1", "gray=1 needs 3 channels, got 1"),
+            ((2, 4, 4, 4), ",gray=1", "gray=1 needs 3 channels, got 4"),
+            ((2, 4, 4, 3), ",rgb=1", "rgb=1 needs 1 channel, got 3"),
+            ((2, 4, 4, 2), ",resize=2,rgb=1", "rgb=1 needs 1 channel, got 2"),
+        ]:
+            _, spec = _idx_spec(tmp_path, _images(17, *shape), options)
+            with pytest.raises(DomainError) as err:
+                parse_spec(spec, seed=1)
+            assert str(err.value) == f"data spec {spec!r}: {message}"
 
 
 class TestTransforms:
-    def test_resize_nearest_exact_mapping(self):
-        samples = np.arange(16, dtype=np.float64)[None, :] / 16.0
-        ds = Dataset(samples, 4, 4, 1, tag="t")
-        up = resize_nearest(ds, 2, 2)
-        img = up.samples.reshape(2, 2)
-        orig = samples.reshape(4, 4)
-        assert np.array_equal(img, orig[::2, ::2])
+    def test_resize_nearest_exact_mapping(self, tmp_path):
+        images = np.arange(2 * 4 * 4, dtype=np.uint8).reshape(2, 4, 4)
+        path, down = _idx_spec(tmp_path, images, ",resize=2")
+        ds = parse_spec(down, seed=1)
+        assert np.array_equal(ds.samples, _scaled(images[:, ::2, ::2]))
+        assert ds.tag == f"idx:{path}|2x2"
+        # Upsampling repeats the nearest source row and column at or above.
+        near = [0, 0, 1, 2, 2, 3]
+        up = parse_spec(f"idx:path={path},resize=6", seed=1)
+        assert np.array_equal(up.samples, _scaled(images[:, near][:, :, near]))
 
-    def test_subsample_deterministic_ordered(self):
-        ds = gen_noise(RngStream(17), 50, 2, 2)
-        a = subsample(ds, RngStream(18), 10)
-        b = subsample(ds, RngStream(18), 10)
+    def test_subsample_deterministic_ordered(self, tmp_path):
+        # Image i opens with pixel value i, so each row names its image.
+        images = _images(19, 50, 2, 2)
+        images[:, 0, 0] = np.arange(50)
+        path, spec = _idx_spec(tmp_path, images, ",max=10")
+        a, b = parse_spec(spec, seed=18), parse_spec(spec, seed=18)
         assert np.array_equal(a.samples, b.samples)
-        assert a.n == 10
-        # original relative order preserved
-        idx = [int(np.where((ds.samples == row).all(axis=1))[0][0]) for row in a.samples]
-        assert idx == sorted(idx)
+        assert a.n == 10 and a.tag == f"idx:{path}|sub10"
+        keep = np.round(a.samples[:, 0] * 255.0).astype(int)
+        assert np.all(np.diff(keep) > 0)  # original relative order preserved
+        assert np.array_equal(a.samples, _scaled(images[keep]))
+        assert not np.array_equal(parse_spec(spec, seed=19).samples, a.samples)
+        for max_ in (50, 60):
+            whole = parse_spec(f"idx:path={path},max={max_}", seed=18)
+            assert whole.tag == f"idx:{path}" and np.array_equal(whole.samples, _scaled(images))
+
+    def test_all_options_together(self, tmp_path):
+        images = _images(20, 30, 7, 5, 3)
+        images[:, 0, 0, 0] = np.arange(30)
+        path, spec = _idx_spec(tmp_path, images, ",resize=3,gray=1,rgb=1,max=4")
+        ds = parse_spec(spec, seed=2)
+        assert ds.tag == f"idx:{path}|3x3|gray|rgb|sub4"
+        keep = np.round(ds.samples[:, 0] * 255.0).astype(int)
+        assert len(keep) == 4 and np.all(np.diff(keep) > 0)
+        rows, cols = [0, 2, 4], [0, 1, 3]
+        picked = images[keep][:, rows][:, :, cols][..., [0, 0, 0]]
+        assert np.array_equal(ds.samples, _scaled(picked))
 
 
 class TestParseSpec:
@@ -224,16 +286,14 @@ class TestParseSpec:
         assert not np.array_equal(a.samples, c.samples)
 
     def test_idx_spec_with_transforms(self, tmp_path):
-        ds = gen_noise(RngStream(20), 4, 8, 8)
-        path = tmp_path / "x.idx"
-        write_idx(ds, path)
-        out = parse_spec(f"idx:path={path},resize=4,rgb=1,max=2", seed=1)
-        assert (out.n, out.height, out.width, out.channels) == (2, 4, 4, 3)
+        path, spec = _idx_spec(tmp_path, _images(20, 4, 8, 8), ",resize=4,rgb=1,max=2")
+        out = parse_spec(spec, seed=1)
+        assert (out.n, out.d_x, out.tag) == (2, 4 * 4 * 3, f"idx:{path}|4x4|rgb|sub2")
 
     def test_errors(self):
         with pytest.raises(DomainError, match="missing key 'n'"):
             parse_spec("noise:h=4,w=4", seed=1)
-        with pytest.raises(DomainError, match="unknown data spec kind"):
+        with pytest.raises(DomainError, match="unknown kind 'mnist'"):
             parse_spec("mnist:n=1", seed=1)
         with pytest.raises(DomainError, match="unrecognized keys"):
             parse_spec("noise:n=1,h=4,w=4,zoom=2", seed=1)
@@ -244,11 +304,7 @@ class TestParseSpec:
 class TestDatasetValidation:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            Dataset(np.array([[1.5]]), 1, 1, 1, tag="t")
-
-    def test_rejects_inconsistent_shape(self):
-        with pytest.raises(DomainError):
-            Dataset(np.zeros((2, 5)), 2, 2, 1, tag="t")
+            Dataset(np.array([[1.5]]), tag="t")
 
 
 class TestSpecRefusals:
@@ -263,6 +319,7 @@ class TestSpecRefusals:
         ("idx:path=a.idx,gray=yes", "gray = 'yes': must be one of 0, 1"),
         ("idx:path=a.idx,labels=l.idx", "unrecognized keys ['labels']"),
         ("blobs:n=3,h=4,w=4,preset=three", "preset = 'three': must be one of two, two_shifted"),
+        ("mnist:n=1", "unknown kind 'mnist'"),
     ])
     def test_refused_naming_the_spec(self, spec, message):
         with pytest.raises(DomainError) as err:
@@ -270,19 +327,14 @@ class TestSpecRefusals:
         assert str(err.value) == f"data spec {spec!r}: {message}"
 
     def test_gray_0_keeps_the_channels(self, tmp_path):
-        path, gray = tmp_path / "rgb.idx", tmp_path / "gray.idx"
-        write_idx(gen_noise(RngStream(21), 2, 2, 2, c=3), path)
-        write_idx(gen_noise(RngStream(22), 2, 2, 2), gray)
-        assert parse_spec(f"idx:path={path},gray=0", seed=1).channels == 3
-        assert parse_spec(f"idx:path={path},gray=1", seed=1).channels == 1
-        # A conversion the file's channel count does not allow names the spec.
-        for spec, message in [(f"idx:path={gray},gray=1", "to_grayscale needs 3 channels, got 1"),
-                              (f"idx:path={path},rgb=1", "to_rgb needs 1 channel, got 3")]:
-            with pytest.raises(DomainError) as err:
-                parse_spec(spec, seed=1)
-            assert str(err.value) == f"data spec {spec!r}: {message}"
+        images = _images(21, 2, 2, 2, 3)
+        path, _ = _idx_spec(tmp_path, images)
+        assert np.array_equal(parse_spec(f"idx:path={path},gray=0", seed=1).samples,
+                              _scaled(images))
+        assert np.array_equal(parse_spec(f"idx:path={path},gray=1", seed=1).samples,
+                              _scaled(images[..., 0]))
 
 
 def test_nan_pixels_are_refused():
     with pytest.raises(DomainError, match=r"\[0, 1\]"):
-        Dataset(np.array([[0.5, np.nan]]), 1, 2, 1, tag="t")
+        Dataset(np.array([[0.5, np.nan]]), tag="t")

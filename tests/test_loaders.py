@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import tiltvae.vae as V
 from tiltvae._fields import VAL
 from tiltvae.cli import COMMANDS, _flag, main
-from tiltvae.data import IdxFormatError, gen_noise, load_idx, parse_spec
+from tiltvae.data import IdxFormatError, load_idx, parse_spec
 from tiltvae.errors import DomainError
 from tiltvae.sampler import RngStream
 from tiltvae.tilted import TiltedPrior
@@ -218,8 +218,9 @@ class TestCheckpointFuzz:
 def idx_bytes(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("idx")
     gray, rgb = tmp / "gray.idx", tmp / "rgb.idx"
-    write_idx(gen_noise(RngStream(32), 5, 3, 4), gray)
-    write_idx(gen_noise(RngStream(33), 2, 2, 2, c=3), rgb)
+    rng = np.random.default_rng(32)
+    write_idx(gray, rng.integers(0, 256, size=(5, 3, 4), dtype=np.uint8))
+    write_idx(rgb, rng.integers(0, 256, size=(2, 2, 2, 3), dtype=np.uint8))
     return [gray.read_bytes(), rgb.read_bytes()]
 
 
@@ -231,18 +232,16 @@ class TestIdxFuzz:
         path = tmp_path / "mutated.idx"
         path.write_bytes(raw)
         try:
-            ds = load_idx(path)
+            images = load_idx(path)
         except IdxFormatError as exc:
             assert str(path) in str(exc)
             return
         ndim = raw[3]
         dims = struct.unpack(f">{ndim}I", raw[4:4 + 4 * ndim])
-        assert len(raw) == 4 + 4 * ndim + int(np.prod(dims))
-        assert ds.samples.shape == (dims[0], int(np.prod(dims[1:])))
-        assert (ds.height, ds.width, ds.channels) == (dims[1], dims[2], (dims + (1,))[3])
-        assert np.array_equal(np.round(ds.samples * 255.0),
-                              np.frombuffer(raw, np.uint8, ds.samples.size, 4 + 4 * ndim)
-                              .reshape(ds.samples.shape))
+        assert len(raw) == 4 + 4 * ndim + int(np.prod(dims)) and 0 not in dims
+        assert images.dtype == np.uint8
+        assert images.shape == (dims if ndim == 4 else dims + (1,))
+        assert images.tobytes() == raw[4 + 4 * ndim:]
 
 
 @pytest.fixture(scope="module")
@@ -328,8 +327,7 @@ class TestFieldFuzz:
         try:
             ds = parse_spec(spec, seed=0)
         except DomainError as exc:
-            assert (str(exc).startswith(f"data spec {spec!r}: ")
-                    or str(exc).startswith("unknown data spec kind"))
+            assert str(exc).startswith(f"data spec {spec!r}: ")
             return
         except OSError:
             assert spec.startswith("idx:")
@@ -364,6 +362,5 @@ class TestFieldFuzz:
             assert err.startswith("error: ") and err.count("\n") == 1
         if code == 1:
             sources = (f"{cfg}:", *(f"error: {_flag(k)}: " for k in options),
-                       "error: data spec ",
-                       "error: unknown data spec kind", "non-finite")
+                       "error: data spec ", "non-finite")
             assert any(s in err for s in sources), err
