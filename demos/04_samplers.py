@@ -15,7 +15,7 @@ import numpy as np
 
 from tiltvae import TiltedPrior
 from tiltvae.sampler import (
-    RngStream,
+    rng_stream,
     sample_model_latents,
     sample_tilted_prior_batch,
     save_latents_csv,
@@ -28,7 +28,7 @@ os.makedirs(OUT, exist_ok=True)
 # --- directions: uniform on the sphere -------------------------------------
 # Both samplers normalize a batch of standard normal rows, which is uniform
 # on the sphere because the Gaussian is rotation invariant.
-u = RngStream(2026, 1).generator.standard_normal((5, 3))
+u = rng_stream(2026, 1).standard_normal((5, 3))
 u /= np.linalg.norm(u, axis=1, keepdims=True)
 print("five unit directions in R^3 (norms all 1):")
 print(np.round(u, 3), "\n")
@@ -36,8 +36,8 @@ print(np.round(u, 3), "\n")
 # --- aggregated-posterior draws vs exact prior draws ------------------------
 prior = TiltedPrior.fit(10.0, 10)
 z_bar = 10.15  # radial center estimated from encoded data
-post = sample_model_latents(RngStream(2026, 2), z_bar, 10, 50_000)
-prio = sample_tilted_prior_batch(RngStream(2026, 3), prior, 50_000)
+post = sample_model_latents(rng_stream(2026, 2), z_bar, 10, 50_000)
+prio = sample_tilted_prior_batch(rng_stream(2026, 3), prior, 50_000)
 
 r_post = np.linalg.norm(post, axis=1)
 r_prio = np.linalg.norm(prio, axis=1)
@@ -61,8 +61,8 @@ cdf_b = np.searchsorted(np.sort(r_prio), both) / r_prio.size
 print(f"KS distance between the radial laws: {np.abs(cdf_a - cdf_b).max():.3f}")
 
 # --- reproducibility: streams are keyed by (seed, stream id) ----------------
-once = sample_model_latents(RngStream(2026, 9), z_bar, 10, 5)
-again = sample_model_latents(RngStream(2026, 9), z_bar, 10, 5)
+once = sample_model_latents(rng_stream(2026, 9), z_bar, 10, 5)
+again = sample_model_latents(rng_stream(2026, 9), z_bar, 10, 5)
 assert np.array_equal(once, again)
 print("\nsame (seed, stream) reproduces the same draws, bit for bit")
 

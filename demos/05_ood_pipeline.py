@@ -17,27 +17,27 @@ import tiltvae.vae as V
 from tiltvae import TiltedPrior
 from tiltvae.data import blob_preset, gen_blobs, gen_noise
 from tiltvae.ood import roc, score_arrays, write_scores_csv
-from tiltvae.sampler import RngStream
+from tiltvae.sampler import rng_stream
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)
 
 SEED = 7
 H = W = 16
-train_ds = gen_blobs(RngStream(SEED, 101), 2000, H, W, blob_preset("two", H, W))
-eval_in = gen_blobs(RngStream(SEED + 1000, 101), 1000, H, W, blob_preset("two", H, W))
-eval_noise = gen_noise(RngStream(SEED + 2000, 101), 1000, H, W)
-eval_shift = gen_blobs(RngStream(SEED + 3000, 101), 1000, H, W, blob_preset("two_shifted", H, W))
+train_ds = gen_blobs(rng_stream(SEED, 101), 2000, H, W, blob_preset("two", H, W))
+eval_in = gen_blobs(rng_stream(SEED + 1000, 101), 1000, H, W, blob_preset("two", H, W))
+eval_noise = gen_noise(rng_stream(SEED + 2000, 101), 1000, H, W)
+eval_shift = gen_blobs(rng_stream(SEED + 3000, 101), 1000, H, W, blob_preset("two_shifted", H, W))
 
-config = V.TrainConfig(epochs=50, batch_size=64, learning_rate=3e-4, seed=SEED)
+config = V.TrainConfig(epochs=50, batch_size=64, learning_rate=3e-4)
 prior = TiltedPrior.fit(10.0, 10)
 print(f"tilted prior: gamma = {prior.gamma:.3f}, committed rate = {prior.committed_rate:.3f}")
 
 t0 = time.perf_counter()
-tilted = V.build_model(RngStream(SEED, 0), H * W, 10, prior)
-tr = V.train(tilted, train_ds, config)
-gauss = V.build_model(RngStream(SEED, 0), H * W, 10, V.StandardGaussian())
-gr = V.train(gauss, train_ds, config)
+tilted = V.build_model(rng_stream(SEED, 0), H * W, 10, prior)
+tr = V.train(tilted, train_ds, config, rng_stream(SEED, 1))
+gauss = V.build_model(rng_stream(SEED, 0), H * W, 10, V.StandardGaussian())
+gr = V.train(gauss, train_ds, config, rng_stream(SEED, 1))
 print(f"trained both models in {time.perf_counter() - t0:.0f}s")
 print(f"tilted:   epoch 1 (recon, kld) = {tuple(round(v, 2) for v in tr.history[0])}, "
       f"epoch 50 = {tuple(round(v, 3) for v in tr.history[-1])}")

@@ -30,7 +30,7 @@ from .data import parse_spec
 from .errors import ConvergenceError, DomainError, NumericalError
 from .ood import read_scores_csv, roc, score_arrays, write_scores_csv
 from .sampler import (
-    RngStream,
+    rng_stream,
     sample_model_latents,
     sample_tilted_prior_batch,
     save_latents_csv,
@@ -82,7 +82,7 @@ class Command:
                 for f in self.fields}
 
     def run(self, config):
-        """Execute; returns ({output_name: path}, seed_or_None)."""
+        """Execute; returns ({output_name: path}, exit code)."""
         raise NotImplementedError
 
 
@@ -110,7 +110,7 @@ class GammaCommand(Command):
         print(f"gamma = {prior.gamma!r}")
         print(f"committed_rate = {prior.committed_rate!r}")
         print(f"log_z_tau = {prior.log_z_tau!r}")
-        return {"table": config["out"]}, None
+        return {"table": config["out"]}, 0
 
 
 class KldTableCommand(Command):
@@ -132,7 +132,7 @@ class KldTableCommand(Command):
             write_rows(fh, np.column_stack([grid, exact_kld(prior, grid),
                                             quadratic_kld(prior, grid)]))
         print(f"wrote {config['points']} rows (gamma={prior.gamma!r})")
-        return {"table": config["out"]}, None
+        return {"table": config["out"]}, 0
 
 
 class SweepCommand(Command):
@@ -154,27 +154,29 @@ class SweepCommand(Command):
         report.to_csv(config["out"])
         n_viol, n_err = len(report.violations), len(report.errors)
         print(f"{len(report.cells)} cells, {n_viol} violations, {n_err} errors")
-        if n_viol or n_err:
-            # Signal in-band rather than raising: the report itself is the artifact.
-            self.exit_code = 1
-        return {"report": config["out"]}, None
+        # Signal in-band rather than raising: the report itself is the artifact.
+        return {"report": config["out"]}, 1 if n_viol or n_err else 0
 
 
 def _parse_kv_file(path):
     """({key: value}, {key: "PATH:LINE"}) of a `key = value` text file."""
     values, sources = {}, {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key in values:
-                raise DomainError(f"{path}:{lineno}: expected one 'key = value' per key, "
-                                  f"got {line!r}")
-            values[key] = value.strip()
-            sources[key] = f"{path}:{lineno}"
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or key in values:
+            raise DomainError(f"{path}:{lineno}: expected one 'key = value' per key, "
+                              f"got {line!r}")
+        values[key] = value.strip()
+        sources[key] = f"{path}:{lineno}"
     return values, sources
 
 
@@ -199,13 +201,14 @@ class TrainCommand(Command):
     )
 
     def run(self, config):
-        dataset = parse_spec(config["data"], config["seed"])
+        dataset = parse_spec(config["data"], rng_stream(config["seed"], 101))
         prior = (TiltedPrior.fit(config["tau"], config["dz"]) if config["prior"] == "tilted"
                  else StandardGaussian())
-        model = build_model(RngStream(config["seed"], stream=0), dataset.d_x, config["dz"], prior,
+        model = build_model(rng_stream(config["seed"], 0), dataset.d_x, config["dz"], prior,
                             hidden=tuple(config["hidden"]), weight_std=config["weight_std"])
-        keys = ("epochs", "batch_size", "learning_rate", "grad_clip", "seed")
-        result = train(model, dataset, TrainConfig(**{key: config[key] for key in keys}))
+        keys = ("epochs", "batch_size", "learning_rate", "grad_clip")
+        result = train(model, dataset, TrainConfig(**{key: config[key] for key in keys}),
+                       rng_stream(config["seed"], 1))
         save_checkpoint(result.model, config["checkpoint"], z_bar=result.z_bar)
         with open(config["log"], "w") as fh:
             fh.write("epoch,recon,kld\n")
@@ -216,7 +219,7 @@ class TrainCommand(Command):
         print(f"z_bar = {result.z_bar!r}")
         if config["prior"] == "tilted":
             print(f"gamma = {prior.gamma!r} (z_bar > gamma: {result.z_bar > prior.gamma})")
-        return {"checkpoint": config["checkpoint"], "log": config["log"]}, config["seed"]
+        return {"checkpoint": config["checkpoint"], "log": config["log"]}, 0
 
 
 class ScoreCommand(Command):
@@ -233,9 +236,9 @@ class ScoreCommand(Command):
 
     def run(self, config):
         model, _ = load_checkpoint(config["model"])
-        dataset = parse_spec(config["data"], config["seed"])
+        dataset = parse_spec(config["data"], rng_stream(config["seed"], 101))
         recon, kld = score_arrays(model, dataset.samples, config["draws"],
-                                  RngStream(config["seed"], stream=11))
+                                  rng_stream(config["seed"], 11))
         scores = recon + kld
         if not np.isfinite(scores).all():
             raise NumericalError(f"{config['model']}: the model gives a non-finite score for "
@@ -243,7 +246,7 @@ class ScoreCommand(Command):
         write_scores_csv(config["out"], recon, kld, dataset.tag)
         mean = float(np.mean(scores))
         print(f"scored {dataset.n} samples, mean score {mean!r}")
-        return {"scores": config["out"]}, config["seed"]
+        return {"scores": config["out"]}, 0
 
 
 class RocCommand(Command):
@@ -265,7 +268,7 @@ class RocCommand(Command):
             fh.write(curve.summary_json(in_s.size, out_s.size))
             fh.write("\n")
         print(f"auroc = {curve.auroc!r} (n_in={in_s.size}, n_out={out_s.size})")
-        return {"roc": config["out"], "summary": config["summary"]}, None
+        return {"roc": config["out"], "summary": config["summary"]}, 0
 
 
 class SampleCommand(Command):
@@ -305,7 +308,7 @@ class SampleCommand(Command):
             zbar = ckpt_zbar if zbar is None else zbar
         elif d_z is None:
             raise DomainError("sample needs --model or --dz")
-        rng = RngStream(config["seed"], stream=21)
+        rng = rng_stream(config["seed"], 21)
         if config["sampler"] == "posterior":
             if zbar is None:
                 raise DomainError("posterior sampler needs --zbar (or a checkpoint that stores it)")
@@ -321,7 +324,7 @@ class SampleCommand(Command):
             save_latents_csv(config["decoded"], decoded)
             outputs["decoded"] = config["decoded"]
         print(f"wrote {config['n']} draws ({config['sampler']} sampler)")
-        return outputs, config["seed"]
+        return outputs, 0
 
 
 class BenchCommand(Command):
@@ -338,9 +341,9 @@ class BenchCommand(Command):
 
     def run(self, config):
         model, _ = load_checkpoint(config["model"])
-        dataset = parse_spec(config["data"], config["seed"])
+        dataset = parse_spec(config["data"], rng_stream(config["seed"], 101))
         x = dataset.samples
-        rng = RngStream(config["seed"], stream=31)
+        rng = rng_stream(config["seed"], 31)
         rows = []
         for mode, draws in (("single", 0), (f"avg{config['draws']}", config["draws"])):
             score_arrays(model, x, draws, rng)  # warm-up pass, excluded from timing
@@ -358,7 +361,7 @@ class BenchCommand(Command):
         print(f"single-pass: mean {np.mean(single):.1f} img/s, min {min(single):.1f}")
         print(f"{config['draws']}-draw:  mean {np.mean(avg):.1f} img/s, min {min(avg):.1f}")
         print(f"throughput ratio (single / averaged): {np.mean(single) / np.mean(avg):.1f}")
-        return {"timings": config["out"]}, config["seed"]
+        return {"timings": config["out"]}, 0
 
 
 COMMANDS = {
@@ -373,14 +376,13 @@ COMMANDS = {
 def _execute(command, config, manifest_path):
     """Run the command, write its manifest, then print what it printed: a
     stdout that cannot be written to still leaves a complete, replayable run."""
-    command.exit_code = 0
     for f in command.fields:
         if f.kind == OUT_PATH and config[f.key]:
             os.makedirs(os.path.dirname(config[f.key]) or ".", exist_ok=True)
     held = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(held):
-        outputs, seed = command.run(config)
+        outputs, exit_code = command.run(config)
     duration = time.perf_counter() - t0
     if manifest_path is None:
         first = outputs[sorted(outputs)[0]]
@@ -389,11 +391,11 @@ def _execute(command, config, manifest_path):
     entries.update((f"output.{key}", path) for key, path in outputs.items())
     with open(manifest_path, "w") as fh:
         fh.write(f"command = {command.name}\nversion = {__version__}\n"
-                 f"seed = {'' if seed is None else seed}\nduration_s = {duration:.6f}\n")
+                 f"seed = {config.get('seed', '')}\nduration_s = {duration:.6f}\n")
         fh.writelines(f"{key} = {entries[key]}\n" for key in sorted(entries))
     sys.stdout.write(f"{held.getvalue()}manifest: {manifest_path}\n")
     sys.stdout.flush()
-    return command.exit_code
+    return exit_code
 
 
 def _replay(manifest_path, out_dir):

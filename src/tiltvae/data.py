@@ -13,7 +13,6 @@ import numpy as np
 
 from ._fields import Field, choice, count, non_negative, parse_fields
 from .errors import DomainError
-from .sampler import RngStream
 
 
 class IdxFormatError(ValueError):
@@ -86,24 +85,25 @@ def load_idx(path) -> np.ndarray:
     return pixels.reshape(dims if ndim == 4 else dims + (1,))
 
 
-def gen_noise(rng: RngStream, n: int, h: int, w: int, c: int = 1) -> Dataset:
+def gen_noise(rng: "np.random.Generator", n: int, h: int, w: int, c: int = 1) -> Dataset:
     """Every pixel an independent uniform draw over the 256 8-bit levels."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    levels = rng.generator.integers(0, 256, size=(n, h * w * c))
+    levels = rng.integers(0, 256, size=(n, h * w * c))
     return Dataset(levels / 255.0, tag="noise")
 
 
-def gen_constant(rng: RngStream, n: int, h: int, w: int, c: int = 1) -> Dataset:
+def gen_constant(rng: "np.random.Generator", n: int, h: int, w: int, c: int = 1) -> Dataset:
     """Each image is one uniform 8-bit level repeated over all pixels."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    levels = rng.generator.integers(0, 256, size=(n, 1))
+    levels = rng.integers(0, 256, size=(n, 1))
     samples = np.repeat(levels / 255.0, h * w * c, axis=1)
     return Dataset(samples, tag="constant")
 
 
-def gen_blobs(rng: RngStream, n: int, h: int, w: int, modes, noise: float = 0.02) -> Dataset:
+def gen_blobs(rng: "np.random.Generator", n: int, h: int, w: int, modes,
+              noise: float = 0.02) -> Dataset:
     """Soft-disc images: each sample renders one randomly chosen mode.
 
     ``modes`` is a list of ((cy, cx), radius, intensity); the disc has a
@@ -112,7 +112,6 @@ def gen_blobs(rng: RngStream, n: int, h: int, w: int, modes, noise: float = 0.02
     """
     if not modes:
         raise DomainError("modes must be non-empty")
-    gen = rng.generator
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     renders = []
     for (cy, cx), radius, intensity in modes:
@@ -123,10 +122,10 @@ def gen_blobs(rng: RngStream, n: int, h: int, w: int, modes, noise: float = 0.02
             img = intensity * (d2 == 0.0)
         renders.append(img.ravel())
     renders = np.array(renders)
-    which = gen.integers(0, len(modes), size=n)
+    which = rng.integers(0, len(modes), size=n)
     samples = renders[which]
     if noise > 0:
-        samples = samples + noise * gen.standard_normal(samples.shape)
+        samples = samples + noise * rng.standard_normal(samples.shape)
     samples = np.clip(samples, 0.0, 1.0)
     recipe = ";".join(
         f"({cy},{cx},r={radius},i={intensity})" for (cy, cx), radius, intensity in modes
@@ -169,7 +168,7 @@ _SPEC_FIELDS = {
 }
 
 
-def parse_spec(spec: str, seed: int) -> Dataset:
+def parse_spec(spec: str, rng: "np.random.Generator") -> Dataset:
     """Build a dataset from a compact spec string.
 
     Forms:
@@ -179,8 +178,8 @@ def parse_spec(spec: str, seed: int) -> Dataset:
       blobs:n=2000,h=16,w=16,modes=4.5x4.5x2x1+11x11x2x1[,noise=0.02]
       idx:path=images.idx[,resize=32][,gray=1][,rgb=1][,max=50000]
 
-    idx: applies resize=, gray=1, rgb=1, then max= (a seeded subsample in stored
-    order), tagged idx:PATH|RxR|gray|rgb|subN. Counts must be >= 1, blob noise
+    idx: applies resize=, gray=1, rgb=1, then max= (a subsample drawn from rng,
+    in stored order), tagged idx:PATH|RxR|gray|rgb|subN. Counts must be >= 1, blob noise
     finite and >= 0. An unknown kind, a repeated key, or a channel conversion
     the file does not allow is refused naming the spec.
     """
@@ -197,7 +196,6 @@ def parse_spec(spec: str, seed: int) -> Dataset:
             raise DomainError(f"{where}: repeated key {key!r}")
         strings[key] = val
     opts = parse_fields(_SPEC_FIELDS[kind], strings, lambda key: where)
-    rng = RngStream(seed, stream=101)
 
     if kind in ("noise", "constant"):
         gen = gen_noise if kind == "noise" else gen_constant
@@ -228,7 +226,7 @@ def parse_spec(spec: str, seed: int) -> Dataset:
         images = np.repeat(images, 3, axis=3)
         tag += "|rgb"
     if opts["max"] is not None and len(images) > opts["max"]:
-        keep = np.sort(rng.generator.permutation(len(images))[:opts["max"]])
+        keep = np.sort(rng.permutation(len(images))[:opts["max"]])
         images = images[keep]
         tag += f"|sub{opts['max']}"
     return Dataset(images.reshape(len(images), -1) / 255.0, tag)

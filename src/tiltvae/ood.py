@@ -16,7 +16,6 @@ import numpy as np
 
 from ._csvfloat import format_blocks, write_rows
 from .errors import DomainError
-from .sampler import RngStream
 from .vae import VaeModel, _as_batch, decode, encode, kld_rows, reparameterize
 
 # score_arrays walks the rows this many at a time: it encodes a chunk, then
@@ -24,7 +23,7 @@ from .vae import VaeModel, _as_batch, decode, encode, kld_rows, reparameterize
 _SCORE_ROWS = 1024
 
 
-def score_arrays(model: VaeModel, x, draws: int = 0, rng: RngStream | None = None):
+def score_arrays(model: VaeModel, x, draws: int = 0, rng: "np.random.Generator | None" = None):
     """(recon, kld) float64 vectors for an (n, d_x) batch; a row's score is
     recon + kld.
 
@@ -115,17 +114,21 @@ def write_scores_csv(path, recon, kld, tag: str) -> None:
 def read_scores_csv(path) -> np.ndarray:
     """Score column of a CSV written by write_scores_csv. A row too short for
     that column, or a score that is not a finite number, is a DomainError
-    naming the file and the line or data row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or "score" not in header:
-            raise DomainError(f"{path}: no 'score' column")
-        col = header.index("score")
-        try:
-            scores = np.array([float(row[col]) for row in reader if row])
-        except (IndexError, ValueError):
-            raise DomainError(f"{path}:{reader.line_num}: no number in column {col + 1}") from None
+    naming the file and the line or data row, as is a file that does not decode."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if not header or "score" not in header:
+        raise DomainError(f"{path}: no 'score' column")
+    col = header.index("score")
+    try:
+        scores = np.array([float(row[col]) for row in reader if row])
+    except (IndexError, ValueError):
+        raise DomainError(f"{path}:{reader.line_num}: no number in column {col + 1}") from None
     if not scores.size:
         raise DomainError(f"{path}: no score rows")
     if not np.isfinite(scores).all():

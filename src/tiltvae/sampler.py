@@ -2,9 +2,9 @@
 
 The two-step radial sampler used to draw from the aggregated posterior
 (direction uniform, radius normal) and an exact rejection sampler for the
-tilted prior itself, kept as a verification oracle. All sampling goes
-through counter-based Philox streams so that (seed, stream id) fully
-determine every sequence on every platform.
+tilted prior itself, kept as a verification oracle. Each sampler draws
+from the Generator it is given; rng_stream keys a counter-based Philox
+generator by (seed, stream id), which fixes every draw on every platform.
 """
 
 import math
@@ -19,41 +19,34 @@ _MIN_ACCEPT_RATE = 1e-3
 _WARMUP_PROPOSALS = 20_000
 
 
-class RngStream:
-    """A reproducible random stream keyed by (seed, stream id)."""
-
-    def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
-        self.generator = np.random.Generator(np.random.Philox(key=key))
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream={self.stream})"
+def rng_stream(seed: int, stream: int = 0) -> "np.random.Generator":
+    """The Philox generator keyed by (seed, stream id). Annotations quote
+    np.random, which would otherwise be imported when a module loads."""
+    key = np.array([int(seed) % 2**64, int(stream) % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
-def _on_sphere(gen, radii, d_z):
+def _on_sphere(rng, radii, d_z):
     """Each radius times a uniform direction in R^d_z, shape (n, d_z)."""
-    dirs = gen.standard_normal((radii.size, d_z))
+    dirs = rng.standard_normal((radii.size, d_z))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return radii[:, None] * dirs
 
 
-def sample_model_latents(rng: RngStream, z_bar: float, d_z: int, n: int) -> np.ndarray:
+def sample_model_latents(rng: "np.random.Generator", z_bar: float, d_z: int, n: int) -> np.ndarray:
     """n aggregated-posterior draws, shape (n, d_z): each a radius from
     N(z_bar, 1), redrawn until positive, times a uniform direction."""
     if not (math.isfinite(z_bar) and z_bar > 0.0 and d_z >= 1 and n >= 1):
         raise DomainError("posterior sampler needs a finite z_bar > 0, d_z >= 1 and n >= 1, "
                           f"got z_bar={z_bar!r}, d_z={d_z}, n={n}")
-    gen = rng.generator
     radii = np.empty(n)
     filled = 0
     while filled < n:
-        cand = z_bar + gen.standard_normal(n - filled)
+        cand = z_bar + rng.standard_normal(n - filled)
         cand = cand[cand > 0.0]
         radii[filled:filled + cand.size] = cand
         filled += cand.size
-    return _on_sphere(gen, radii, d_z)
+    return _on_sphere(rng, radii, d_z)
 
 
 def tilted_radial_mode(prior: TiltedPrior) -> float:
@@ -62,7 +55,7 @@ def tilted_radial_mode(prior: TiltedPrior) -> float:
     return prior.tau / 2 + math.hypot(prior.tau / 2, math.sqrt(prior.d_z - 1))
 
 
-def sample_tilted_prior_batch(rng: RngStream, prior: TiltedPrior, n: int) -> np.ndarray:
+def sample_tilted_prior_batch(rng: "np.random.Generator", prior: TiltedPrior, n: int) -> np.ndarray:
     """n exact draws from the tilted prior, shape (n, d_z).
 
     Direction uniform on the sphere; radius by rejection against N(mode, 1)
@@ -72,7 +65,6 @@ def sample_tilted_prior_batch(rng: RngStream, prior: TiltedPrior, n: int) -> np.
     """
     if n < 1:
         raise DomainError(f"prior sampler needs n >= 1, got n={n}")
-    gen = rng.generator
     mode = tilted_radial_mode(prior)
     c = prior.d_z - 1
     radii = np.empty(n)
@@ -80,8 +72,8 @@ def sample_tilted_prior_batch(rng: RngStream, prior: TiltedPrior, n: int) -> np.
     proposed = accepted = 0
     while filled < n:
         k = max(2048, 2 * (n - filled))
-        x = gen.normal(mode, 1.0, size=k)
-        u = gen.random(k)
+        x = rng.normal(mode, 1.0, size=k)
+        u = rng.random(k)
         pos = x > 0.0
         log_acc = np.full(k, -np.inf)
         if c > 0:
@@ -101,7 +93,7 @@ def sample_tilted_prior_batch(rng: RngStream, prior: TiltedPrior, n: int) -> np.
                 d_z=prior.d_z,
                 rate=accepted / proposed,
             )
-    return _on_sphere(gen, radii, prior.d_z)
+    return _on_sphere(rng, radii, prior.d_z)
 
 
 def save_latents_csv(path, latents) -> None:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConvergenceError, DomainError, NumericalError
-from .sampler import RngStream
 from .tilted import TiltedPrior
 
 _ADAM_BETA1 = 0.9
@@ -103,13 +102,12 @@ class VaeModel:
         return isinstance(self.prior, TiltedPrior)
 
 
-def build_model(rng: RngStream, d_x: int, d_z: int, prior,
+def build_model(rng: "np.random.Generator", d_x: int, d_z: int, prior,
                 hidden=(256, 128), weight_std=_WEIGHT_STD) -> VaeModel:
     """Encoder (d_x, *hidden, d_z or 2 d_z), decoder mirrored."""
     enc_out = d_z if isinstance(prior, TiltedPrior) else 2 * d_z
-    gen = rng.generator
-    encoder = MlpParams.init(gen, (d_x, *hidden, enc_out), weight_std)
-    decoder = MlpParams.init(gen, (d_z, *reversed(hidden), d_x), weight_std)
+    encoder = MlpParams.init(rng, (d_x, *hidden, enc_out), weight_std)
+    decoder = MlpParams.init(rng, (d_z, *reversed(hidden), d_x), weight_std)
     return VaeModel(encoder, decoder, prior, d_x=d_x, d_z=d_z)
 
 
@@ -202,10 +200,10 @@ def decode(model: VaeModel, z):
     return _infer(model.decoder, _as_batch(z, model.d_z), "decoder")
 
 
-def reparameterize(rng: RngStream, mu, log_sigma=None):
+def reparameterize(rng: "np.random.Generator", mu, log_sigma=None):
     """z = mu + eps * sigma with eps ~ N(0, I); sigma is 1 when log_sigma is None."""
     mu = np.asarray(mu, dtype=np.float64)
-    eps = rng.generator.standard_normal(mu.shape)
+    eps = rng.standard_normal(mu.shape)
     if log_sigma is None:
         return mu + eps
     return mu + eps * np.exp(np.asarray(log_sigma, dtype=np.float64))
@@ -262,7 +260,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-4
     grad_clip: float = 100.0
-    seed: int = 0
 
     def __post_init__(self):
         if not (min(self.epochs, self.batch_size) >= 1
@@ -281,7 +278,8 @@ class AdamState:
         self.scratch = np.empty_like(model.params)
 
 
-def grad_step(model: VaeModel, opt: AdamState, rng: RngStream, batch, config: TrainConfig):
+def grad_step(model: VaeModel, opt: AdamState, rng: "np.random.Generator", batch,
+              config: TrainConfig):
     """One Adam step on the mean negative ELBO over the batch (in place).
 
     The global gradient norm is clipped at config.grad_clip before the update.
@@ -290,7 +288,7 @@ def grad_step(model: VaeModel, opt: AdamState, rng: RngStream, batch, config: Tr
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise DomainError("batch must be a non-empty (n, d_x) array")
-    eps = rng.generator.standard_normal((x.shape[0], model.d_z))
+    eps = rng.standard_normal((x.shape[0], model.d_z))
     recon, kld, g = _elbo_forward_backward(model, x, eps)
     if not (math.isfinite(recon) and math.isfinite(kld)):
         raise NumericalError("non-finite loss", recon=recon, kld=kld)
@@ -331,8 +329,9 @@ def encode_norms(model: VaeModel, dataset: Dataset) -> np.ndarray:
     return np.linalg.norm(mu, axis=1)
 
 
-def train(model: VaeModel, dataset: Dataset, config: TrainConfig) -> TrainResult:
-    """Shuffled minibatch training, deterministic for a given seed.
+def train(model: VaeModel, dataset: Dataset, config: TrainConfig,
+          rng: "np.random.Generator") -> TrainResult:
+    """Shuffled minibatch training, with each epoch's order and each step's noise from rng.
 
     Returns the trained model (mutated in place), the per-epoch (recon, kld)
     log, and z_bar, the mean norm of the encoded data after training.
@@ -341,11 +340,10 @@ def train(model: VaeModel, dataset: Dataset, config: TrainConfig) -> TrainResult
         raise DomainError("dataset is empty")
     if dataset.d_x != model.d_x:
         raise DomainError(f"dataset d_x={dataset.d_x} but model expects {model.d_x}")
-    rng = RngStream(config.seed, stream=1)
     opt = AdamState(model)
     history = []
     for epoch in range(config.epochs):
-        perm = rng.generator.permutation(dataset.n)
+        perm = rng.permutation(dataset.n)
         recon_sum = kld_sum = 0.0
         for start in range(0, dataset.n, config.batch_size):
             idx = perm[start:start + config.batch_size]
@@ -399,8 +397,8 @@ def load_checkpoint(path):
     inconsistency (truncation, trailing bytes, an unknown prior tag, a
     non-finite parameter, a gamma, committed rate or log Z more than 1e-9
     relative from the refit, a z_bar that is not NaN and not finite and
-    positive, layer shapes that disagree with d_x and d_z) is a DomainError
-    naming the file.
+    positive, a d_x, d_z or hidden width of 0, layer shapes that disagree
+    with d_x and d_z) is a DomainError naming the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -433,6 +431,8 @@ def load_checkpoint(path):
         raise DomainError(f"{path}: unsupported checkpoint version {version}")
     if prior_tag not in (0, 1):
         raise DomainError(f"{path}: unknown prior tag {prior_tag}")
+    if 0 in (d_x, d_z):
+        raise DomainError(f"{path}: {'d_x' if d_x == 0 else 'd_z'} is 0")
     tau, gamma, rate, log_z, z_bar = struct.unpack("<5d", take(40))
     encoder = read_mlp()
     decoder = read_mlp()
@@ -469,3 +469,5 @@ def _check_widths(path, name, mlp, n_in, n_out):
         raise DomainError(
             f"{path}: {name} layer shapes {shapes} do not map {n_in} inputs to {n_out} outputs"
         )
+    if 0 in widths:
+        raise DomainError(f"{path}: {name} hidden layer {widths.index(0)} has width 0")

@@ -19,7 +19,7 @@ import tiltvae.vae as V
 from tiltvae.cli import main as cli_main
 from tiltvae.data import blob_preset, gen_blobs, gen_noise
 from tiltvae.ood import roc, score_arrays
-from tiltvae.sampler import RngStream, sample_model_latents, sample_tilted_prior_batch
+from tiltvae.sampler import rng_stream, sample_model_latents, sample_tilted_prior_batch
 from tiltvae.tilted import TiltedPrior, exact_kld, log_normalizer, quadratic_kld
 
 TABLE_GAMMA = [
@@ -63,19 +63,18 @@ def desk_run():
     h = w = 16
     seed = 7
     prior = TiltedPrior.fit(10.0, 10)
-    train_ds = gen_blobs(RngStream(seed, 101), 2000, h, w, blob_preset("two", h, w))
-    eval_in = gen_blobs(RngStream(seed + 1000, 101), 1000, h, w, blob_preset("two", h, w))
-    eval_noise = gen_noise(RngStream(seed + 2000, 101), 1000, h, w)
+    train_ds = gen_blobs(rng_stream(seed, 101), 2000, h, w, blob_preset("two", h, w))
+    eval_in = gen_blobs(rng_stream(seed + 1000, 101), 1000, h, w, blob_preset("two", h, w))
+    eval_noise = gen_noise(rng_stream(seed + 2000, 101), 1000, h, w)
     eval_shift = gen_blobs(
-        RngStream(seed + 3000, 101), 1000, h, w, blob_preset("two_shifted", h, w)
+        rng_stream(seed + 3000, 101), 1000, h, w, blob_preset("two_shifted", h, w)
     )
-    config = V.TrainConfig(epochs=50, batch_size=64, learning_rate=3e-4,
-                           grad_clip=100.0, seed=seed)
+    config = V.TrainConfig(epochs=50, batch_size=64, learning_rate=3e-4, grad_clip=100.0)
     t0 = time.perf_counter()
-    tilted = V.build_model(RngStream(seed, 0), h * w, 10, prior)
-    tilted_result = V.train(tilted, train_ds, config)
-    gauss = V.build_model(RngStream(seed, 0), h * w, 10, V.StandardGaussian())
-    gauss_result = V.train(gauss, train_ds, config)
+    tilted = V.build_model(rng_stream(seed, 0), h * w, 10, prior)
+    tilted_result = V.train(tilted, train_ds, config, rng_stream(seed, 1))
+    gauss = V.build_model(rng_stream(seed, 0), h * w, 10, V.StandardGaussian())
+    gauss_result = V.train(gauss, train_ds, config, rng_stream(seed, 1))
     runtime = time.perf_counter() - t0
     return {
         "prior": prior,
@@ -208,7 +207,7 @@ def test_criterion_04_kld_matches_monte_carlo():
 
 
 def test_criterion_05_gradient_checks():
-    gen = RngStream(23).generator
+    gen = rng_stream(23)
     worst_term = 0.0
     for _ in range(20):
         d = int(gen.integers(2, 12))
@@ -234,7 +233,7 @@ def test_criterion_05_gradient_checks():
             TiltedPrior.fit(float(gen.uniform(0.5, 6.0)), 3)
             if trial % 2 == 0 else V.StandardGaussian()
         )
-        model = V.build_model(RngStream(100 + trial), 8, 3, prior,
+        model = V.build_model(rng_stream(100 + trial), 8, 3, prior,
                               hidden=(6,), weight_std=0.3)
         x = gen.random((3, 8))
         eps = gen.standard_normal((3, 3))
@@ -284,7 +283,7 @@ def test_criterion_07_aggregated_posterior_radial_law(desk_run):
     result = desk_run["tilted"]
     gamma = desk_run["prior"].gamma
     norms = V.encode_norms(result.model, desk_run["train_ds"])
-    radial = norms + RngStream(desk_run["seed"] + 77, 3).generator.standard_normal(norms.size)
+    radial = norms + rng_stream(desk_run["seed"] + 77, 3).standard_normal(norms.size)
     ks = kstest(radial, lambda v: norm.cdf(v, loc=result.z_bar, scale=1.0)).statistic
     ok = result.z_bar > gamma and ks < 0.05
     assert _report(
@@ -296,7 +295,7 @@ def test_criterion_07_aggregated_posterior_radial_law(desk_run):
 
 def test_criterion_08_sampler_correctness():
     z_bar = 10.15
-    latents = sample_model_latents(RngStream(31), z_bar, 10, 10**5)
+    latents = sample_model_latents(rng_stream(31), z_bar, 10, 10**5)
     radii = np.linalg.norm(latents, axis=1)
     lo = norm.cdf(0.0, loc=z_bar)
     ks = kstest(
@@ -305,7 +304,7 @@ def test_criterion_08_sampler_correctness():
     ).statistic
 
     prior0 = TiltedPrior.fit(0.0, 5)
-    draws = sample_tilted_prior_batch(RngStream(32), prior0, 10**5)
+    draws = sample_tilted_prior_batch(rng_stream(32), prior0, 10**5)
     max_mean = float(np.abs(draws.mean(axis=0)).max())
     max_var_err = float(np.abs(draws.var(axis=0) - 1.0).max())
     ok = ks < 0.01 and max_mean < 0.01 and max_var_err < 0.02
@@ -319,7 +318,7 @@ def test_criterion_08_sampler_correctness():
 def test_criterion_09_single_pass_throughput_advantage(desk_run):
     model = desk_run["tilted"].model
     x = desk_run["eval_in"].samples
-    rng = RngStream(41)
+    rng = rng_stream(41)
     score_arrays(model, x)
     score_arrays(model, x[:100], 256, rng)
     singles, avgs = [], []

@@ -16,6 +16,7 @@ import tiltvae.tilted
 from tiltvae._fields import REQUIRED, VAL
 from tiltvae.cli import COMMANDS, _flag, _parse_kv_file, build_parser, main
 from tiltvae.data import _SPEC_FIELDS
+from tiltvae.sampler import rng_stream
 
 from idx_files import write_idx
 
@@ -393,6 +394,55 @@ class TestCachedParser:
         assert capsys.readouterr().err == "error: --dz: missing key 'dz'\n"
 
 
+class TestRandomStreams:
+    """Only the CLI turns a seed into generators, one stream id per use:
+    changing an id silently changes every output drawn from it."""
+
+    def test_each_command_derives_its_streams(self, tmp_path, train_cfg, monkeypatch):
+        calls = []
+
+        def recording(seed, stream=0):
+            calls.append((seed, stream))
+            return rng_stream(seed, stream)
+
+        monkeypatch.setattr(tiltvae.cli, "rng_stream", recording)
+        monkeypatch.chdir(tmp_path)  # where the outputs not named below are written
+        ckpt, scores = str(tmp_path / "m.ckpt"), str(tmp_path / "s.csv")
+        data = ["--data", "noise:n=8,h=8,w=8"]
+        runs = [
+            (["train", "--config", str(train_cfg), "--seed", "3", "--checkpoint", ckpt],
+             [(3, 101), (3, 0), (3, 1)]),
+            (["score", "--model", ckpt, *data, "--draws", "2", "--seed", "4", "--out", scores],
+             [(4, 101), (4, 11)]),
+            (["sample", "--model", ckpt, "--n", "3", "--seed", "5"], [(5, 21)]),
+            (["sample", "--dz", "2", "--tau", "1", "--sampler", "prior", "--n", "3"], [(0, 21)]),
+            (["bench", "--model", ckpt, *data, "--draws", "1", "--repeat", "1", "--seed", "6"],
+             [(6, 101), (6, 31)]),
+            (["roc", "--in-scores", scores, "--out-scores", scores], []),
+            (["gamma", "--tau", "2", "--dz", "3"], []),
+            (["kld-table", "--tau", "2", "--dz", "3", "--points", "5"], []),
+            (["sweep", "--d-grid", "2", "--w-grid", "1", "--points", "5"], []),
+        ]
+        for argv, streams in runs:
+            calls.clear()
+            # sweep exits 1 for the by-design violation of its one cell.
+            assert main(argv) == (argv[0] == "sweep"), argv
+            assert calls == streams, argv
+
+    def test_library_modules_do_not_import_the_sampler(self, tmp_path):
+        proc = _run_python(["-c", "import sys, tiltvae.data, tiltvae.vae, tiltvae.ood; "
+                            "print('tiltvae.sampler' in sys.modules)"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_cli_import_leaves_numpy_random_unloaded(self, tmp_path):
+        # Commands that never draw, such as sweep, do not pay for numpy.random.
+        proc = _run_python(["-c", "import sys, tiltvae.cli; "
+                            "print('numpy.random' in sys.modules)"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+
 class TestManifestAndReplay:
     def test_manifest_fields(self, tmp_path):
         out = tmp_path / "gamma.csv"
@@ -617,6 +667,19 @@ class TestRefusals:
         assert _train(tmp_path, train_cfg, f"data=idx:path={path}") == 1
         assert capsys.readouterr().err == expected
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["replay", "{bad}", "--out-dir", "{tmp}/r"],
+        ["train", "--config", "{bad}", "--checkpoint", "{tmp}/m.ckpt"],
+        ["roc", "--in-scores", "{bad}", "--out-scores", "{bad}", "--out", "{tmp}/r.csv"],
+    ])
+    def test_file_that_does_not_decode_names_itself(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00\x00seed = 1\n")
+        code = main([a.format(bad=bad, tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {bad}: ") and "decode" in err and err.count("\n") == 1
 
     def test_train_file_line(self, tmp_path, train_cfg, capsys):
         lines = train_cfg.read_text().replace("epochs = 2", "epochs = 1e9").splitlines()

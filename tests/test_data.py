@@ -21,7 +21,7 @@ from tiltvae.data import (
     parse_spec,
 )
 from tiltvae.errors import DomainError
-from tiltvae.sampler import RngStream
+from tiltvae.sampler import rng_stream
 
 from idx_files import write_idx
 
@@ -54,7 +54,7 @@ class TestIdx:
         images = load_idx(path)
         assert (images.dtype, images.shape) == (np.uint8, (2, 28, 28, 1))
         assert images.tobytes() == bytes(pixels)
-        ds = parse_spec(f"idx:path={path}", seed=1)
+        ds = parse_spec(f"idx:path={path}", rng_stream(1, 101))
         assert (ds.n, ds.d_x, ds.tag) == (2, 784, f"idx:{path}")
         assert ds.samples[0, 1] == 7 / 255
         assert ds.samples.min() >= 0.0 and ds.samples.max() <= 1.0
@@ -104,20 +104,20 @@ class TestIdx:
 
     def test_roundtrip_exact_at_8_bit(self, tmp_path):
         # Noise pixels are 8-bit levels, so an IDX file holds them exactly.
-        ds = gen_noise(RngStream(3), 5, 4, 6)
+        ds = gen_noise(rng_stream(3), 5, 4, 6)
         images = np.round(ds.samples * 255.0).astype(np.uint8).reshape(5, 4, 6)
         path, spec = _idx_spec(tmp_path, images)
         assert np.array_equal(load_idx(path), images[..., None])
-        assert np.array_equal(parse_spec(spec, seed=1).samples, ds.samples)
+        assert np.array_equal(parse_spec(spec, rng_stream(1, 101)).samples, ds.samples)
 
     def test_roundtrip_rgb(self, tmp_path):
-        ds = gen_noise(RngStream(4), 3, 4, 4, c=3)
+        ds = gen_noise(rng_stream(4), 3, 4, 4, c=3)
         images = np.round(ds.samples * 255.0).astype(np.uint8).reshape(3, 4, 4, 3)
         path, spec = _idx_spec(tmp_path, images)
         back = load_idx(path)
         assert (back.dtype, back.shape) == (np.uint8, (3, 4, 4, 3))
         assert np.array_equal(back, images)
-        assert np.array_equal(parse_spec(spec, seed=1).samples, ds.samples)
+        assert np.array_equal(parse_spec(spec, rng_stream(1, 101)).samples, ds.samples)
 
     def test_max_reads_no_float_copy_of_the_file(self, tmp_path):
         # max= picks rows of the uint8 images; only those become float64.
@@ -125,7 +125,7 @@ class TestIdx:
         _, spec = _idx_spec(tmp_path, images, ",max=10")
         tracemalloc.start()
         try:
-            ds = parse_spec(spec, seed=1)
+            ds = parse_spec(spec, rng_stream(1, 101))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -135,42 +135,42 @@ class TestIdx:
 
 class TestGenerators:
     def test_noise_levels_and_mean(self):
-        ds = gen_noise(RngStream(5), 10**4, 8, 8)
+        ds = gen_noise(rng_stream(5), 10**4, 8, 8)
         assert ds.tag == "noise"
         assert ds.samples.mean() == pytest.approx(0.5, abs=0.01)
         scaled = ds.samples * 255.0
         assert np.allclose(scaled, np.round(scaled))
 
     def test_noise_single_row_range(self):
-        ds = gen_noise(RngStream(6), 1, 8, 8)
+        ds = gen_noise(rng_stream(6), 1, 8, 8)
         assert ds.n == 1
         assert ds.samples.min() >= 0.0 and ds.samples.max() <= 1.0
 
     def test_noise_deterministic(self):
-        a = gen_noise(RngStream(7), 10, 4, 4)
-        b = gen_noise(RngStream(7), 10, 4, 4)
+        a = gen_noise(rng_stream(7), 10, 4, 4)
+        b = gen_noise(rng_stream(7), 10, 4, 4)
         assert np.array_equal(a.samples, b.samples)
 
     def test_constant_images_are_flat(self):
-        ds = gen_constant(RngStream(8), 100, 6, 6)
+        ds = gen_constant(rng_stream(8), 100, 6, 6)
         assert ds.tag == "constant"
         spread = ds.samples.max(axis=1) - ds.samples.min(axis=1)
         assert np.all(spread == 0.0)
 
     def test_constant_level_uniformity(self):
-        ds = gen_constant(RngStream(9), 10**4, 2, 2)
+        ds = gen_constant(rng_stream(9), 10**4, 2, 2)
         levels = np.round(ds.samples[:, 0] * 255.0).astype(int)
         counts = np.bincount(levels, minlength=256)
         assert chisquare(counts).pvalue > 0.001
 
     def test_blobs_zero_radius_single_pixel(self):
-        ds = gen_blobs(RngStream(10), 4, 5, 5, [((2.0, 3.0), 0.0, 1.0)], noise=0.0)
+        ds = gen_blobs(rng_stream(10), 4, 5, 5, [((2.0, 3.0), 0.0, 1.0)], noise=0.0)
         img = ds.samples[0].reshape(5, 5)
         assert img[2, 3] == 1.0
         assert img.sum() == 1.0
 
     def test_blobs_bimodal_kmeans_stability(self):
-        ds = gen_blobs(RngStream(11), 1000, 16, 16, blob_preset("two", 16, 16))
+        ds = gen_blobs(rng_stream(11), 1000, 16, 16, blob_preset("two", 16, 16))
         assigns = []
         for seed in (0, 1, 2):
             _, labels = kmeans2(ds.samples, 2, minit="++", seed=seed)
@@ -182,28 +182,28 @@ class TestGenerators:
 
     def test_blobs_deterministic_and_tagged(self):
         modes = [((4.0, 4.0), 2.0, 1.0)]
-        a = gen_blobs(RngStream(12), 10, 8, 8, modes)
-        b = gen_blobs(RngStream(12), 10, 8, 8, modes)
+        a = gen_blobs(rng_stream(12), 10, 8, 8, modes)
+        b = gen_blobs(rng_stream(12), 10, 8, 8, modes)
         assert np.array_equal(a.samples, b.samples)
         assert a.tag.startswith("blobs[(4.0,4.0,r=2.0,i=1.0)]")
 
     def test_blobs_need_modes(self):
         with pytest.raises(DomainError):
-            gen_blobs(RngStream(13), 10, 8, 8, [])
+            gen_blobs(rng_stream(13), 10, 8, 8, [])
 
 
 class TestChannels:
     def test_grayscale_takes_first_channel(self, tmp_path):
         images = _images(14, 3, 4, 5, 3)
         path, spec = _idx_spec(tmp_path, images, ",gray=1")
-        ds = parse_spec(spec, seed=1)
+        ds = parse_spec(spec, rng_stream(1, 101))
         assert np.array_equal(ds.samples, _scaled(images[..., 0]))
         assert ds.tag == f"idx:{path}|gray"
 
     def test_rgb_copies_first_channel(self, tmp_path):
         images = _images(15, 3, 4, 5)
         path, spec = _idx_spec(tmp_path, images, ",rgb=1")
-        ds = parse_spec(spec, seed=1)
+        ds = parse_spec(spec, rng_stream(1, 101))
         assert np.array_equal(ds.samples, _scaled(np.stack([images] * 3, axis=-1)))
         assert ds.tag == f"idx:{path}|rgb"
 
@@ -212,7 +212,7 @@ class TestChannels:
         images = _images(16, 3, 4, 4)
         _, gray = _idx_spec(tmp_path, images)
         _, rgb = _idx_spec(tmp_path, np.stack([images] * 3, axis=-1), ",gray=1")
-        assert np.array_equal(parse_spec(rgb, seed=1).samples, parse_spec(gray, seed=1).samples)
+        assert np.array_equal(parse_spec(rgb, rng_stream(1, 101)).samples, parse_spec(gray, rng_stream(1, 101)).samples)
 
     def test_channel_count_validation(self, tmp_path):
         for shape, options, message in [
@@ -223,7 +223,7 @@ class TestChannels:
         ]:
             _, spec = _idx_spec(tmp_path, _images(17, *shape), options)
             with pytest.raises(DomainError) as err:
-                parse_spec(spec, seed=1)
+                parse_spec(spec, rng_stream(1, 101))
             assert str(err.value) == f"data spec {spec!r}: {message}"
 
 
@@ -231,12 +231,12 @@ class TestTransforms:
     def test_resize_nearest_exact_mapping(self, tmp_path):
         images = np.arange(2 * 4 * 4, dtype=np.uint8).reshape(2, 4, 4)
         path, down = _idx_spec(tmp_path, images, ",resize=2")
-        ds = parse_spec(down, seed=1)
+        ds = parse_spec(down, rng_stream(1, 101))
         assert np.array_equal(ds.samples, _scaled(images[:, ::2, ::2]))
         assert ds.tag == f"idx:{path}|2x2"
         # Upsampling repeats the nearest source row and column at or above.
         near = [0, 0, 1, 2, 2, 3]
-        up = parse_spec(f"idx:path={path},resize=6", seed=1)
+        up = parse_spec(f"idx:path={path},resize=6", rng_stream(1, 101))
         assert np.array_equal(up.samples, _scaled(images[:, near][:, :, near]))
 
     def test_subsample_deterministic_ordered(self, tmp_path):
@@ -244,22 +244,22 @@ class TestTransforms:
         images = _images(19, 50, 2, 2)
         images[:, 0, 0] = np.arange(50)
         path, spec = _idx_spec(tmp_path, images, ",max=10")
-        a, b = parse_spec(spec, seed=18), parse_spec(spec, seed=18)
+        a, b = parse_spec(spec, rng_stream(18, 101)), parse_spec(spec, rng_stream(18, 101))
         assert np.array_equal(a.samples, b.samples)
         assert a.n == 10 and a.tag == f"idx:{path}|sub10"
         keep = np.round(a.samples[:, 0] * 255.0).astype(int)
         assert np.all(np.diff(keep) > 0)  # original relative order preserved
         assert np.array_equal(a.samples, _scaled(images[keep]))
-        assert not np.array_equal(parse_spec(spec, seed=19).samples, a.samples)
+        assert not np.array_equal(parse_spec(spec, rng_stream(19, 101)).samples, a.samples)
         for max_ in (50, 60):
-            whole = parse_spec(f"idx:path={path},max={max_}", seed=18)
+            whole = parse_spec(f"idx:path={path},max={max_}", rng_stream(18, 101))
             assert whole.tag == f"idx:{path}" and np.array_equal(whole.samples, _scaled(images))
 
     def test_all_options_together(self, tmp_path):
         images = _images(20, 30, 7, 5, 3)
         images[:, 0, 0, 0] = np.arange(30)
         path, spec = _idx_spec(tmp_path, images, ",resize=3,gray=1,rgb=1,max=4")
-        ds = parse_spec(spec, seed=2)
+        ds = parse_spec(spec, rng_stream(2, 101))
         assert ds.tag == f"idx:{path}|3x3|gray|rgb|sub4"
         keep = np.round(ds.samples[:, 0] * 255.0).astype(int)
         assert len(keep) == 4 and np.all(np.diff(keep) > 0)
@@ -270,35 +270,35 @@ class TestTransforms:
 
 class TestParseSpec:
     def test_noise_spec(self):
-        ds = parse_spec("noise:n=5,h=4,w=4,c=1", seed=1)
+        ds = parse_spec("noise:n=5,h=4,w=4,c=1", rng_stream(1, 101))
         assert (ds.n, ds.d_x) == (5, 16)
 
     def test_blobs_preset_and_explicit_modes(self):
-        a = parse_spec("blobs:n=5,h=16,w=16,preset=two", seed=1)
-        b = parse_spec("blobs:n=5,h=16,w=16,modes=4.8x4.8x2x1+11.2x11.2x2x1", seed=1)
+        a = parse_spec("blobs:n=5,h=16,w=16,preset=two", rng_stream(1, 101))
+        b = parse_spec("blobs:n=5,h=16,w=16,modes=4.8x4.8x2x1+11.2x11.2x2x1", rng_stream(1, 101))
         assert a.n == b.n == 5
 
     def test_seed_determinism(self):
-        a = parse_spec("noise:n=5,h=4,w=4", seed=9)
-        b = parse_spec("noise:n=5,h=4,w=4", seed=9)
-        c = parse_spec("noise:n=5,h=4,w=4", seed=10)
+        a = parse_spec("noise:n=5,h=4,w=4", rng_stream(9, 101))
+        b = parse_spec("noise:n=5,h=4,w=4", rng_stream(9, 101))
+        c = parse_spec("noise:n=5,h=4,w=4", rng_stream(10, 101))
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
 
     def test_idx_spec_with_transforms(self, tmp_path):
         path, spec = _idx_spec(tmp_path, _images(20, 4, 8, 8), ",resize=4,rgb=1,max=2")
-        out = parse_spec(spec, seed=1)
+        out = parse_spec(spec, rng_stream(1, 101))
         assert (out.n, out.d_x, out.tag) == (2, 4 * 4 * 3, f"idx:{path}|4x4|rgb|sub2")
 
     def test_errors(self):
         with pytest.raises(DomainError, match="missing key 'n'"):
-            parse_spec("noise:h=4,w=4", seed=1)
+            parse_spec("noise:h=4,w=4", rng_stream(1, 101))
         with pytest.raises(DomainError, match="unknown kind 'mnist'"):
-            parse_spec("mnist:n=1", seed=1)
+            parse_spec("mnist:n=1", rng_stream(1, 101))
         with pytest.raises(DomainError, match="unrecognized keys"):
-            parse_spec("noise:n=1,h=4,w=4,zoom=2", seed=1)
+            parse_spec("noise:n=1,h=4,w=4,zoom=2", rng_stream(1, 101))
         with pytest.raises(DomainError, match="preset= or modes="):
-            parse_spec("blobs:n=1,h=4,w=4", seed=1)
+            parse_spec("blobs:n=1,h=4,w=4", rng_stream(1, 101))
 
 
 class TestDatasetValidation:
@@ -323,15 +323,15 @@ class TestSpecRefusals:
     ])
     def test_refused_naming_the_spec(self, spec, message):
         with pytest.raises(DomainError) as err:
-            parse_spec(spec, seed=1)
+            parse_spec(spec, rng_stream(1, 101))
         assert str(err.value) == f"data spec {spec!r}: {message}"
 
     def test_gray_0_keeps_the_channels(self, tmp_path):
         images = _images(21, 2, 2, 2, 3)
         path, _ = _idx_spec(tmp_path, images)
-        assert np.array_equal(parse_spec(f"idx:path={path},gray=0", seed=1).samples,
+        assert np.array_equal(parse_spec(f"idx:path={path},gray=0", rng_stream(1, 101)).samples,
                               _scaled(images))
-        assert np.array_equal(parse_spec(f"idx:path={path},gray=1", seed=1).samples,
+        assert np.array_equal(parse_spec(f"idx:path={path},gray=1", rng_stream(1, 101)).samples,
                               _scaled(images[..., 0]))
 
 

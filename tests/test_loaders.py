@@ -20,7 +20,7 @@ from tiltvae._fields import VAL
 from tiltvae.cli import COMMANDS, _flag, main
 from tiltvae.data import IdxFormatError, load_idx, parse_spec
 from tiltvae.errors import DomainError
-from tiltvae.sampler import RngStream
+from tiltvae.sampler import rng_stream
 from tiltvae.tilted import TiltedPrior
 
 from idx_files import write_idx
@@ -45,7 +45,7 @@ def _mutate(data, raw):
 
 
 def _checkpoint_bytes(tmp_path, prior):
-    model = V.build_model(RngStream(31), 6, 3, prior, hidden=(4,))
+    model = V.build_model(rng_stream(31), 6, 3, prior, hidden=(4,))
     path = tmp_path / "valid.ckpt"
     V.save_checkpoint(model, path, z_bar=2.5)
     return path.read_bytes()
@@ -112,6 +112,7 @@ class TestCheckpointFuzz:
         assert z_bar is None or 0.0 < z_bar < float("inf")
         enc_out = model.d_z if model.is_tilted else 2 * model.d_z
         assert model.d_x >= 1 and model.d_z >= 1
+        assert all(w.shape[1] >= 1 for w in model.encoder.weights + model.decoder.weights)
         assert _chains(model.encoder, model.d_x, enc_out)
         assert _chains(model.decoder, model.d_z, model.d_x)
         assert all(np.isfinite(p).all() for p in model.params)
@@ -175,6 +176,27 @@ class TestCheckpointFuzz:
             assert main(argv) == 1
             stderr = capsys.readouterr().err
             assert stderr.startswith(f"error: {path}: ") and stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("d_x,d_z,hidden,refusal", [
+        (0, 3, (4,), "d_x is 0"),
+        (6, 0, (4,), "d_z is 0"),
+        (6, 3, (0,), "encoder hidden layer 1 has width 0"),
+        (6, 3, (4, 0), "encoder hidden layer 2 has width 0"),
+    ])
+    def test_zero_dimension_is_domain_error(self, tmp_path, capsys, d_x, d_z, hidden, refusal):
+        # train never writes these; loaded, they scored and sampled with exit 0.
+        path = tmp_path / "zero.ckpt"
+        model = V.build_model(rng_stream(31), d_x, d_z, V.StandardGaussian(), hidden=hidden)
+        V.save_checkpoint(model, path, z_bar=2.5)
+        with pytest.raises(DomainError) as err:
+            V.load_checkpoint(path)
+        assert str(err.value) == f"{path}: {refusal}"
+        for argv in (["score", "--model", str(path), "--data", "noise:n=4,h=2,w=3",
+                      "--out", str(tmp_path / "s.csv")],
+                     ["sample", "--model", str(path), "--n", "3",
+                      "--out", str(tmp_path / "l.csv"), "--decoded", str(tmp_path / "d.csv")]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {path}: {refusal}\n"
 
     def test_prior_is_the_refit(self, tmp_path, checkpoints):
         # A header within 1e-9 of the refit loads, carrying the refit values.
@@ -325,7 +347,7 @@ class TestFieldFuzz:
     def test_data_spec_loads_or_names_the_spec(self, tmp_path, monkeypatch, spec):
         monkeypatch.chdir(tmp_path)  # no idx path names an existing file
         try:
-            ds = parse_spec(spec, seed=0)
+            ds = parse_spec(spec, rng_stream(0, 101))
         except DomainError as exc:
             assert str(exc).startswith(f"data spec {spec!r}: ")
             return

@@ -12,7 +12,7 @@ import tiltvae.vae as V
 from tiltvae.data import gen_blobs, blob_preset
 from tiltvae.errors import DomainError
 from tiltvae.ood import read_scores_csv, roc, score_arrays, write_scores_csv
-from tiltvae.sampler import RngStream
+from tiltvae.sampler import rng_stream
 from tiltvae.tilted import TiltedPrior
 
 
@@ -25,7 +25,7 @@ def tilted_prior():
 
 
 def _const_model(prior, d_x, d_z, mu_bias, dec_bias=None):
-    model = V.build_model(RngStream(0), d_x, d_z, prior, hidden=(4,))
+    model = V.build_model(rng_stream(0), d_x, d_z, prior, hidden=(4,))
     for mlp in (model.encoder, model.decoder):
         for w in mlp.weights:
             w[:] = 0.0
@@ -45,7 +45,7 @@ def _score_one(model, x, draws=0, rng=None):
 
 class TestScore:
     def test_perfect_reconstruction_at_gamma_scores_zero(self, tilted_prior):
-        x = RngStream(1).generator.random(6)
+        x = rng_stream(1).random(6)
         bias = np.zeros(10)
         bias[0] = tilted_prior.gamma
         model = _const_model(tilted_prior, 6, 10, bias, dec_bias=x)
@@ -55,7 +55,7 @@ class TestScore:
         assert recon + kld == 0.0
 
     def test_quadratic_term_only(self, tilted_prior):
-        x = RngStream(2).generator.random(6)
+        x = rng_stream(2).random(6)
         bias = np.zeros(10)
         bias[0] = tilted_prior.gamma + 2.0
         model = _const_model(tilted_prior, 6, 10, bias, dec_bias=x)
@@ -69,42 +69,42 @@ class TestScore:
         assert kld == pytest.approx(0.5 * 3 * 4.0, rel=1e-12)
 
     def test_score_is_deterministic(self, tilted_prior):
-        model = V.build_model(RngStream(3), 6, 10, tilted_prior, hidden=(4,))
-        x = RngStream(4).generator.random(6)
+        model = V.build_model(rng_stream(3), 6, 10, tilted_prior, hidden=(4,))
+        x = rng_stream(4).random(6)
         assert _score_one(model, x) == _score_one(model, x)
 
     @pytest.mark.parametrize("x", [np.zeros(6), np.zeros((2, 7)), np.zeros((1, 2, 6))])
     def test_input_must_be_an_n_by_d_x_batch(self, tilted_prior, x):
-        model = V.build_model(RngStream(3), 6, 10, tilted_prior, hidden=(4,))
+        model = V.build_model(rng_stream(3), 6, 10, tilted_prior, hidden=(4,))
         with pytest.raises(DomainError, match=re.escape("expected (n, 6)")):
             score_arrays(model, x)
 
 
 class TestScoreBatchAveraged:
     def test_kld_term_matches_deterministic_score(self, tilted_prior):
-        model = V.build_model(RngStream(5), 6, 10, tilted_prior, hidden=(4,))
-        x = RngStream(6).generator.random(6)
+        model = V.build_model(rng_stream(5), 6, 10, tilted_prior, hidden=(4,))
+        x = rng_stream(6).random(6)
         _, det = _score_one(model, x)
-        _, avg = _score_one(model, x, draws=4, rng=RngStream(7))
+        _, avg = _score_one(model, x, draws=4, rng=rng_stream(7))
         assert avg == det
 
     def test_draws_must_not_be_negative(self, tilted_prior):
-        model = V.build_model(RngStream(5), 6, 10, tilted_prior, hidden=(4,))
+        model = V.build_model(rng_stream(5), 6, 10, tilted_prior, hidden=(4,))
         with pytest.raises(DomainError):
-            score_arrays(model, np.zeros((1, 6)), draws=-1, rng=RngStream(7))
+            score_arrays(model, np.zeros((1, 6)), draws=-1, rng=rng_stream(7))
 
     def test_draws_need_an_rng(self, tilted_prior):
-        model = V.build_model(RngStream(5), 6, 10, tilted_prior, hidden=(4,))
+        model = V.build_model(rng_stream(5), 6, 10, tilted_prior, hidden=(4,))
         with pytest.raises(DomainError):
             score_arrays(model, np.zeros((1, 6)), draws=2)
 
     def test_monte_carlo_error_shrinks_with_draws(self, tilted_prior):
-        model = V.build_model(RngStream(8), 6, 10, tilted_prior, hidden=(8,))
-        x = RngStream(9).generator.random(6)
+        model = V.build_model(rng_stream(8), 6, 10, tilted_prior, hidden=(8,))
+        x = rng_stream(9).random(6)
         stds = {}
         for draws in (1, 16, 256):
             vals = [
-                _score_one(model, x, draws, RngStream(100 + rep, draws))[0]
+                _score_one(model, x, draws, rng_stream(100 + rep, draws))[0]
                 for rep in range(30)
             ]
             stds[draws] = np.std(vals, ddof=1)
@@ -113,10 +113,10 @@ class TestScoreBatchAveraged:
         assert stds[16] / stds[256] > 2.0
 
     def test_seeded_determinism(self, tilted_prior):
-        model = V.build_model(RngStream(10), 6, 10, tilted_prior, hidden=(4,))
-        x = RngStream(11).generator.random(6)
-        a = _score_one(model, x, draws=8, rng=RngStream(12))
-        b = _score_one(model, x, draws=8, rng=RngStream(12))
+        model = V.build_model(rng_stream(10), 6, 10, tilted_prior, hidden=(4,))
+        x = rng_stream(11).random(6)
+        a = _score_one(model, x, draws=8, rng=rng_stream(12))
+        b = _score_one(model, x, draws=8, rng=rng_stream(12))
         assert a == b
 
     @pytest.mark.parametrize("prior_kind", ["tilted", "gaussian"])
@@ -124,11 +124,11 @@ class TestScoreBatchAveraged:
         # 2500 rows are three 1024-row chunks: each chunk is encoded, then
         # gets one (chunk, d_z) normal block per draw, in that order.
         prior = tilted_prior if prior_kind == "tilted" else V.StandardGaussian()
-        model = V.build_model(RngStream(17), 12, 10, prior, hidden=(16, 8))
-        x = RngStream(18).generator.random((2500, 12))
+        model = V.build_model(rng_stream(17), 12, 10, prior, hidden=(16, 8))
+        x = rng_stream(18).random((2500, 12))
         draws = 3
-        recon, kld = score_arrays(model, x, draws, RngStream(19, 11))
-        gen = RngStream(19, 11).generator
+        recon, kld = score_arrays(model, x, draws, rng_stream(19, 11))
+        gen = rng_stream(19, 11)
         recon_ref = []
         for i in range(0, x.shape[0], 1024):
             xc = x[i:i + 1024]
@@ -167,7 +167,7 @@ class TestRoc:
             roc([], [1.0])
 
     def test_curve_endpoints_and_monotonicity(self):
-        gen = RngStream(13).generator
+        gen = rng_stream(13)
         curve = roc(gen.random(50), gen.random(60) + 0.2)
         assert tuple(curve.points[0]) == (0.0, 0.0)
         assert tuple(curve.points[-1]) == (1.0, 1.0)
@@ -175,7 +175,7 @@ class TestRoc:
         assert np.all(np.diff(curve.points[:, 1]) >= 0.0)
 
     def test_trapezoid_equals_mann_whitney(self):
-        gen = RngStream(14).generator
+        gen = rng_stream(14)
         in_s = gen.integers(0, 20, size=67) / 4.0  # plenty of ties
         out_s = gen.integers(3, 25, size=41) / 4.0
         curve = roc(in_s, out_s)
@@ -241,7 +241,7 @@ class TestRoc:
         assert tuple(curve.points[at]) == (0.0, 1.0)
 
     def test_permutation_invariance(self):
-        gen = RngStream(15).generator
+        gen = rng_stream(15)
         in_s, out_s = gen.random(31), gen.random(17)
         base = roc(in_s, out_s).auroc
         assert roc(in_s[::-1], gen.permutation(out_s)).auroc == base
@@ -249,8 +249,8 @@ class TestRoc:
 
 class TestCsv:
     def test_roundtrip(self, tmp_path, tilted_prior):
-        ds = gen_blobs(RngStream(16, 101), 10, 8, 8, blob_preset("two", 8, 8))
-        model = V.build_model(RngStream(16), 64, 10, tilted_prior, hidden=(8,))
+        ds = gen_blobs(rng_stream(16, 101), 10, 8, 8, blob_preset("two", 8, 8))
+        model = V.build_model(rng_stream(16), 64, 10, tilted_prior, hidden=(8,))
         recon, kld = score_arrays(model, ds.samples)
         path = tmp_path / "scores.csv"
         write_scores_csv(path, recon, kld, ds.tag)

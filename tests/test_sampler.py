@@ -9,8 +9,8 @@ from scipy.stats import chisquare, kstest, norm
 
 from tiltvae.errors import DomainError
 from tiltvae.sampler import (
-    RngStream,
     _on_sphere,
+    rng_stream,
     sample_model_latents,
     sample_tilted_prior_batch,
     save_latents_csv,
@@ -24,26 +24,29 @@ def _truncated_normal_cdf(x, loc, scale=1.0):
     return np.clip((norm.cdf(x, loc=loc, scale=scale) - lo) / (1.0 - lo), 0.0, 1.0)
 
 
-class TestRngStream:
+class TestSeededStreams:
     def test_identical_seeds_identical_sequences(self):
-        a = RngStream(123).generator.standard_normal(64)
-        b = RngStream(123).generator.standard_normal(64)
+        a = rng_stream(123).standard_normal(64)
+        b = rng_stream(123).standard_normal(64)
         assert np.array_equal(a, b)
 
     def test_split_streams_differ(self):
-        a = RngStream(123, 1).generator.standard_normal(64)
-        b = RngStream(123, 2).generator.standard_normal(64)
+        a = rng_stream(123, 1).standard_normal(64)
+        b = rng_stream(123, 2).standard_normal(64)
         assert not np.array_equal(a, b)
 
     def test_known_philox_stability(self):
-        # A frozen draw guards against silent generator changes.
-        v = RngStream(0).generator.standard_normal(2)
-        assert np.array_equal(v, RngStream(0).generator.standard_normal(2))
+        # Frozen draws guard against silent generator changes; the key is
+        # (seed, stream) mod 2^64, so negative seeds and wide streams wrap.
+        assert rng_stream(0).standard_normal(2).tolist() == [
+            0.15929546600623282, -1.7741885208017214]
+        assert rng_stream(-1, 2**64 + 3).standard_normal(2).tolist() == [
+            -0.33479247164565784, 1.3845258026488851]
 
 
 def _directions(seed, d_z, n):
     """n batch-drawn directions: the sampler's sphere step at unit radii."""
-    return _on_sphere(RngStream(seed).generator, np.ones(n), d_z)
+    return _on_sphere(rng_stream(seed), np.ones(n), d_z)
 
 
 class TestUnitSphere:
@@ -62,7 +65,7 @@ class TestUnitSphere:
 
 def _radii(seed, z_bar, n, d_z=3):
     """Norms of n aggregated-posterior draws: the radii the sampler drew."""
-    return np.linalg.norm(sample_model_latents(RngStream(seed), z_bar, d_z, n), axis=1)
+    return np.linalg.norm(sample_model_latents(rng_stream(seed), z_bar, d_z, n), axis=1)
 
 
 class TestPosteriorRadius:
@@ -85,37 +88,37 @@ class TestPosteriorRadius:
         for z_bar, d_z, n in [(-1.0, 3, 5), (0.0, 3, 5), (math.nan, 3, 5), (math.inf, 3, 5),
                               (1.0, 0, 5), (1.0, 3, 0), (1.0, 3, -3)]:
             with pytest.raises(DomainError):
-                sample_model_latents(RngStream(0), z_bar, d_z, n)
+                sample_model_latents(rng_stream(0), z_bar, d_z, n)
 
 
 class TestModelLatent:
     def test_radial_law_ks(self):
-        z = sample_model_latents(RngStream(10), 10.15, 10, 10**5)
+        z = sample_model_latents(rng_stream(10), 10.15, 10, 10**5)
         r = np.linalg.norm(z, axis=1)
         stat = kstest(r, lambda x: _truncated_normal_cdf(x, 10.15)).statistic
         assert stat < 0.01
 
     def test_angular_uniformity_2d(self):
-        z = sample_model_latents(RngStream(11), 5.0, 2, 10**5)
+        z = sample_model_latents(rng_stream(11), 5.0, 2, 10**5)
         angles = np.mod(np.arctan2(z[:, 1], z[:, 0]), 2.0 * math.pi)
         counts, _ = np.histogram(angles, bins=36, range=(0.0, 2.0 * math.pi))
         assert chisquare(counts).pvalue > 0.001
 
     def test_deterministic_on_stream_reset(self):
-        a = sample_model_latents(RngStream(12), 5.0, 4, 8)
-        b = sample_model_latents(RngStream(12), 5.0, 4, 8)
+        a = sample_model_latents(rng_stream(12), 5.0, 4, 8)
+        b = sample_model_latents(rng_stream(12), 5.0, 4, 8)
         assert np.array_equal(a, b)
 
 
 class TestTiltedRejection:
     def test_zero_tilt_matches_standard_gaussian_moments(self):
         prior = TiltedPrior.fit(0.0, 5)
-        z = sample_tilted_prior_batch(RngStream(14), prior, 10**5)
+        z = sample_tilted_prior_batch(rng_stream(14), prior, 10**5)
         assert np.all(np.abs(z.mean(axis=0)) < 0.01)
         assert np.all(np.abs(z.var(axis=0) - 1.0) < 0.02)
 
     def test_empirical_mode_matches_radial_argmax(self, prior_10_10):
-        z = sample_tilted_prior_batch(RngStream(15), prior_10_10, 10**5)
+        z = sample_tilted_prior_batch(rng_stream(15), prior_10_10, 10**5)
         r = np.linalg.norm(z, axis=1)
         counts, edges = np.histogram(r, bins=120)
         centers = 0.5 * (edges[:-1] + edges[1:])
@@ -125,7 +128,7 @@ class TestTiltedRejection:
     def test_radial_cdf_matches_quadrature(self):
         # Independent oracle: integrate the radial density numerically.
         prior = TiltedPrior.fit(5.0, 10)
-        z = sample_tilted_prior_batch(RngStream(16), prior, 10**5)
+        z = sample_tilted_prior_batch(rng_stream(16), prior, 10**5)
         r = np.linalg.norm(z, axis=1)
         grid = np.linspace(1e-6, 16.0, 3000)
         pdf = np.exp(
@@ -140,7 +143,7 @@ class TestTiltedRejection:
         # E[e^{tau ||g||}] over standard Gaussians equals Z_tau; checked at a
         # tilt where the plain-average estimator still has workable variance.
         tau, d = 2.0, 5
-        g = RngStream(17).generator.standard_normal((10**6, d))
+        g = rng_stream(17).standard_normal((10**6, d))
         r = np.linalg.norm(g, axis=1)
         log_z = log_normalizer(tau, d)
         est = np.exp(tau * r - log_z).mean()
@@ -149,8 +152,8 @@ class TestTiltedRejection:
     def test_posterior_and_prior_radial_laws_differ(self, prior_10_10):
         # The two-step sampler is intentionally *not* the prior: its radial
         # law is normal around z_bar while the prior's is the tilted chi law.
-        z_prior = sample_tilted_prior_batch(RngStream(18), prior_10_10, 2 * 10**4)
-        z_post = sample_model_latents(RngStream(19), 10.15, 10, 2 * 10**4)
+        z_prior = sample_tilted_prior_batch(rng_stream(18), prior_10_10, 2 * 10**4)
+        z_post = sample_model_latents(rng_stream(19), 10.15, 10, 2 * 10**4)
         r_prior = np.sort(np.linalg.norm(z_prior, axis=1))
         r_post = np.sort(np.linalg.norm(z_post, axis=1))
         grid = np.linspace(5.0, 16.0, 500)
@@ -161,7 +164,7 @@ class TestTiltedRejection:
     def test_contract_corner_stays_efficient(self):
         # largest tilt and dimension the sampler promises to handle
         prior = TiltedPrior.fit(100.0, 200)
-        z = sample_tilted_prior_batch(RngStream(21), prior, 10**4)
+        z = sample_tilted_prior_batch(rng_stream(21), prior, 10**4)
         r = np.linalg.norm(z, axis=1)
         assert r.mean() == pytest.approx(tilted_radial_mode(prior), abs=0.1)
 
@@ -174,7 +177,7 @@ def test_save_latents_csv(tmp_path):
 
 
 def test_save_latents_csv_matches_float_repr(tmp_path):
-    gen = RngStream(30).generator
+    gen = rng_stream(30)
     rows = [
         np.array([0.0, -0.0, 1e-5, 1e16, 5e-324]),
         gen.standard_normal(5) * 10.0 ** gen.integers(-300, 300, size=5),
@@ -190,7 +193,7 @@ class TestPriorSamplerInputs:
     @pytest.mark.parametrize("n", [0, -3])
     def test_count_below_one_is_domain_error(self, prior_10_10, n):
         with pytest.raises(DomainError, match=f"n >= 1, got n={n}"):
-            sample_tilted_prior_batch(RngStream(1), prior_10_10, n)
+            sample_tilted_prior_batch(rng_stream(1), prior_10_10, n)
 
     def test_radial_mode_of_the_largest_tilt_is_finite(self):
         # tau^2 overflows above 1.34e154; the largest accepted tau is 1.9e154.

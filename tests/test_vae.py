@@ -13,13 +13,13 @@ import pytest
 import tiltvae.vae as V
 from tiltvae.data import gen_blobs, gen_noise, blob_preset
 from tiltvae.errors import DomainError, NumericalError
-from tiltvae.sampler import RngStream
+from tiltvae.sampler import rng_stream
 from tiltvae.tilted import TiltedPrior, exact_kld, quadratic_kld
 
 
 def _const_model(prior, d_x, d_z, mu_bias, dec_bias=None, hidden=(4,)):
     """All-zero weights: the encoder and decoder outputs are their biases."""
-    model = V.build_model(RngStream(0), d_x, d_z, prior, hidden=hidden)
+    model = V.build_model(rng_stream(0), d_x, d_z, prior, hidden=hidden)
     for mlp in (model.encoder, model.decoder):
         for w in mlp.weights:
             w[:] = 0.0
@@ -52,14 +52,14 @@ class TestEncodeDecode:
         assert np.array_equal(log_sigma, np.full((1, 3), -0.5))
 
     def test_encode_is_pure(self, tilted_prior):
-        model = V.build_model(RngStream(1), 6, 10, tilted_prior)
-        x = RngStream(2).generator.random((1, 6))
+        model = V.build_model(rng_stream(1), 6, 10, tilted_prior)
+        x = rng_stream(2).random((1, 6))
         a, _ = V.encode(model, x)
         b, _ = V.encode(model, x)
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self, tilted_prior):
-        model = V.build_model(RngStream(1), 6, 10, tilted_prior)
+        model = V.build_model(rng_stream(1), 6, 10, tilted_prior)
         with pytest.raises(DomainError):
             V.encode(model, np.zeros((1, 7)))
 
@@ -68,12 +68,12 @@ class TestEncodeDecode:
         ("decode", (10,), "(n, 10)"), ("decode", (1, 6), "(n, 10)"),
     ])
     def test_only_batches_are_accepted(self, tilted_prior, fn, shape, expected):
-        model = V.build_model(RngStream(1), 6, 10, tilted_prior)
+        model = V.build_model(rng_stream(1), 6, 10, tilted_prior)
         with pytest.raises(DomainError, match=re.escape(f"expected {expected}")):
             getattr(V, fn)(model, np.zeros(shape))
 
     def test_non_finite_activations_name_the_layer(self, tilted_prior):
-        model = V.build_model(RngStream(1), 6, 10, tilted_prior)
+        model = V.build_model(rng_stream(1), 6, 10, tilted_prior)
         model.encoder.weights[1][0, 0] = np.inf
         with pytest.raises(NumericalError) as err:
             V.encode(model, np.ones((1, 6)))
@@ -135,8 +135,8 @@ class TestChunkedInference:
     @pytest.mark.parametrize("prior_kind", ["tilted", "gaussian"])
     def test_encode_decode_match_per_block_calls(self, prior_kind, tilted_prior):
         prior = tilted_prior if prior_kind == "tilted" else V.StandardGaussian()
-        model = V.build_model(RngStream(31), 12, 10, prior, hidden=(16, 8))
-        gen = RngStream(32).generator
+        model = V.build_model(rng_stream(31), 12, 10, prior, hidden=(16, 8))
+        gen = rng_stream(32)
         x = gen.random((self.N, 12))
         z = 3.0 * gen.standard_normal((self.N, 10))
         blocks = range(0, self.N, 1024)
@@ -155,8 +155,8 @@ class TestChunkedInference:
                            rtol=1e-12, atol=0.0)
 
     def test_non_finite_in_late_chunk_names_the_layer(self, tilted_prior):
-        model = V.build_model(RngStream(33), 12, 10, tilted_prior, hidden=(16, 8))
-        x = RngStream(34).generator.random((self.N, 12))
+        model = V.build_model(rng_stream(33), 12, 10, tilted_prior, hidden=(16, 8))
+        x = rng_stream(34).random((self.N, 12))
         x[2300, 3] = np.inf
         with pytest.raises(NumericalError) as err:
             V.encode(model, x)
@@ -167,11 +167,11 @@ class TestChunkedInference:
 class TestReparameterize:
     def test_vanishing_sigma_returns_mean(self):
         mu = np.array([1.0, -2.0, 3.0])
-        z = V.reparameterize(RngStream(3), mu, log_sigma=np.full(3, -60.0))
+        z = V.reparameterize(rng_stream(3), mu, log_sigma=np.full(3, -60.0))
         assert z == pytest.approx(mu, abs=1e-20)
 
     def test_unit_sigma_norm_matches_chi_mean(self):
-        rng = RngStream(4)
+        rng = rng_stream(4)
         mu = np.zeros((10**5, 8))
         z = V.reparameterize(rng, mu)
         mean_norm = float(np.linalg.norm(z, axis=1).mean())
@@ -180,14 +180,14 @@ class TestReparameterize:
 
     def test_seeded_determinism(self):
         mu = np.ones(5)
-        a = V.reparameterize(RngStream(5), mu)
-        b = V.reparameterize(RngStream(5), mu)
+        a = V.reparameterize(rng_stream(5), mu)
+        b = V.reparameterize(rng_stream(5), mu)
         assert np.array_equal(a, b)
 
 
 def _elbo_terms(model, seed, x):
     """Batch-mean (recon, kld) of one sample with one reparameterized draw."""
-    eps = RngStream(seed).generator.standard_normal((1, model.d_z))
+    eps = rng_stream(seed).standard_normal((1, model.d_z))
     recon, kld, _ = V._elbo_forward_backward(model, np.asarray(x)[None, :], eps)
     return recon, kld
 
@@ -207,7 +207,7 @@ class TestElboTerms:
         assert kld > 0.0
 
     def test_perfect_autoencoder_total_is_committed_rate(self, tilted_prior):
-        x = RngStream(8).generator.random(6)
+        x = rng_stream(8).random(6)
         bias = np.zeros(10)
         bias[0] = tilted_prior.gamma
         model = _const_model(tilted_prior, 6, 10, bias, dec_bias=x)
@@ -218,7 +218,7 @@ class TestElboTerms:
 
 class TestGradients:
     def test_quadratic_term_gradient_vs_finite_differences(self):
-        gen = RngStream(10).generator
+        gen = rng_stream(10)
         for _ in range(20):
             d = int(gen.integers(2, 12))
             mu = gen.standard_normal(d) * gen.uniform(0.5, 10.0)
@@ -240,10 +240,10 @@ class TestGradients:
     @pytest.mark.parametrize("prior_kind", ["tilted", "gaussian"])
     def test_full_elbo_gradients_vs_finite_differences(self, prior_kind):
         prior = TiltedPrior.fit(3.0, 3) if prior_kind == "tilted" else V.StandardGaussian()
-        rng = RngStream(11)
+        rng = rng_stream(11)
         model = V.build_model(rng, 8, 3, prior, hidden=(6,), weight_std=0.3)
-        x = rng.generator.random((4, 8))
-        eps = rng.generator.standard_normal((4, 3))
+        x = rng.random((4, 8))
+        eps = rng.standard_normal((4, 3))
         recon, kld, grads = V._elbo_forward_backward(model, x, eps)
         p, g = model.params, grads
         for idx in range(p.size):
@@ -261,10 +261,10 @@ class TestGradients:
 
 class TestGradStep:
     def test_vanishing_learning_rate_leaves_parameters(self, tilted_prior):
-        model = V.build_model(RngStream(12), 6, 10, tilted_prior, hidden=(4,))
+        model = V.build_model(rng_stream(12), 6, 10, tilted_prior, hidden=(4,))
         before = model.params.copy()
-        config = V.TrainConfig(epochs=1, learning_rate=1e-300, seed=0)
-        V.grad_step(model, V.AdamState(model), RngStream(13), np.ones((2, 6)), config)
+        config = V.TrainConfig(epochs=1, learning_rate=1e-300)
+        V.grad_step(model, V.AdamState(model), rng_stream(13), np.ones((2, 6)), config)
         assert np.allclose(model.params, before, rtol=0.0, atol=1e-290)
 
     @pytest.mark.parametrize("grad_clip", [100.0, 1e-3])
@@ -272,17 +272,17 @@ class TestGradStep:
         # Adam as usually written, with the bias corrections applied to the
         # moments; grad_clip=1e-3 makes every step clip.
         prior = TiltedPrior.fit(3.0, 3)
-        model = V.build_model(RngStream(35), 8, 3, prior, hidden=(6, 5), weight_std=0.3)
+        model = V.build_model(rng_stream(35), 8, 3, prior, hidden=(6, 5), weight_std=0.3)
         ref = V.VaeModel(model.encoder, model.decoder, model.prior, model.d_x, model.d_z)
         start = model.params.copy()
         config = V.TrainConfig(epochs=1, learning_rate=1e-2, grad_clip=grad_clip)
-        batches = RngStream(36).generator.random((4, 5, 8))
-        opt, step_rng, ref_rng = V.AdamState(model), RngStream(37), RngStream(37)
+        batches = rng_stream(36).random((4, 5, 8))
+        opt, step_rng, ref_rng = V.AdamState(model), rng_stream(37), rng_stream(37)
         m = np.zeros_like(ref.params)
         v = np.zeros_like(ref.params)
         for t, x in enumerate(batches, start=1):
             V.grad_step(model, opt, step_rng, x, config)
-            eps = ref_rng.generator.standard_normal((x.shape[0], 3))
+            eps = ref_rng.standard_normal((x.shape[0], 3))
             _, _, g = V._elbo_forward_backward(ref, x, eps)
             g = g * min(1.0, grad_clip / math.sqrt(float(np.sum(g * g))))
             m = 0.9 * m + 0.1 * g
@@ -295,10 +295,10 @@ class TestGradStep:
         assert np.allclose(model.params, ref.params, rtol=1e-12, atol=1e-15)
 
     def test_empty_batch_rejected(self, tilted_prior):
-        model = V.build_model(RngStream(12), 6, 10, tilted_prior, hidden=(4,))
+        model = V.build_model(rng_stream(12), 6, 10, tilted_prior, hidden=(4,))
         config = V.TrainConfig(epochs=1)
         with pytest.raises(DomainError):
-            V.grad_step(model, V.AdamState(model), RngStream(13), np.ones((0, 6)), config)
+            V.grad_step(model, V.AdamState(model), rng_stream(13), np.ones((0, 6)), config)
 
 
 @pytest.mark.parametrize("bad", [
@@ -312,24 +312,26 @@ def test_train_config_refuses_non_finite_and_non_positive(bad):
 
 class TestTrain:
     def test_objective_decreases_on_blobs(self, tilted_prior):
-        ds = gen_blobs(RngStream(14, 101), 200, 8, 8, blob_preset("two", 8, 8))
-        model = V.build_model(RngStream(14), 64, 10, tilted_prior, hidden=(32, 16))
-        result = V.train(model, ds, V.TrainConfig(epochs=10, learning_rate=1e-3, seed=14))
+        ds = gen_blobs(rng_stream(14, 101), 200, 8, 8, blob_preset("two", 8, 8))
+        model = V.build_model(rng_stream(14), 64, 10, tilted_prior, hidden=(32, 16))
+        result = V.train(model, ds, V.TrainConfig(epochs=10, learning_rate=1e-3),
+                         rng_stream(14, 1))
         assert sum(result.history[-1]) < sum(result.history[0])
         assert result.z_bar > 0.0
 
     def test_gaussian_kld_collapses_on_uninformative_data(self):
-        ds = gen_noise(RngStream(15, 101), 200, 8, 8)
-        model = V.build_model(RngStream(15), 64, 4, V.StandardGaussian(), hidden=(32, 16))
-        result = V.train(model, ds, V.TrainConfig(epochs=10, learning_rate=1e-3, seed=15))
+        ds = gen_noise(rng_stream(15, 101), 200, 8, 8)
+        model = V.build_model(rng_stream(15), 64, 4, V.StandardGaussian(), hidden=(32, 16))
+        result = V.train(model, ds, V.TrainConfig(epochs=10, learning_rate=1e-3),
+                         rng_stream(15, 1))
         assert result.history[-1][1] < result.history[0][1]
 
     def test_seeded_determinism_is_bitwise(self, tilted_prior):
-        ds = gen_blobs(RngStream(16, 101), 100, 8, 8, blob_preset("two", 8, 8))
+        ds = gen_blobs(rng_stream(16, 101), 100, 8, 8, blob_preset("two", 8, 8))
         runs = []
         for _ in range(2):
-            model = V.build_model(RngStream(16), 64, 10, tilted_prior, hidden=(16, 8))
-            V.train(model, ds, V.TrainConfig(epochs=3, learning_rate=1e-3, seed=16))
+            model = V.build_model(rng_stream(16), 64, 10, tilted_prior, hidden=(16, 8))
+            V.train(model, ds, V.TrainConfig(epochs=3, learning_rate=1e-3), rng_stream(16, 1))
             runs.append(model.params.copy())
         assert np.array_equal(*runs)
 
@@ -339,8 +341,8 @@ class TestTrain:
         # two training problems identical on the shared parameters.
         prior0 = TiltedPrior.fit(0.0, 3)
         d_x, d_z = 12, 3
-        tilted = V.build_model(RngStream(17), d_x, d_z, prior0, hidden=(8,))
-        gauss = V.build_model(RngStream(18), d_x, d_z, V.StandardGaussian(), hidden=(8,))
+        tilted = V.build_model(rng_stream(17), d_x, d_z, prior0, hidden=(8,))
+        gauss = V.build_model(rng_stream(18), d_x, d_z, V.StandardGaussian(), hidden=(8,))
         for src, dst in zip(tilted.encoder.weights[:-1], gauss.encoder.weights[:-1]):
             dst[:] = src
         for src, dst in zip(tilted.encoder.biases[:-1], gauss.encoder.biases[:-1]):
@@ -366,10 +368,10 @@ class TestTrain:
 
         monkeypatch.setattr(V, "_elbo_forward_backward", frozen_sigma)
 
-        ds = gen_blobs(RngStream(19, 101), 64, 4, 3, [((1.0, 1.0), 1.0, 1.0)])
-        config = V.TrainConfig(epochs=3, batch_size=16, learning_rate=1e-3, seed=19)
-        hist_t = V.train(tilted, ds, config).history
-        hist_g = V.train(gauss, ds, config).history
+        ds = gen_blobs(rng_stream(19, 101), 64, 4, 3, [((1.0, 1.0), 1.0, 1.0)])
+        config = V.TrainConfig(epochs=3, batch_size=16, learning_rate=1e-3)
+        hist_t = V.train(tilted, ds, config, rng_stream(19, 1)).history
+        hist_g = V.train(gauss, ds, config, rng_stream(19, 1)).history
         for (rt, kt), (rg, kg) in zip(hist_t, hist_g):
             assert rt == pytest.approx(rg, rel=1e-12)
             assert kt == pytest.approx(kg, rel=1e-12)
@@ -390,9 +392,9 @@ class TestExactElbo:
     can only tighten the likelihood bound."""
 
     def test_tangency_and_one_sided_gap(self, tilted_prior):
-        ds = gen_blobs(RngStream(20, 101), 50, 8, 8, blob_preset("two", 8, 8))
-        model = V.build_model(RngStream(20), 64, 10, tilted_prior, hidden=(16, 8))
-        V.train(model, ds, V.TrainConfig(epochs=3, learning_rate=1e-3, seed=20))
+        ds = gen_blobs(rng_stream(20, 101), 50, 8, 8, blob_preset("two", 8, 8))
+        model = V.build_model(rng_stream(20), 64, 10, tilted_prior, hidden=(16, 8))
+        V.train(model, ds, V.TrainConfig(epochs=3, learning_rate=1e-3), rng_stream(20, 1))
         klds = _exact_klds(model, ds.samples)
         quads = quadratic_kld(tilted_prior, V.encode_norms(model, ds))
         assert np.all(klds <= quads + 1e-9)
@@ -407,8 +409,8 @@ class TestExactElbo:
 
     def test_zero_tilt_exact_equals_quadratic_everywhere(self):
         prior0 = TiltedPrior.fit(0.0, 4)
-        model = V.build_model(RngStream(21), 9, 4, prior0, hidden=(6,))
-        ds = gen_noise(RngStream(21, 101), 20, 3, 3)
+        model = V.build_model(rng_stream(21), 9, 4, prior0, hidden=(6,))
+        ds = gen_noise(rng_stream(21, 101), 20, 3, 3)
         klds = _exact_klds(model, ds.samples)
         norms = V.encode_norms(model, ds)
         assert klds == pytest.approx(0.5 * norms**2, rel=1e-10)
@@ -423,7 +425,7 @@ def test_standard_gaussian_holds_the_zero_tilt_fit(d):
 
 class TestCheckpoint:
     def test_roundtrip_parameters_and_header(self, tmp_path, tilted_prior):
-        model = V.build_model(RngStream(23), 6, 10, tilted_prior, hidden=(5, 4))
+        model = V.build_model(rng_stream(23), 6, 10, tilted_prior, hidden=(5, 4))
         path = tmp_path / "model.ckpt"
         V.save_checkpoint(model, path, z_bar=10.2)
         back, z_bar = V.load_checkpoint(path)
@@ -437,7 +439,7 @@ class TestCheckpoint:
         assert np.array_equal(model.params, back.params)
 
     def test_manifest_written(self, tmp_path, tilted_prior):
-        model = V.build_model(RngStream(24), 6, 10, tilted_prior, hidden=(4,))
+        model = V.build_model(rng_stream(24), 6, 10, tilted_prior, hidden=(4,))
         path = tmp_path / "model.ckpt"
         V.save_checkpoint(model, path)
         manifest = (tmp_path / "model.ckpt.manifest").read_text()
@@ -446,7 +448,7 @@ class TestCheckpoint:
         assert "z_bar = \n" in manifest
 
     def test_gaussian_roundtrip(self, tmp_path):
-        model = V.build_model(RngStream(25), 6, 3, V.StandardGaussian(), hidden=(4,))
+        model = V.build_model(rng_stream(25), 6, 3, V.StandardGaussian(), hidden=(4,))
         path = tmp_path / "g.ckpt"
         V.save_checkpoint(model, path, z_bar=None)
         back, z_bar = V.load_checkpoint(path)
@@ -467,7 +469,7 @@ class TestStrictCheckpointHeader:
 
     @pytest.fixture()
     def raw(self, tmp_path, tilted_prior):
-        model = V.build_model(RngStream(26), 8, 10, tilted_prior, hidden=(5,))
+        model = V.build_model(rng_stream(26), 8, 10, tilted_prior, hidden=(5,))
         path = tmp_path / "model.ckpt"
         V.save_checkpoint(model, path, z_bar=10.2)
         return bytearray(path.read_bytes())
