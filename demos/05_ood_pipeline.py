@@ -35,14 +35,14 @@ print(f"tilted prior: gamma = {prior.gamma:.3f}, committed rate = {prior.committ
 
 t0 = time.perf_counter()
 tilted = V.build_model(rng_stream(SEED, 0), H * W, 10, prior)
-tr = V.train(tilted, train_ds, config, rng_stream(SEED, 1))
+tilted_log = V.train(tilted, train_ds, config, rng_stream(SEED, 1))
 gauss = V.build_model(rng_stream(SEED, 0), H * W, 10, V.StandardGaussian())
-gr = V.train(gauss, train_ds, config, rng_stream(SEED, 1))
+gauss_log = V.train(gauss, train_ds, config, rng_stream(SEED, 1))
 print(f"trained both models in {time.perf_counter() - t0:.0f}s")
-print(f"tilted:   epoch 1 (recon, kld) = {tuple(round(v, 2) for v in tr.history[0])}, "
-      f"epoch 50 = {tuple(round(v, 3) for v in tr.history[-1])}")
-print(f"gaussian: epoch 50 = {tuple(round(v, 3) for v in gr.history[-1])}")
-print(f"encoded radius: z_bar = {tr.z_bar:.3f} vs gamma = {prior.gamma:.3f} "
+print(f"tilted:   epoch 1 (recon, kld) = {tuple(round(v, 2) for v in tilted_log[0])}, "
+      f"epoch 50 = {tuple(round(v, 3) for v in tilted_log[-1])}")
+print(f"gaussian: epoch 50 = {tuple(round(v, 3) for v in gauss_log[-1])}")
+print(f"encoded radius: z_bar = {tilted.z_bar:.3f} vs gamma = {prior.gamma:.3f} "
       f"(the encoder settles slightly outside the divergence-optimal shell)")
 
 # --- score and evaluate -----------------------------------------------------

@@ -57,6 +57,7 @@ class Command:
     name = ""
     help = ""
     fields = ()
+    outputs = {}  # {path field key: output name} of every file a run may write
 
     def add_arguments(self, sub):
         # Each option appends, so that main can refuse one given twice.
@@ -81,8 +82,12 @@ class Command:
         return {f.key: "" if config[f.key] is None else f.fmt(config[f.key])
                 for f in self.fields}
 
+    def written(self, config):
+        """The part of ``outputs`` that this run writes."""
+        return self.outputs
+
     def run(self, config):
-        """Execute; returns ({output_name: path}, exit code)."""
+        """Execute; returns the exit code."""
         raise NotImplementedError
 
 
@@ -98,6 +103,7 @@ class GammaCommand(Command):
         Field("dz", count, help="latent dimension"),
         Field("out", default="gamma.csv", kind=OUT_PATH, help="output CSV"),
     )
+    outputs = {"out": "table"}
 
     def run(self, config):
         prior = TiltedPrior.fit(config["tau"], config["dz"])
@@ -110,7 +116,7 @@ class GammaCommand(Command):
         print(f"gamma = {prior.gamma!r}")
         print(f"committed_rate = {prior.committed_rate!r}")
         print(f"log_z_tau = {prior.log_z_tau!r}")
-        return {"table": config["out"]}, 0
+        return 0
 
 
 class KldTableCommand(Command):
@@ -123,6 +129,7 @@ class KldTableCommand(Command):
         Field("points", grid_points, 200, help="grid size"),
         Field("out", default="kld_table.csv", kind=OUT_PATH, help="output CSV"),
     )
+    outputs = {"out": "table"}
 
     def run(self, config):
         prior = TiltedPrior.fit(config["tau"], config["dz"])
@@ -132,7 +139,7 @@ class KldTableCommand(Command):
             write_rows(fh, np.column_stack([grid, exact_kld(prior, grid),
                                             quadratic_kld(prior, grid)]))
         print(f"wrote {config['points']} rows (gamma={prior.gamma!r})")
-        return {"table": config["out"]}, 0
+        return 0
 
 
 class SweepCommand(Command):
@@ -146,6 +153,7 @@ class SweepCommand(Command):
         Field("mu_max", positive, 200.0, repr, help="largest posterior-mean norm"),
         Field("out", default="sweep.csv", kind=OUT_PATH, help="output CSV"),
     )
+    outputs = {"out": "report"}
 
     def run(self, config):
         report = verify_bound_sweep(
@@ -155,7 +163,7 @@ class SweepCommand(Command):
         n_viol, n_err = len(report.violations), len(report.errors)
         print(f"{len(report.cells)} cells, {n_viol} violations, {n_err} errors")
         # Signal in-band rather than raising: the report itself is the artifact.
-        return {"report": config["out"]}, 1 if n_viol or n_err else 0
+        return 1 if n_viol or n_err else 0
 
 
 def _parse_kv_file(path):
@@ -199,6 +207,7 @@ class TrainCommand(Command):
         Field("checkpoint", default="model.ckpt", kind=OUT_PATH, help="checkpoint output"),
         Field("log", default="train_log.csv", kind=OUT_PATH, help="per-epoch CSV log"),
     )
+    outputs = {"checkpoint": "checkpoint", "log": "log"}
 
     def run(self, config):
         dataset = parse_spec(config["data"], rng_stream(config["seed"], 101))
@@ -207,19 +216,19 @@ class TrainCommand(Command):
         model = build_model(rng_stream(config["seed"], 0), dataset.d_x, config["dz"], prior,
                             hidden=tuple(config["hidden"]), weight_std=config["weight_std"])
         keys = ("epochs", "batch_size", "learning_rate", "grad_clip")
-        result = train(model, dataset, TrainConfig(**{key: config[key] for key in keys}),
-                       rng_stream(config["seed"], 1))
-        save_checkpoint(result.model, config["checkpoint"], z_bar=result.z_bar)
+        history = train(model, dataset, TrainConfig(**{key: config[key] for key in keys}),
+                        rng_stream(config["seed"], 1))
+        save_checkpoint(model, config["checkpoint"])
         with open(config["log"], "w") as fh:
             fh.write("epoch,recon,kld\n")
-            for i, (recon, kld) in enumerate(result.history, 1):
+            for i, (recon, kld) in enumerate(history, 1):
                 fh.write(f"{i},{repr(recon)},{repr(kld)}\n")
-        last = result.history[-1]
+        last = history[-1]
         print(f"epochs={config['epochs']} final recon={last[0]!r} kld={last[1]!r}")
-        print(f"z_bar = {result.z_bar!r}")
+        print(f"z_bar = {model.z_bar!r}")
         if config["prior"] == "tilted":
-            print(f"gamma = {prior.gamma!r} (z_bar > gamma: {result.z_bar > prior.gamma})")
-        return {"checkpoint": config["checkpoint"], "log": config["log"]}, 0
+            print(f"gamma = {prior.gamma!r} (z_bar > gamma: {model.z_bar > prior.gamma})")
+        return 0
 
 
 class ScoreCommand(Command):
@@ -233,9 +242,10 @@ class ScoreCommand(Command):
         Field("seed", int, 0, help="seed for dataset generation and sampling"),
         Field("out", default="scores.csv", kind=OUT_PATH, help="output CSV"),
     )
+    outputs = {"out": "scores"}
 
     def run(self, config):
-        model, _ = load_checkpoint(config["model"])
+        model = load_checkpoint(config["model"])
         dataset = parse_spec(config["data"], rng_stream(config["seed"], 101))
         recon, kld = score_arrays(model, dataset.samples, config["draws"],
                                   rng_stream(config["seed"], 11))
@@ -246,7 +256,7 @@ class ScoreCommand(Command):
         write_scores_csv(config["out"], recon, kld, dataset.tag)
         mean = float(np.mean(scores))
         print(f"scored {dataset.n} samples, mean score {mean!r}")
-        return {"scores": config["out"]}, 0
+        return 0
 
 
 class RocCommand(Command):
@@ -258,6 +268,7 @@ class RocCommand(Command):
         Field("out", default="roc.csv", kind=OUT_PATH, help="ROC points CSV"),
         Field("summary", default="roc_summary.json", kind=OUT_PATH, help="one-line AUROC JSON"),
     )
+    outputs = {"out": "roc", "summary": "summary"}
 
     def run(self, config):
         in_s = read_scores_csv(config["in_scores"])
@@ -268,7 +279,7 @@ class RocCommand(Command):
             fh.write(curve.summary_json(in_s.size, out_s.size))
             fh.write("\n")
         print(f"auroc = {curve.auroc!r} (n_in={in_s.size}, n_out={out_s.size})")
-        return {"roc": config["out"], "summary": config["summary"]}, 0
+        return 0
 
 
 class SampleCommand(Command):
@@ -287,6 +298,7 @@ class SampleCommand(Command):
         Field("decoded", default="samples.csv", kind=OUT_PATH,
               help="decoded CSV (model runs only)"),
     )
+    outputs = {"out": "latents", "decoded": "decoded"}
 
     def config(self, strings, where, place):
         """Refuses an option that the run would ignore."""
@@ -299,13 +311,16 @@ class SampleCommand(Command):
                 raise DomainError(f"{where(key)}: not used with {other}")
         return config
 
+    def written(self, config):
+        return self.outputs if config["model"] is not None else {"out": "latents"}
+
     def run(self, config):
         model = None
         d_z, tau, zbar = config["dz"], config["tau"] or 0.0, config["zbar"]
         if config["model"] is not None:
-            model, ckpt_zbar = load_checkpoint(config["model"])
+            model = load_checkpoint(config["model"])
             d_z, tau = model.d_z, model.prior.tau
-            zbar = ckpt_zbar if zbar is None else zbar
+            zbar = model.z_bar if zbar is None else zbar
         elif d_z is None:
             raise DomainError("sample needs --model or --dz")
         rng = rng_stream(config["seed"], 21)
@@ -318,13 +333,11 @@ class SampleCommand(Command):
                      else TiltedPrior.fit(tau, d_z))
             latents = sample_tilted_prior_batch(rng, prior, config["n"])
         save_latents_csv(config["out"], latents)
-        outputs = {"latents": config["out"]}
         if model is not None:
             decoded = np.clip(decode(model, latents), 0.0, 1.0)
             save_latents_csv(config["decoded"], decoded)
-            outputs["decoded"] = config["decoded"]
         print(f"wrote {config['n']} draws ({config['sampler']} sampler)")
-        return outputs, 0
+        return 0
 
 
 class BenchCommand(Command):
@@ -338,9 +351,10 @@ class BenchCommand(Command):
         Field("seed", int, 0, help="seed"),
         Field("out", default="bench.csv", kind=OUT_PATH, help="timings CSV"),
     )
+    outputs = {"out": "timings"}
 
     def run(self, config):
-        model, _ = load_checkpoint(config["model"])
+        model = load_checkpoint(config["model"])
         dataset = parse_spec(config["data"], rng_stream(config["seed"], 101))
         x = dataset.samples
         rng = rng_stream(config["seed"], 31)
@@ -361,7 +375,7 @@ class BenchCommand(Command):
         print(f"single-pass: mean {np.mean(single):.1f} img/s, min {min(single):.1f}")
         print(f"{config['draws']}-draw:  mean {np.mean(avg):.1f} img/s, min {min(avg):.1f}")
         print(f"throughput ratio (single / averaged): {np.mean(single) / np.mean(avg):.1f}")
-        return {"timings": config["out"]}, 0
+        return 0
 
 
 COMMANDS = {
@@ -373,22 +387,42 @@ COMMANDS = {
 }
 
 
+def _refuse_overwrites(command, config, written, manifest_path):
+    """Refuses a run that would write one file twice or over one of its
+    inputs, as run or as replayed: replay writes each output into one
+    directory under its file name, and the manifest there as COMMAND.manifest."""
+    owners = {os.path.realpath(config[f.key]): f"the {_flag(f.key)} input"
+              for f in command.fields if f.kind == IN_PATH and config[f.key] is not None}
+    names = {f"{command.name}.manifest": "the manifest"}
+    for key, path in [("manifest", manifest_path), *((key, config[key]) for key in written)]:
+        real, name = os.path.realpath(path), os.path.basename(path)
+        if real in owners:
+            raise DomainError(f"{_flag(key)}: {path} is also {owners[real]}")
+        owners[real] = f"the {_flag(key)} file"
+        if key in written:
+            if name in names:
+                raise DomainError(f"{_flag(key)}: file name {name!r} is also that of "
+                                  f"{names[name]}, and replay writes both into one directory")
+            names[name] = owners[real]
+
+
 def _execute(command, config, manifest_path):
     """Run the command, write its manifest, then print what it printed: a
     stdout that cannot be written to still leaves a complete, replayable run."""
-    for f in command.fields:
-        if f.kind == OUT_PATH and config[f.key]:
-            os.makedirs(os.path.dirname(config[f.key]) or ".", exist_ok=True)
+    written = command.written(config)
+    if manifest_path is None:
+        first = min(written, key=written.get)  # the output whose name sorts first
+        manifest_path = os.path.join(os.path.dirname(config[first]), f"{command.name}.manifest")
+    _refuse_overwrites(command, config, written, manifest_path)
+    for key in written:
+        os.makedirs(os.path.dirname(config[key]) or ".", exist_ok=True)
     held = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(held):
-        outputs, exit_code = command.run(config)
+        exit_code = command.run(config)
     duration = time.perf_counter() - t0
-    if manifest_path is None:
-        first = outputs[sorted(outputs)[0]]
-        manifest_path = os.path.join(os.path.dirname(first), f"{command.name}.manifest")
     entries = {f"config.{key}": value for key, value in command.format_config(config).items()}
-    entries.update((f"output.{key}", path) for key, path in outputs.items())
+    entries.update((f"output.{name}", config[key]) for key, name in written.items())
     with open(manifest_path, "w") as fh:
         fh.write(f"command = {command.name}\nversion = {__version__}\n"
                  f"seed = {config.get('seed', '')}\nduration_s = {duration:.6f}\n")
@@ -414,7 +448,6 @@ def _replay(manifest_path, out_dir):
         if prefix in ("config", "train") and key in fields and (
                 value or fields[key].default is not None):
             strings[key] = value
-    os.makedirs(out_dir, exist_ok=True)
     config = command.config(
         strings, lambda key: f"{manifest_path}: config.{key}",
         lambda kind, path: os.path.join(out_dir, os.path.basename(path))

@@ -88,6 +88,7 @@ class VaeModel:
     prior: object  # TiltedPrior | StandardGaussian
     d_x: int
     d_z: int
+    z_bar: float | None = None  # mean encoded norm, set by train
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -316,13 +317,6 @@ def grad_step(model: VaeModel, opt: AdamState, rng: "np.random.Generator", batch
     return recon, kld
 
 
-@dataclass
-class TrainResult:
-    model: VaeModel
-    history: list  # per-epoch (recon_mean, kld_mean)
-    z_bar: float
-
-
 def encode_norms(model: VaeModel, dataset: Dataset) -> np.ndarray:
     """||mu(x)|| over a dataset."""
     mu, _ = encode(model, dataset.samples)
@@ -330,11 +324,11 @@ def encode_norms(model: VaeModel, dataset: Dataset) -> np.ndarray:
 
 
 def train(model: VaeModel, dataset: Dataset, config: TrainConfig,
-          rng: "np.random.Generator") -> TrainResult:
+          rng: "np.random.Generator") -> list:
     """Shuffled minibatch training, with each epoch's order and each step's noise from rng.
 
-    Returns the trained model (mutated in place), the per-epoch (recon, kld)
-    log, and z_bar, the mean norm of the encoded data after training.
+    Trains the model in place and sets its z_bar, the mean norm of the
+    encoded data after training. Returns the per-epoch (recon, kld) log.
     """
     if dataset.n < 1:
         raise DomainError("dataset is empty")
@@ -355,50 +349,38 @@ def train(model: VaeModel, dataset: Dataset, config: TrainConfig,
             recon_sum += recon * idx.size
             kld_sum += kld * idx.size
         history.append((recon_sum / dataset.n, kld_sum / dataset.n))
-    return TrainResult(model=model, history=history,
-                       z_bar=float(encode_norms(model, dataset).mean()))
+    model.z_bar = float(encode_norms(model, dataset).mean())
+    return history
 
 
-def save_checkpoint(model: VaeModel, path, z_bar: float | None = None) -> None:
-    """Versioned binary container (little-endian float64 tensors, row-major)
-    plus a key-value manifest at <path>.manifest."""
+def save_checkpoint(model: VaeModel, path) -> None:
+    """Versioned binary container (little-endian float64 tensors, row-major);
+    a z_bar of None is stored as NaN."""
     prior = model.prior
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IIIB", _CHECKPOINT_VERSION, model.d_x, model.d_z,
                              1 if model.is_tilted else 0))
         fh.write(struct.pack("<5d", prior.tau, prior.gamma, prior.committed_rate,
-                             prior.log_z_tau, math.nan if z_bar is None else z_bar))
+                             prior.log_z_tau, math.nan if model.z_bar is None else model.z_bar))
         for mlp in (model.encoder, model.decoder):
             fh.write(struct.pack("<I", len(mlp.weights)))
             for w, b in zip(mlp.weights, mlp.biases):
                 fh.write(struct.pack("<II", *w.shape))
                 fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
                 fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    manifest = {
-        "format_version": _CHECKPOINT_VERSION,
-        "d_x": model.d_x,
-        "d_z": model.d_z,
-        "prior": "tilted" if model.is_tilted else "gaussian",
-        "tau": repr(prior.tau),
-        "gamma": repr(prior.gamma),
-        "committed_rate": repr(prior.committed_rate),
-        "z_bar": "" if z_bar is None else repr(z_bar),
-    }
-    with open(f"{path}.manifest", "w") as fh:
-        for key in sorted(manifest):
-            fh.write(f"{key} = {manifest[key]}\n")
 
 
-def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (model, z_bar or None).
+def load_checkpoint(path) -> VaeModel:
+    """Inverse of save_checkpoint; a stored z_bar of NaN loads as None.
 
     The tilted prior is refit from the stored tau and d_z. Every
     inconsistency (truncation, trailing bytes, an unknown prior tag, a
-    non-finite parameter, a gamma, committed rate or log Z more than 1e-9
-    relative from the refit, a z_bar that is not NaN and not finite and
-    positive, a d_x, d_z or hidden width of 0, layer shapes that disagree
-    with d_x and d_z) is a DomainError naming the file.
+    non-finite parameter, a stored tau, gamma, committed rate or log Z more
+    than 1e-9 relative from the prior it builds, the refit or the standard
+    Gaussian's zeros, a z_bar that is not NaN and not finite and positive, a
+    d_x, d_z or hidden width of 0, layer shapes that disagree with d_x and
+    d_z) is a DomainError naming the file.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -443,21 +425,24 @@ def load_checkpoint(path):
         raise DomainError(f"{path}: a weight or bias is not finite")
     _check_widths(path, "encoder", encoder, d_x, d_z if prior_tag == 1 else 2 * d_z)
     _check_widths(path, "decoder", decoder, d_z, d_x)
-    prior = StandardGaussian()
+    prior, kind, source = StandardGaussian(), "gaussian", "the standard Gaussian has"
     if prior_tag == 1:
+        kind, source = "tilted", f"the refit for tau = {tau!r} gives"
         try:
             prior = TiltedPrior.fit(tau, d_z)
         except (DomainError, ConvergenceError) as exc:
             raise DomainError(f"{path}: tilted-prior header tau = {tau!r}: {exc}") from None
-        for name, stored in (("gamma", gamma), ("committed_rate", rate), ("log_z_tau", log_z)):
-            if not math.isclose(stored, getattr(prior, name), rel_tol=1e-9):
-                raise DomainError(f"{path}: tilted-prior header {name} = {stored!r}, but the "
-                                  f"refit for tau = {tau!r} gives {getattr(prior, name)!r}")
+    for name, stored in zip(("tau", "gamma", "committed_rate", "log_z_tau"),
+                            (tau, gamma, rate, log_z)):
+        want = getattr(prior, name)
+        if not math.isclose(stored, want, rel_tol=1e-9):
+            raise DomainError(f"{path}: {kind}-prior header {name} = {stored!r}, "
+                              f"but {source} {want!r}")
     if not (math.isnan(z_bar) or (math.isfinite(z_bar) and z_bar > 0.0)):
         raise DomainError(f"{path}: z_bar must be finite and positive (or NaN for absent), "
                           f"got {z_bar}")
-    model = VaeModel(encoder, decoder, prior, d_x=d_x, d_z=d_z)
-    return model, (None if math.isnan(z_bar) else z_bar)
+    return VaeModel(encoder, decoder, prior, d_x=d_x, d_z=d_z,
+                    z_bar=None if math.isnan(z_bar) else z_bar)
 
 
 def _check_widths(path, name, mlp, n_in, n_out):

@@ -72,9 +72,9 @@ def desk_run():
     config = V.TrainConfig(epochs=50, batch_size=64, learning_rate=3e-4, grad_clip=100.0)
     t0 = time.perf_counter()
     tilted = V.build_model(rng_stream(seed, 0), h * w, 10, prior)
-    tilted_result = V.train(tilted, train_ds, config, rng_stream(seed, 1))
+    tilted_history = V.train(tilted, train_ds, config, rng_stream(seed, 1))
     gauss = V.build_model(rng_stream(seed, 0), h * w, 10, V.StandardGaussian())
-    gauss_result = V.train(gauss, train_ds, config, rng_stream(seed, 1))
+    V.train(gauss, train_ds, config, rng_stream(seed, 1))
     runtime = time.perf_counter() - t0
     return {
         "prior": prior,
@@ -82,8 +82,9 @@ def desk_run():
         "eval_in": eval_in,
         "eval_noise": eval_noise,
         "eval_shift": eval_shift,
-        "tilted": tilted_result,
-        "gauss": gauss_result,
+        "tilted": tilted,
+        "tilted_history": tilted_history,
+        "gauss": gauss,
         "runtime": runtime,
         "seed": seed,
     }
@@ -259,12 +260,13 @@ def test_criterion_05_gradient_checks():
 
 
 def test_criterion_06_ood_detection_on_desk_data(desk_run):
-    tilted = desk_run["tilted"].model
-    gauss = desk_run["gauss"].model
+    tilted = desk_run["tilted"]
+    gauss = desk_run["gauss"]
     auc_noise = _auroc(tilted, desk_run["eval_in"], desk_run["eval_noise"])
     auc_shift_tilted = _auroc(tilted, desk_run["eval_in"], desk_run["eval_shift"])
     auc_shift_gauss = _auroc(gauss, desk_run["eval_in"], desk_run["eval_shift"])
-    improved = sum(desk_run["tilted"].history[-1]) < sum(desk_run["tilted"].history[0])
+    history = desk_run["tilted_history"]
+    improved = sum(history[-1]) < sum(history[0])
     ok = (
         auc_noise >= 0.95
         and auc_shift_tilted >= auc_shift_gauss
@@ -280,15 +282,15 @@ def test_criterion_06_ood_detection_on_desk_data(desk_run):
 
 
 def test_criterion_07_aggregated_posterior_radial_law(desk_run):
-    result = desk_run["tilted"]
+    model = desk_run["tilted"]
     gamma = desk_run["prior"].gamma
-    norms = V.encode_norms(result.model, desk_run["train_ds"])
+    norms = V.encode_norms(model, desk_run["train_ds"])
     radial = norms + rng_stream(desk_run["seed"] + 77, 3).standard_normal(norms.size)
-    ks = kstest(radial, lambda v: norm.cdf(v, loc=result.z_bar, scale=1.0)).statistic
-    ok = result.z_bar > gamma and ks < 0.05
+    ks = kstest(radial, lambda v: norm.cdf(v, loc=model.z_bar, scale=1.0)).statistic
+    ok = model.z_bar > gamma and ks < 0.05
     assert _report(
         7, ok,
-        f"z_bar {result.z_bar:.4f} > gamma {gamma:.4f}; "
+        f"z_bar {model.z_bar:.4f} > gamma {gamma:.4f}; "
         f"KS(encoded radii + unit noise, N(z_bar, 1)) = {ks:.4f} (<0.05)",
     )
 
@@ -316,7 +318,7 @@ def test_criterion_08_sampler_correctness():
 
 
 def test_criterion_09_single_pass_throughput_advantage(desk_run):
-    model = desk_run["tilted"].model
+    model = desk_run["tilted"]
     x = desk_run["eval_in"].samples
     rng = rng_stream(41)
     score_arrays(model, x)

@@ -193,7 +193,7 @@ class TestTrain:
         assert main(["train", "--config", str(train_cfg),
                      "--checkpoint", str(ckpt), "--log", str(log)]) == 0
         assert ckpt.exists() and log.exists()
-        assert (tmp_path / "model.ckpt.manifest").exists()
+        assert not (tmp_path / "model.ckpt.manifest").exists()
         header, rows = _read_csv(log)
         assert header == ["epoch", "recon", "kld"]
         assert len(rows) == 2
@@ -558,6 +558,123 @@ class TestManifestAndReplay:
         bad = tmp_path / "bad.manifest"
         bad.write_text("command = nonsense\n")
         assert main(["replay", str(bad), "--out-dir", str(tmp_path / "x")]) == 1
+
+
+_RUNS = {
+    "gamma": ["gamma", "--tau", "2", "--dz", "3"],
+    "kld-table": ["kld-table", "--tau", "2", "--dz", "3", "--points", "5"],
+    "sweep": ["sweep", "--d-grid", "2", "--w-grid", "1", "--points", "5"],
+    "train": ["train", "--config", "{cfg}"],
+    "score": ["score", "--model", "{ckpt}", "--data", "noise:n=8,h=8,w=8"],
+    "roc": ["roc", "--in-scores", "{scores}", "--out-scores", "{scores}"],
+    "sample": ["sample", "--model", "{ckpt}", "--n", "3"],
+    # Without --model, sample writes no decoded CSV, so the --decoded default
+    # samples.csv is free for --out.
+    "sample-no-model": ["sample", "--dz", "3", "--zbar", "1", "--n", "3", "--out", "samples.csv"],
+    "bench": ["bench", "--model", "{ckpt}", "--data", "noise:n=8,h=8,w=8", "--draws", "1",
+              "--repeat", "1"],
+}
+
+
+class TestRunFiles:
+    """A run writes the files its manifest names and the manifest, nothing
+    else, and refuses to write one file twice or over one of its inputs, as
+    run or as replayed into one directory."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, train_cfg):
+        ckpt, scores = tmp_path / "in" / "model.ckpt", tmp_path / "in" / "scores.csv"
+        assert main(["train", "--config", str(train_cfg), "--checkpoint", str(ckpt),
+                     "--log", str(tmp_path / "in" / "log.csv")]) == 0
+        assert main(["score", "--model", str(ckpt), "--data", "noise:n=8,h=8,w=8",
+                     "--out", str(scores)]) == 0
+        return {"cfg": train_cfg, "ckpt": ckpt, "scores": scores}
+
+    @staticmethod
+    def _assert_holds_its_outputs(run_dir, manifest):
+        entries, _ = _parse_kv_file(manifest)
+        outputs = [path for key, path in entries.items() if key.startswith("output.")]
+        assert outputs and {os.path.dirname(path) for path in outputs} == {str(run_dir)}
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+            [os.path.basename(path) for path in outputs] + [manifest.name])
+
+    @pytest.mark.parametrize("name", list(_RUNS))
+    def test_run_and_replay_write_only_what_the_manifest_names(self, tmp_path, inputs,
+                                                               monkeypatch, name):
+        # train once also wrote <checkpoint>.manifest, which no manifest named.
+        argv = [arg.format(**inputs) for arg in _RUNS[name]]
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        # sweep exits 1 for the by-design violation of its one cell.
+        assert main(argv) == (name == "sweep")
+        manifest = run_dir / f"{argv[0]}.manifest"
+        self._assert_holds_its_outputs(run_dir, manifest)
+        replay_dir = tmp_path / "replayed"
+        assert main(["replay", str(manifest), "--out-dir", str(replay_dir)]) == (name == "sweep")
+        self._assert_holds_its_outputs(replay_dir, replay_dir / manifest.name)
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["train", "--config", "{cfg}", "--checkpoint", "a/model", "--log", "b/model"],
+         "--log: file name 'model' is also that of the --checkpoint file, "
+         "and replay writes both into one directory"),
+        (["roc", "--in-scores", "{scores}", "--out-scores", "{scores}",
+          "--out", "x.csv", "--summary", "x.csv"], "--summary: {run}/x.csv is also the --out file"),
+        (["score", "--model", "{ckpt}", "--data", "noise:n=4,h=8,w=8", "--out", "{ckpt}"],
+         "--out: {ckpt} is also the --model input"),
+        (["gamma", "--tau", "1", "--dz", "2", "--out", "gamma.manifest"],
+         "--out: {run}/gamma.manifest is also the --manifest file"),
+        (["gamma", "--tau", "1", "--dz", "2", "--out", "d/gamma.manifest",
+          "--manifest", "run.manifest"],
+         "--out: file name 'gamma.manifest' is also that of the manifest, "
+         "and replay writes both into one directory"),
+        (["score", "--model", "{ckpt}", "--data", "noise:n=4,h=8,w=8", "--out", "s.csv",
+          "--manifest", "{ckpt}"], "--manifest: {ckpt} is also the --model input"),
+        (["score", "--model", "{ckpt}", "--data", "noise:n=4,h=8,w=8", "--out", "s.csv",
+          "--manifest", "s.csv"], "--out: {run}/s.csv is also the --manifest file"),
+        (["sample", "--model", "{ckpt}", "--n", "3", "--out", "samples.csv"],
+         "--decoded: {run}/samples.csv is also the --out file"),
+    ], ids=["output-names", "outputs", "output-input", "output-manifest",
+            "output-replay-manifest", "manifest-input", "manifest-output", "sample-decoded"])
+    def test_overwrite_is_refused(self, tmp_path, inputs, capsys, monkeypatch, argv, expected):
+        # Each once exited 0, having overwritten one file with another.
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        before = {key: path.read_bytes() for key, path in inputs.items()}
+        assert main([arg.format(**inputs) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {expected.format(run=run_dir, **inputs)}\n"
+        assert not any(run_dir.iterdir())
+        assert {key: path.read_bytes() for key, path in inputs.items()} == before
+
+    def test_replay_of_colliding_outputs_is_refused(self, tmp_path, capsys):
+        # Replay once wrote both files to replayed/model: the log replaced the
+        # checkpoint, which then failed to load with "bad magic".
+        manifest = tmp_path / "old.manifest"
+        manifest.write_text("command = train\nconfig.prior = tilted\nconfig.dz = 2\n"
+                            "config.data = noise:n=4,h=2,w=2\nconfig.epochs = 1\n"
+                            "config.checkpoint = a/model\nconfig.log = b/model\n")
+        replay_dir = tmp_path / "replayed"
+        assert main(["replay", str(manifest), "--out-dir", str(replay_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --log: {replay_dir}/model is also the --checkpoint file\n")
+        assert not replay_dir.exists()
+
+    @pytest.mark.parametrize("argv,manifest", [
+        (["train", "--config", "{cfg}", "--checkpoint", "a/m.ckpt", "--log", "b/l.csv"],
+         "a/train.manifest"),
+        (["roc", "--in-scores", "{scores}", "--out-scores", "{scores}",
+          "--out", "a/r.csv", "--summary", "b/s.json"], "a/roc.manifest"),
+        (["sample", "--model", "{ckpt}", "--n", "3", "--out", "a/l.csv", "--decoded", "b/d.csv"],
+         "b/sample.manifest"),
+        (["sample", "--dz", "3", "--zbar", "1", "--out", "a/l.csv", "--decoded", "b/d.csv"],
+         "a/sample.manifest"),
+    ], ids=["train", "roc", "sample", "sample-no-model"])
+    def test_default_manifest_is_next_to_the_first_output_name(self, tmp_path, inputs,
+                                                               monkeypatch, argv, manifest):
+        monkeypatch.chdir(tmp_path)
+        assert main([arg.format(**inputs) for arg in argv]) == 0
+        assert [str(p.relative_to(tmp_path)) for p in tmp_path.glob("?/*.manifest")] == [manifest]
 
 
 def _fields_with_defaults():

@@ -46,8 +46,9 @@ def _mutate(data, raw):
 
 def _checkpoint_bytes(tmp_path, prior):
     model = V.build_model(rng_stream(31), 6, 3, prior, hidden=(4,))
+    model.z_bar = 2.5
     path = tmp_path / "valid.ckpt"
-    V.save_checkpoint(model, path, z_bar=2.5)
+    V.save_checkpoint(model, path)
     return path.read_bytes()
 
 
@@ -105,11 +106,11 @@ class TestCheckpointFuzz:
         path = tmp_path / "mutated.ckpt"
         path.write_bytes(raw)
         try:
-            model, z_bar = V.load_checkpoint(path)
+            model = V.load_checkpoint(path)
         except DomainError as exc:
             assert str(path) in str(exc)
             return
-        assert z_bar is None or 0.0 < z_bar < float("inf")
+        assert model.z_bar is None or 0.0 < model.z_bar < float("inf")
         enc_out = model.d_z if model.is_tilted else 2 * model.d_z
         assert model.d_x >= 1 and model.d_z >= 1
         assert all(w.shape[1] >= 1 for w in model.encoder.weights + model.decoder.weights)
@@ -177,6 +178,32 @@ class TestCheckpointFuzz:
             stderr = capsys.readouterr().err
             assert stderr.startswith(f"error: {path}: ") and stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("header,field", [
+        ({"tau": 5.0}, "tau"),
+        ({"gamma": 1.0}, "gamma"),
+        ({"committed_rate": 0.5}, "committed_rate"),
+        ({"log_z_tau": 2.0}, "log_z_tau"),
+        ({"tau": float("nan")}, "tau"),
+    ])
+    def test_gaussian_header_must_hold_zeros(self, tmp_path, checkpoints, capsys, header,
+                                             field):
+        # Only tilted headers were checked once: these loaded as the standard
+        # Gaussian, and score exited 0.
+        path = tmp_path / "header.ckpt"
+        path.write_bytes(_with_header(checkpoints[1], **header))
+        with pytest.raises(DomainError, match=f"gaussian-prior header {field} = ") as err:
+            V.load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+        for argv in (["score", "--model", str(path), "--data", "noise:n=4,h=2,w=3",
+                      "--out", str(tmp_path / "s.csv")],
+                     ["sample", "--model", str(path), "--n", "3",
+                      "--out", str(tmp_path / "l.csv"), "--decoded", str(tmp_path / "d.csv")]):
+            assert main(argv) == 1
+            stderr = capsys.readouterr().err
+            assert stderr.startswith(f"error: {path}: gaussian-prior header {field} = ")
+            assert stderr.count("\n") == 1
+        assert not any(p.suffix == ".csv" for p in tmp_path.iterdir())
+
     @pytest.mark.parametrize("d_x,d_z,hidden,refusal", [
         (0, 3, (4,), "d_x is 0"),
         (6, 0, (4,), "d_z is 0"),
@@ -187,7 +214,8 @@ class TestCheckpointFuzz:
         # train never writes these; loaded, they scored and sampled with exit 0.
         path = tmp_path / "zero.ckpt"
         model = V.build_model(rng_stream(31), d_x, d_z, V.StandardGaussian(), hidden=hidden)
-        V.save_checkpoint(model, path, z_bar=2.5)
+        model.z_bar = 2.5
+        V.save_checkpoint(model, path)
         with pytest.raises(DomainError) as err:
             V.load_checkpoint(path)
         assert str(err.value) == f"{path}: {refusal}"
@@ -203,8 +231,7 @@ class TestCheckpointFuzz:
         fit = TiltedPrior.fit(3.0, 3)
         path = tmp_path / "close.ckpt"
         path.write_bytes(_with_header(checkpoints[0], gamma=fit.gamma * (1 + 1e-12)))
-        model, _ = V.load_checkpoint(path)
-        assert model.prior == fit
+        assert V.load_checkpoint(path).prior == fit
 
     def test_score_on_overflowing_weights_exits_1(self, tmp_path, checkpoints, capsys):
         # Finite weights of 1e308 into the first hidden unit overflow its

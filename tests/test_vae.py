@@ -314,17 +314,18 @@ class TestTrain:
     def test_objective_decreases_on_blobs(self, tilted_prior):
         ds = gen_blobs(rng_stream(14, 101), 200, 8, 8, blob_preset("two", 8, 8))
         model = V.build_model(rng_stream(14), 64, 10, tilted_prior, hidden=(32, 16))
-        result = V.train(model, ds, V.TrainConfig(epochs=10, learning_rate=1e-3),
-                         rng_stream(14, 1))
-        assert sum(result.history[-1]) < sum(result.history[0])
-        assert result.z_bar > 0.0
+        assert model.z_bar is None
+        history = V.train(model, ds, V.TrainConfig(epochs=10, learning_rate=1e-3),
+                          rng_stream(14, 1))
+        assert sum(history[-1]) < sum(history[0])
+        assert model.z_bar == float(V.encode_norms(model, ds).mean()) > 0.0
 
     def test_gaussian_kld_collapses_on_uninformative_data(self):
         ds = gen_noise(rng_stream(15, 101), 200, 8, 8)
         model = V.build_model(rng_stream(15), 64, 4, V.StandardGaussian(), hidden=(32, 16))
-        result = V.train(model, ds, V.TrainConfig(epochs=10, learning_rate=1e-3),
-                         rng_stream(15, 1))
-        assert result.history[-1][1] < result.history[0][1]
+        history = V.train(model, ds, V.TrainConfig(epochs=10, learning_rate=1e-3),
+                          rng_stream(15, 1))
+        assert history[-1][1] < history[0][1]
 
     def test_seeded_determinism_is_bitwise(self, tilted_prior):
         ds = gen_blobs(rng_stream(16, 101), 100, 8, 8, blob_preset("two", 8, 8))
@@ -370,8 +371,8 @@ class TestTrain:
 
         ds = gen_blobs(rng_stream(19, 101), 64, 4, 3, [((1.0, 1.0), 1.0, 1.0)])
         config = V.TrainConfig(epochs=3, batch_size=16, learning_rate=1e-3)
-        hist_t = V.train(tilted, ds, config, rng_stream(19, 1)).history
-        hist_g = V.train(gauss, ds, config, rng_stream(19, 1)).history
+        hist_t = V.train(tilted, ds, config, rng_stream(19, 1))
+        hist_g = V.train(gauss, ds, config, rng_stream(19, 1))
         for (rt, kt), (rg, kg) in zip(hist_t, hist_g):
             assert rt == pytest.approx(rg, rel=1e-12)
             assert kt == pytest.approx(kg, rel=1e-12)
@@ -426,10 +427,11 @@ def test_standard_gaussian_holds_the_zero_tilt_fit(d):
 class TestCheckpoint:
     def test_roundtrip_parameters_and_header(self, tmp_path, tilted_prior):
         model = V.build_model(rng_stream(23), 6, 10, tilted_prior, hidden=(5, 4))
+        model.z_bar = 10.2
         path = tmp_path / "model.ckpt"
-        V.save_checkpoint(model, path, z_bar=10.2)
-        back, z_bar = V.load_checkpoint(path)
-        assert z_bar == 10.2
+        V.save_checkpoint(model, path)
+        back = V.load_checkpoint(path)
+        assert back.z_bar == 10.2
         assert back.d_x == 6 and back.d_z == 10
         assert back.is_tilted
         assert back.prior.tau == tilted_prior.tau
@@ -438,21 +440,18 @@ class TestCheckpoint:
         assert back.prior.log_z_tau == tilted_prior.log_z_tau
         assert np.array_equal(model.params, back.params)
 
-    def test_manifest_written(self, tmp_path, tilted_prior):
+    def test_checkpoint_is_one_file(self, tmp_path, tilted_prior):
+        # Once a <path>.manifest sidecar repeated the header beside it.
         model = V.build_model(rng_stream(24), 6, 10, tilted_prior, hidden=(4,))
-        path = tmp_path / "model.ckpt"
-        V.save_checkpoint(model, path)
-        manifest = (tmp_path / "model.ckpt.manifest").read_text()
-        assert "prior = tilted" in manifest
-        assert "d_z = 10" in manifest
-        assert "z_bar = \n" in manifest
+        V.save_checkpoint(model, tmp_path / "model.ckpt")
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_gaussian_roundtrip(self, tmp_path):
         model = V.build_model(rng_stream(25), 6, 3, V.StandardGaussian(), hidden=(4,))
         path = tmp_path / "g.ckpt"
-        V.save_checkpoint(model, path, z_bar=None)
-        back, z_bar = V.load_checkpoint(path)
-        assert z_bar is None
+        V.save_checkpoint(model, path)
+        back = V.load_checkpoint(path)
+        assert back.z_bar is None
         assert not back.is_tilted
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -470,8 +469,9 @@ class TestStrictCheckpointHeader:
     @pytest.fixture()
     def raw(self, tmp_path, tilted_prior):
         model = V.build_model(rng_stream(26), 8, 10, tilted_prior, hidden=(5,))
+        model.z_bar = 10.2
         path = tmp_path / "model.ckpt"
-        V.save_checkpoint(model, path, z_bar=10.2)
+        V.save_checkpoint(model, path)
         return bytearray(path.read_bytes())
 
     @staticmethod
