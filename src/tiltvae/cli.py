@@ -26,7 +26,7 @@ from ._csvfloat import write_rows
 from ._fields import (IN_PATH, OUT_PATH, REQUIRED, VAL, Field, choice, count, counts, fmt_ints,
                       grid_points, int_ranges, non_negative, non_negative_int, parse_fields,
                       positive)
-from .data import parse_spec
+from .data import parse_spec, spec_input
 from .errors import ConvergenceError, DomainError, NumericalError
 from .ood import read_scores_csv, roc, score_arrays, write_scores_csv
 from .sampler import (
@@ -389,10 +389,14 @@ COMMANDS = {
 
 def _refuse_overwrites(command, config, written, manifest_path):
     """Refuses a run that would write one file twice or over one of its
-    inputs, as run or as replayed: replay writes each output into one
-    directory under its file name, and the manifest there as COMMAND.manifest."""
-    owners = {os.path.realpath(config[f.key]): f"the {_flag(f.key)} input"
-              for f in command.fields if f.kind == IN_PATH and config[f.key] is not None}
+    inputs (a path option, or the file a --data spec reads), as run or as
+    replayed: replay writes each output into one directory under its file
+    name, and the manifest there as COMMAND.manifest."""
+    inputs = {f.key: config[f.key] for f in command.fields if f.kind == IN_PATH}
+    if config.get("data") is not None:
+        inputs["data"] = spec_input(config["data"])
+    owners = {os.path.realpath(path): f"the {_flag(key)} input"
+              for key, path in inputs.items() if path is not None}
     names = {f"{command.name}.manifest": "the manifest"}
     for key, path in [("manifest", manifest_path), *((key, config[key]) for key in written)]:
         real, name = os.path.realpath(path), os.path.basename(path)
@@ -414,8 +418,8 @@ def _execute(command, config, manifest_path):
         first = min(written, key=written.get)  # the output whose name sorts first
         manifest_path = os.path.join(os.path.dirname(config[first]), f"{command.name}.manifest")
     _refuse_overwrites(command, config, written, manifest_path)
-    for key in written:
-        os.makedirs(os.path.dirname(config[key]) or ".", exist_ok=True)
+    for path in [manifest_path, *(config[key] for key in written)]:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     held = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(held):

@@ -168,6 +168,30 @@ _SPEC_FIELDS = {
 }
 
 
+def _spec_options(spec):
+    """(kind, options, where) of a spec string, where names it in errors."""
+    where = f"data spec {spec!r}"
+    kind, _, rest = spec.partition(":")
+    if kind not in _SPEC_FIELDS:
+        raise DomainError(f"{where}: unknown kind {kind!r}")
+    strings = {}
+    for item in rest.split(",") if rest else ():
+        key, sep, val = (t.strip() for t in item.partition("="))
+        if not sep or not key:
+            raise DomainError(f"{where}: malformed item {item!r}")
+        if key in strings:
+            raise DomainError(f"{where}: repeated key {key!r}")
+        strings[key] = val
+    return kind, parse_fields(_SPEC_FIELDS[kind], strings, lambda key: where), where
+
+
+def spec_input(spec: str):
+    """The file a data spec reads (an idx: spec's path=), or None for a
+    generated dataset; a spec parse_spec refuses is refused the same way."""
+    kind, opts, _ = _spec_options(spec)
+    return opts["path"] if kind == "idx" else None
+
+
 def parse_spec(spec: str, rng: "np.random.Generator") -> Dataset:
     """Build a dataset from a compact spec string.
 
@@ -183,20 +207,7 @@ def parse_spec(spec: str, rng: "np.random.Generator") -> Dataset:
     finite and >= 0. An unknown kind, a repeated key, or a channel conversion
     the file does not allow is refused naming the spec.
     """
-    where = f"data spec {spec!r}"
-    kind, _, rest = spec.partition(":")
-    if kind not in _SPEC_FIELDS:
-        raise DomainError(f"{where}: unknown kind {kind!r}")
-    strings = {}
-    for item in rest.split(",") if rest else ():
-        key, sep, val = (t.strip() for t in item.partition("="))
-        if not sep or not key:
-            raise DomainError(f"{where}: malformed item {item!r}")
-        if key in strings:
-            raise DomainError(f"{where}: repeated key {key!r}")
-        strings[key] = val
-    opts = parse_fields(_SPEC_FIELDS[kind], strings, lambda key: where)
-
+    kind, opts, where = _spec_options(spec)
     if kind in ("noise", "constant"):
         gen = gen_noise if kind == "noise" else gen_constant
         return gen(rng, opts["n"], opts["h"], opts["w"], opts["c"])

@@ -31,11 +31,20 @@ _CHUNK = 1024
 # all of them together), whatever the number of points.
 _BLOCK_ELEMS = 1 << 13
 
-# Crossover to the large-argument asymptotic expansion. The expansion is
-# only used when its own truncation check certifies the accuracy; otherwise
-# the direct series is kept (it is overflow-safe at any argument size).
+# The large-argument expansion (DLMF 13.7.2) keeps one of Kummer's two
+# solutions and omits the other, which is about |Gamma(a)/Gamma(b-a)|
+# e^-z z^(b-2a) times smaller (0 where b - a is 0, -1, -2, ...). It is tried
+# wherever that ratio is below e^_ASYMP_LOG_OMIT, in chunks of terms (a short
+# first one, since large z stops within a few), and it gives the value only
+# where its own truncation check certifies it. Up to z = _ASYMP_Z_MIN that
+# means its terms fell below 1e-17 of the sum before any term grew; above it,
+# the last term kept before growth may also be up to _ASYMP_TAIL of the sum.
+# Every other point is summed by the series, which is overflow-safe at any
+# argument size.
+_ASYMP_LOG_OMIT = math.log(1e-20)
 _ASYMP_Z_MIN = 700.0
 _ASYMP_MAX_TERMS = 200
+_ASYMP_FIRST_CHUNK = 8
 _ASYMP_CHUNK = 40
 _ASYMP_TAIL = 1e-13
 
@@ -89,39 +98,42 @@ def _series_chunk(shared, log_z, run, log_t, rows):
     return (steps[:, -1] < 0.0) & (log_terms[:, -1] < total - _TAIL_NATS)
 
 
-def _log_kummer_asymptotic(a: float, b: float, z):
+def _log_kummer_asymptotic(a: float, b: float, z, loose=_ASYMP_TAIL):
     """Large-z expansion M(a,b,z) ~ Gamma(b)/Gamma(a) e^z z^(a-b) sum_k c_k,
     c_k = (b-a)^(k) (1-a)^(k) / (k! z^k), for a flat array z.
 
     Returns (ok, log(e^-z M), sum_{k>=1} c_k) arrays. Terms are summed while
     they shrink: the sum stops at a term below 1e-17 of it (certified), or
     before the first term that does not shrink (certified when the last one
-    kept is below _ASYMP_TAIL of the sum). ``ok`` is False where that cannot
-    certify the accuracy; the caller then falls back to the direct series there.
+    kept is at most ``loose``, a scalar or one value per point, of the sum).
+    ``ok`` is False where that cannot certify the accuracy; the caller then
+    falls back to the direct series there.
     """
     z = np.asarray(z, dtype=np.float64)
+    loose = np.broadcast_to(loose, z.shape)
     c = np.ones(z.size)  # last term kept
     s = np.ones(z.size)  # sum of the terms kept
     tail = np.zeros(z.size)  # the same sum without c_0 = 1
     ok = np.zeros(z.size, dtype=bool)
     live = np.arange(z.size)
+    k0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, _ASYMP_MAX_TERMS, _ASYMP_CHUNK):
-            if not live.size:
-                break
-            k = np.arange(k0, min(k0 + _ASYMP_CHUNK, _ASYMP_MAX_TERMS), dtype=np.float64)
+        while live.size and k0 < _ASYMP_MAX_TERMS:
+            width = _ASYMP_CHUNK if k0 else _ASYMP_FIRST_CHUNK
+            k = np.arange(k0, min(k0 + width, _ASYMP_MAX_TERMS), dtype=np.float64)
             ratio = (b - a + k) * (1 - a + k) / (k + 1)
-            stopped = np.concatenate([_asymptotic_chunk(ratio, z, c, s, tail, ok, rows)
+            stopped = np.concatenate([_asymptotic_chunk(ratio, z, loose, c, s, tail, ok, rows)
                                       for rows in _row_slices(live, k.size)])
             live = live[~stopped]
-    ok[live] = np.abs(c[live]) <= _ASYMP_TAIL * np.abs(s[live])
+            k0 += k.size
+    ok[live] = np.abs(c[live]) <= loose[live] * np.abs(s[live])
     ok &= s > 0.0
     log_m = np.full(z.shape, math.nan)
     log_m[ok] = math.lgamma(b) - math.lgamma(a) + (a - b) * np.log(z[ok]) + np.log(s[ok])
     return ok, log_m, tail
 
 
-def _asymptotic_chunk(ratio, z, c, s, tail, ok, rows):
+def _asymptotic_chunk(ratio, z, loose, c, s, tail, ok, rows):
     """Take up to ratio.size more terms for the points ``rows``, updating c, s,
     tail and ok in place; True where the sum stopped."""
     c_next = c[rows, None] * np.cumprod(ratio / z[rows, None], axis=1)
@@ -139,25 +151,37 @@ def _asymptotic_chunk(ratio, z, c, s, tail, ok, rows):
     c[rows] = np.where(hit, c_prev[i, j], c_next[:, -1])
     s[rows] += kept
     tail[rows] += kept
-    ok[rows] = hit & (~grew | (np.abs(c_prev[i, j]) <= _ASYMP_TAIL * np.abs(s[rows])))
+    ok[rows] = hit & (~grew | (np.abs(c_prev[i, j]) <= loose[rows] * np.abs(s[rows])))
     return hit
+
+
+def _log_omitted(a: float, b: float, z):
+    """log of the ratio of the solution the large-z expansion omits to the one
+    it keeps, about |Gamma(a)/Gamma(b-a)| e^-z z^(b-2a), at points z > 0;
+    -inf where b - a is 0, -1, -2, ..., so that 1/Gamma(b-a) = 0."""
+    if b - a <= 0.0 and b - a == math.floor(b - a):
+        return np.full(z.shape, -math.inf)
+    return math.lgamma(a) - math.lgamma(b - a) - z + (b - 2.0 * a) * np.log(z)
 
 
 def _log_kummer_pos(a: float, b: float, z):
     """(log(e^-z M(a, b, z)), tail) for a > 0, b > 0 and every point of an
-    array z >= 0: the asymptotic expansion where it certifies itself, else the
-    series; see log_kummer_scaled."""
+    array z >= 0: the asymptotic expansion where it omits a negligible solution
+    and certifies itself (strictly up to z = _ASYMP_Z_MIN, see the constants),
+    else the series; see log_kummer_scaled."""
     z = np.asarray(z, dtype=np.float64)
     zf = z.reshape(-1)
     out = np.zeros(zf.size)  # M(a, b, 0) = 1
     tail = np.full(zf.size, math.nan)
     pending = zf > 0.0
-    big = np.flatnonzero(zf > _ASYMP_Z_MIN)
-    if big.size:
-        ok, log_m, big_tail = _log_kummer_asymptotic(a, b, zf[big])
-        out[big[ok]] = log_m[ok]
-        tail[big[ok]] = big_tail[ok]
-        pending[big[ok]] = False
+    cand = np.flatnonzero(pending)
+    cand = cand[_log_omitted(a, b, zf[cand]) < _ASYMP_LOG_OMIT]
+    if cand.size:
+        loose = np.where(zf[cand] > _ASYMP_Z_MIN, _ASYMP_TAIL, 0.0)
+        ok, log_m, cand_tail = _log_kummer_asymptotic(a, b, zf[cand], loose)
+        out[cand[ok]] = log_m[ok]
+        tail[cand[ok]] = cand_tail[ok]
+        pending[cand[ok]] = False
     rest = np.flatnonzero(pending)
     if rest.size:
         out[rest] = _log_series_pos(a, b, zf[rest]) - zf[rest]

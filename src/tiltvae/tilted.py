@@ -96,9 +96,10 @@ def _log_chi_coef(d_z):
 def _mean_norms(d_z, m):
     """(E, E - m) at an array of norms m = ||mu||, E = E[||z||], z ~ N(mu, I).
 
-    Where the kernel sums its large-z expansion, its constants cancel
-    (a - b = 1/2) and E = m (1 + tail), so E - m = m tail needs no
-    subtraction; elsewhere (m^2/2 <= 700) it is a plain difference.
+    Where the kernel sums its large-z expansion (from m^2/2 of about 20 to
+    80, depending on d_z), its constants cancel (a - b = 1/2) and
+    E = m (1 + tail), so E - m = m tail needs no subtraction; where the
+    series gives the value, it is a plain difference.
     """
     k, tail = log_kummer_scaled((d_z + 1) / 2.0, d_z / 2.0, 0.5 * m * m)
     mean = _SQRT_PI_OVER_2 * np.exp(_log_chi_coef(d_z) + k)

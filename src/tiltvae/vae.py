@@ -293,7 +293,10 @@ def grad_step(model: VaeModel, opt: AdamState, rng: "np.random.Generator", batch
     recon, kld, g = _elbo_forward_backward(model, x, eps)
     if not (math.isfinite(recon) and math.isfinite(kld)):
         raise NumericalError("non-finite loss", recon=recon, kld=kld)
-    total = math.sqrt(float(g @ g))
+    # einsum, not the BLAS dot g @ g: BLAS splits the dot across its threads,
+    # so the sum, and once clipping fires every parameter, would depend on
+    # the thread count.
+    total = math.sqrt(float(np.einsum("i,i->", g, g)))
     if total > config.grad_clip:
         g *= config.grad_clip / total
     opt.t += 1

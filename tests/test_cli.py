@@ -21,10 +21,11 @@ from tiltvae.sampler import rng_stream
 from idx_files import write_idx
 
 
-def _run_python(args, cwd, timeout=120, stdout=subprocess.PIPE):
-    """A fresh interpreter that imports this checkout's tiltvae."""
+def _run_python(args, cwd, timeout=120, stdout=subprocess.PIPE, env=None):
+    """A fresh interpreter that imports this checkout's tiltvae, with the
+    variables of ``env`` added to this process's environment."""
     src = os.path.dirname(os.path.dirname(tiltvae.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=timeout)
@@ -443,6 +444,26 @@ class TestRandomStreams:
         assert proc.stdout == "False\n"
 
 
+class TestBlasThreads:
+    def test_training_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        # About 200k parameters, so that a BLAS dot over the gradient would
+        # be split across threads; every step of this epoch is clipped.
+        outputs = {}
+        for threads in ("1", "2"):
+            run = tmp_path / threads
+            run.mkdir()
+            proc = _run_python(
+                ["-m", "tiltvae.cli", "train", "--prior", "tilted", "--tau", "10", "--dz", "10",
+                 "--hidden", "256,128", "--data", "blobs:n=256,h=16,w=16,preset=two",
+                 "--epochs", "1", "--seed", "7", "--learning-rate", "0.0003"],
+                cwd=run, env={var: threads for var in
+                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads] = [(run / name).read_bytes()
+                                for name in ("model.ckpt", "train_log.csv")]
+        assert outputs["1"] == outputs["2"]
+
+
 class TestManifestAndReplay:
     def test_manifest_fields(self, tmp_path):
         out = tmp_path / "gamma.csv"
@@ -554,6 +575,17 @@ class TestManifestAndReplay:
         for name in outputs:
             assert (replay_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
+    def test_manifest_directory_is_created(self, tmp_path, monkeypatch):
+        # The run once wrote g.csv and then exited 3, as m/ did not exist.
+        monkeypatch.chdir(tmp_path)
+        assert main(["gamma", "--tau", "10", "--dz", "10", "--out", "g.csv",
+                     "--manifest", "m/gamma.manifest"]) == 0
+        manifest = tmp_path / "m" / "gamma.manifest"
+        assert _parse_kv_file(manifest)[0]["output.table"] == str(tmp_path / "g.csv")
+        replay_dir = tmp_path / "replayed"
+        assert main(["replay", str(manifest), "--out-dir", str(replay_dir)]) == 0
+        assert (replay_dir / "g.csv").read_bytes() == (tmp_path / "g.csv").read_bytes()
+
     def test_replay_unknown_command(self, tmp_path):
         bad = tmp_path / "bad.manifest"
         bad.write_text("command = nonsense\n")
@@ -588,7 +620,9 @@ class TestRunFiles:
                      "--log", str(tmp_path / "in" / "log.csv")]) == 0
         assert main(["score", "--model", str(ckpt), "--data", "noise:n=8,h=8,w=8",
                      "--out", str(scores)]) == 0
-        return {"cfg": train_cfg, "ckpt": ckpt, "scores": scores}
+        idx = tmp_path / "in" / "x.idx"
+        write_idx(idx, np.arange(64, dtype=np.uint8).reshape(4, 4, 4))
+        return {"cfg": train_cfg, "ckpt": ckpt, "scores": scores, "idx": idx}
 
     @staticmethod
     def _assert_holds_its_outputs(run_dir, manifest):
@@ -634,8 +668,13 @@ class TestRunFiles:
           "--manifest", "s.csv"], "--out: {run}/s.csv is also the --manifest file"),
         (["sample", "--model", "{ckpt}", "--n", "3", "--out", "samples.csv"],
          "--decoded: {run}/samples.csv is also the --out file"),
+        (["score", "--model", "{ckpt}", "--data", "idx:path=../in/x.idx", "--out", "{idx}"],
+         "--out: {idx} is also the --data input"),
+        (["train", "--config", "{cfg}", "--data", "idx:path={idx},max=2", "--log", "{idx}"],
+         "--log: {idx} is also the --data input"),
     ], ids=["output-names", "outputs", "output-input", "output-manifest",
-            "output-replay-manifest", "manifest-input", "manifest-output", "sample-decoded"])
+            "output-replay-manifest", "manifest-input", "manifest-output", "sample-decoded",
+            "score-data-input", "train-data-input"])
     def test_overwrite_is_refused(self, tmp_path, inputs, capsys, monkeypatch, argv, expected):
         # Each once exited 0, having overwritten one file with another.
         run_dir = tmp_path / "run"

@@ -123,16 +123,35 @@ class TestLogKummerM:
     @pytest.mark.parametrize("a,b", [(1.5, 1.0), (5.5, 5.0), (100.5, 101.0), (3.0, 0.5)])
     def test_tail_is_the_expansion_past_its_leading_term(self, a, b):
         # e^-z M = Gamma(b)/Gamma(a) z^(a-b) (1 + tail) where the expansion
-        # is summed (z > 700), against mpmath at 60 digits; NaN elsewhere.
-        z = np.array([0.0, 1.0, 699.9, 700.1, 2000.0, 1e5, 1e12])
-        _, tail = log_kummer_scaled(a, b, z)
-        assert np.isnan(tail[:3]).all() and np.isfinite(tail[3:]).all()
+        # gave the value, against mpmath at 60 digits; NaN exactly where the
+        # series gave it. The expansion certifies itself here from z = 100.
+        z = np.array([0.0, 1.0, 100.0, 300.0, 699.9, 700.1, 2000.0, 1e5, 1e12])
+        values, tail = log_kummer_scaled(a, b, z)
+        series = np.isnan(tail)
+        assert series.tolist() == [True, True] + [False] * 7
+        assert values[0] == 0.0
+        assert values[1:][series[1:]].tolist() == (
+            _log_series_pos(a, b, z[1:][series[1:]]) - z[1:][series[1:]]).tolist()
         with mpmath.workdps(60):
-            for zi, t in zip(z[3:], tail[3:]):
+            for zi, t in zip(z[~series], tail[~series]):
                 zm = mpmath.mpf(zi)
                 ref = (mpmath.hyp1f1(a, b, zm) * mpmath.exp(-zm) * mpmath.gamma(a)
                        / mpmath.gamma(b) * zm ** (b - a) - 1)
                 assert t == pytest.approx(float(ref), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 50, 100, 200])
+    def test_library_families_against_high_precision(self, d):
+        # The four (a, b) the library calls, over z on both sides of where the
+        # expansion starts to certify itself (from z = 0.5 to 700 and beyond,
+        # depending on the family), against mpmath at 40 digits.
+        z = np.unique(np.concatenate([np.geomspace(0.5, 800.0, 120), [699.9, 700.0, 700.1]]))
+        for a, b in [(d / 2, 0.5), ((d + 1) / 2, 1.5), ((d + 1) / 2, d / 2),
+                     ((d + 1) / 2, d / 2 + 1)]:
+            values = log_kummer_scaled(a, b, z)[0]
+            for zi, v in zip(z, values):
+                ref = mpmath.hyp1f1(a, b, zi) * mpmath.exp(-mpmath.mpf(zi))
+                assert math.exp(v) == pytest.approx(float(ref), rel=1e-12), (a, b, zi)
+            assert [log_kummer_scaled(a, b, float(zi))[0] for zi in z] == values.tolist()
 
 
 class TestChiMean:
@@ -231,7 +250,8 @@ class TestLaguerreHalf:
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 4.0, 49.0, 99.0])
     def test_array_against_high_precision(self, alpha):
-        # one array call across the series/asymptotic crossover at -x = 700
+        # one array call across the series/asymptotic crossover, and across
+        # -x = 700, past which the expansion's acceptance is looser
         x = np.array([0.0, -1e-3, -0.5, -10.0, -100.0, -699.9, -700.1, -2000.0, -20000.0])
         values = laguerre_half(alpha, x)
         binom = mpmath.gamma(alpha + 1.5) / (mpmath.gamma(1.5) * mpmath.gamma(alpha + 1))

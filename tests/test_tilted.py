@@ -277,7 +277,7 @@ class TestSolveGamma:
     @pytest.mark.parametrize("d", [1, 2, 10, 50, 100, 200])
     def test_mean_norm_derivative_against_high_precision(self, d):
         # E'(m) = m * E'(m)/m against mpmath's derivative of E at 40 digits;
-        # m^2/2 = 700 (m = 37.417) is the series/asymptotic crossover.
+        # past m^2/2 = 700 (m = 37.417) the expansion's acceptance is looser.
         b = mpmath.mpf(d) / 2
         coef = mpmath.sqrt(mpmath.pi / 2) * mpmath.gamma(b + 0.5) / (
             mpmath.gamma(1.5) * mpmath.gamma(b))
@@ -290,7 +290,7 @@ class TestSolveGamma:
     def test_mean_norm_and_slope_against_high_precision_up_to_max_norm(self, d):
         # E(m) = c M(-1/2, d/2, -m^2/2) and E'(m)/m = c/d M(1/2, d/2 + 1, -m^2/2)
         # at mpmath's 40 digits, over every norm _norms accepts; m = 37 and 38
-        # straddle the series/asymptotic crossover at m^2/2 = 700.
+        # straddle m^2/2 = 700, past which the expansion's acceptance is looser.
         b = mpmath.mpf(d) / 2
         coef = mpmath.sqrt(mpmath.pi / 2) * mpmath.gamma(b + 0.5) / (
             mpmath.gamma(1.5) * mpmath.gamma(b))
@@ -304,7 +304,7 @@ class TestSolveGamma:
 
     @pytest.mark.parametrize("d", [2, 10, 50, 200])
     def test_mean_norm_excess_against_high_precision(self, d):
-        # E(m) - m past the crossover, where it is about (d - 1) / (2m) and
+        # E(m) - m past m^2/2 = 700, where it is about (d - 1) / (2m) and
         # comes from the expansion's tail without cancellation; mpmath needs
         # 2 log10(m) digits beyond 40 to resolve it.
         m = np.array([38.0, 60.0, 1e2, 1e4, 1e9, 1e50, 1e150, tiltvae.tilted._MAX_NORM])
@@ -344,6 +344,16 @@ class TestSolveGamma:
         gamma = TiltedPrior.fit(tau, d).gamma
         e_prime = gamma * _norm_slope(d, gamma)
         assert abs(gamma - tau * e_prime) <= 1e-10 * max(1.0, gamma)
+
+    @pytest.mark.parametrize("tau,d", [
+        (10.0, 10), (20.0, 10), (30.0, 10), (15.0, 100), (25.0, 100), (40.0, 100),
+    ])
+    def test_criterion_1_rates_against_high_precision(self, tau, d):
+        # criterion 1's rows: the committed rate to 1e-13 of mpmath at 60 digits
+        prior = TiltedPrior.fit(tau, d)
+        with mpmath.workdps(60):
+            assert prior.committed_rate == pytest.approx(
+                float(_mp_kld(tau, d, prior.gamma)), rel=1e-13)
 
     def test_zero_gamma_regime(self):
         prior = TiltedPrior.fit(12.8, 200)
