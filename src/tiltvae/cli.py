@@ -26,7 +26,7 @@ from ._csvfloat import write_rows
 from ._fields import (IN_PATH, OUT_PATH, REQUIRED, VAL, Field, choice, count, counts, fmt_ints,
                       grid_points, int_ranges, non_negative, non_negative_int, parse_fields,
                       positive)
-from .data import parse_spec, spec_input
+from .data import parse_spec, place_spec_input, spec_input
 from .errors import ConvergenceError, DomainError, NumericalError
 from .ood import read_scores_csv, roc, score_arrays, write_scores_csv
 from .sampler import (
@@ -71,11 +71,14 @@ class Command:
 
     def config(self, strings, where, place):
         """Config from {key: raw text} through parse_fields; place(kind, path)
-        settles each input and output path, defaults included."""
+        settles each input and output path, defaults included, and the file
+        a --data spec reads."""
         config = parse_fields(self.fields, strings, where)
         for f in self.fields:
             if f.kind != VAL and config[f.key] is not None:
                 config[f.key] = place(f.kind, config[f.key])
+        if config.get("data") is not None:
+            config["data"] = place_spec_input(config["data"], lambda path: place(IN_PATH, path))
         return config
 
     def format_config(self, config):

@@ -192,6 +192,23 @@ def spec_input(spec: str):
     return opts["path"] if kind == "idx" else None
 
 
+def place_spec_input(spec: str, place):
+    """The spec with the file it reads (an idx: spec's path=) replaced by
+    place(path), its other items as given. A generated dataset's spec, or one
+    that spec_input refuses, is returned as given: it is refused, as typed,
+    where it is read."""
+    try:
+        path = spec_input(spec)
+    except DomainError:
+        return spec
+    if path is None:
+        return spec
+    kind, _, rest = spec.partition(":")
+    items = [f"path={place(path)}" if item.partition("=")[0].strip() == "path" else item
+             for item in rest.split(",")]
+    return f"{kind}:{','.join(items)}"
+
+
 def parse_spec(spec: str, rng: "np.random.Generator") -> Dataset:
     """Build a dataset from a compact spec string.
 

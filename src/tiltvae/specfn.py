@@ -34,18 +34,17 @@ _BLOCK_ELEMS = 1 << 13
 # The large-argument expansion (DLMF 13.7.2) keeps one of Kummer's two
 # solutions and omits the other, which is about |Gamma(a)/Gamma(b-a)|
 # e^-z z^(b-2a) times smaller (0 where b - a is 0, -1, -2, ...). It is tried
-# wherever that ratio is below e^_ASYMP_LOG_OMIT, in chunks of terms (a short
-# first one, since large z stops within a few), and it gives the value only
+# wherever that ratio is below e^_ASYMP_LOG_OMIT, and it gives the value only
 # where its own truncation check certifies it. Up to z = _ASYMP_Z_MIN that
 # means its terms fell below 1e-17 of the sum before any term grew; above it,
 # the last term kept before growth may also be up to _ASYMP_TAIL of the sum.
+# Its terms are taken in chunks of _BLOCK_ELEMS // (live points) terms, at
+# least 8, so a call of a few points sums all _ASYMP_MAX_TERMS in one pass.
 # Every other point is summed by the series, which is overflow-safe at any
 # argument size.
 _ASYMP_LOG_OMIT = math.log(1e-20)
 _ASYMP_Z_MIN = 700.0
 _ASYMP_MAX_TERMS = 200
-_ASYMP_FIRST_CHUNK = 8
-_ASYMP_CHUNK = 40
 _ASYMP_TAIL = 1e-13
 
 
@@ -102,56 +101,59 @@ def _log_kummer_asymptotic(a: float, b: float, z, loose=_ASYMP_TAIL):
     """Large-z expansion M(a,b,z) ~ Gamma(b)/Gamma(a) e^z z^(a-b) sum_k c_k,
     c_k = (b-a)^(k) (1-a)^(k) / (k! z^k), for a flat array z.
 
-    Returns (ok, log(e^-z M), sum_{k>=1} c_k) arrays. Terms are summed while
+    Returns (ok, log(e^-z M), sum_{k>=1} c_k) arrays, the last two valid
+    where ok. Terms are summed while
     they shrink: the sum stops at a term below 1e-17 of it (certified), or
     before the first term that does not shrink (certified when the last one
     kept is at most ``loose``, a scalar or one value per point, of the sum).
     ``ok`` is False where that cannot certify the accuracy; the caller then
     falls back to the direct series there.
+
+    Each point's terms are one left-to-right product and its tail one
+    left-to-right sum, whatever the chunk widths, which follow the number of
+    live points; so a point's value does not depend on the other points.
     """
     z = np.asarray(z, dtype=np.float64)
     loose = np.broadcast_to(loose, z.shape)
     c = np.ones(z.size)  # last term kept
-    s = np.ones(z.size)  # sum of the terms kept
-    tail = np.zeros(z.size)  # the same sum without c_0 = 1
+    tail = np.zeros(z.size)  # sum of the terms kept after c_0 = 1
     ok = np.zeros(z.size, dtype=bool)
     live = np.arange(z.size)
     k0 = 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live.size and k0 < _ASYMP_MAX_TERMS:
-            width = _ASYMP_CHUNK if k0 else _ASYMP_FIRST_CHUNK
-            k = np.arange(k0, min(k0 + width, _ASYMP_MAX_TERMS), dtype=np.float64)
+            width = min(max(8, _BLOCK_ELEMS // live.size), _ASYMP_MAX_TERMS - k0)
+            k = np.arange(k0, k0 + width, dtype=np.float64)
             ratio = (b - a + k) * (1 - a + k) / (k + 1)
-            stopped = np.concatenate([_asymptotic_chunk(ratio, z, loose, c, s, tail, ok, rows)
-                                      for rows in _row_slices(live, k.size)])
+            stopped = np.concatenate([_asymptotic_chunk(ratio, z, loose, c, tail, ok, rows)
+                                      for rows in _row_slices(live, width)])
             live = live[~stopped]
-            k0 += k.size
-    ok[live] = np.abs(c[live]) <= loose[live] * np.abs(s[live])
-    ok &= s > 0.0
-    log_m = np.full(z.shape, math.nan)
-    log_m[ok] = math.lgamma(b) - math.lgamma(a) + (a - b) * np.log(z[ok]) + np.log(s[ok])
+            k0 += width
+        s = 1.0 + tail
+        if live.size:
+            ok[live] = np.abs(c[live]) <= loose[live] * np.abs(s[live])
+        ok &= s > 0.0
+        log_m = math.lgamma(b) - math.lgamma(a) + (a - b) * np.log(z) + np.log(s)
     return ok, log_m, tail
 
 
-def _asymptotic_chunk(ratio, z, loose, c, s, tail, ok, rows):
-    """Take up to ratio.size more terms for the points ``rows``, updating c, s,
+def _asymptotic_chunk(ratio, z, loose, c, tail, ok, rows):
+    """Take up to ratio.size more terms for the points ``rows``, updating c,
     tail and ok in place; True where the sum stopped."""
-    c_next = c[rows, None] * np.cumprod(ratio / z[rows, None], axis=1)
-    added = np.cumsum(c_next, axis=1)
-    c_prev = np.concatenate([c[rows, None], c_next[:, :-1]], axis=1)
-    grow = np.abs(c_next) >= np.abs(c_prev)
-    stop = grow | (np.abs(c_next) <= 1e-17 * np.abs(s[rows, None] + added))
+    # Each row's carried term heads its product, and its carried tail its sum.
+    zr = z[rows, None]
+    terms = np.cumprod(np.concatenate([c[rows, None], ratio / zr], axis=1), axis=1)
+    sums = np.cumsum(np.concatenate([tail[rows, None], terms[:, 1:]], axis=1), axis=1)
+    grow = np.abs(ratio) >= zr
+    stop = grow | (np.abs(terms[:, 1:]) <= 1e-17 * np.abs(1.0 + sums[:, 1:]))
     j = stop.argmax(axis=1)
     i = np.arange(rows.size)
     hit, grew = stop[i, j], grow[i, j]
     # A stopped point keeps the sum before its growing term, or through its
     # tiny one; a running point carries its last term and sum to the next chunk.
-    last = np.where(hit, j - grew, added.shape[1] - 1)  # -1: no term of this chunk kept
-    kept = np.where(last >= 0, added[i, last], 0.0)
-    c[rows] = np.where(hit, c_prev[i, j], c_next[:, -1])
-    s[rows] += kept
-    tail[rows] += kept
-    ok[rows] = hit & (~grew | (np.abs(c_prev[i, j]) <= loose[rows] * np.abs(s[rows])))
+    tail[rows] = sums[i, np.where(hit, j + 1 - grew, ratio.size)]
+    c[rows] = terms[:, -1]
+    ok[rows] = hit & (~grew | (np.abs(terms[i, j]) <= loose[rows] * np.abs(1.0 + tail[rows])))
     return hit
 
 
@@ -175,13 +177,16 @@ def _log_kummer_pos(a: float, b: float, z):
     tail = np.full(zf.size, math.nan)
     pending = zf > 0.0
     cand = np.flatnonzero(pending)
-    cand = cand[_log_omitted(a, b, zf[cand]) < _ASYMP_LOG_OMIT]
+    zc = zf[cand]
+    near = _log_omitted(a, b, zc) < _ASYMP_LOG_OMIT
+    cand, zc = cand[near], zc[near]
     if cand.size:
-        loose = np.where(zf[cand] > _ASYMP_Z_MIN, _ASYMP_TAIL, 0.0)
-        ok, log_m, cand_tail = _log_kummer_asymptotic(a, b, zf[cand], loose)
-        out[cand[ok]] = log_m[ok]
-        tail[cand[ok]] = cand_tail[ok]
-        pending[cand[ok]] = False
+        ok, log_m, cand_tail = _log_kummer_asymptotic(
+            a, b, zc, np.where(zc > _ASYMP_Z_MIN, _ASYMP_TAIL, 0.0))
+        done = cand[ok]
+        out[done] = log_m[ok]
+        tail[done] = cand_tail[ok]
+        pending[done] = False
     rest = np.flatnonzero(pending)
     if rest.size:
         out[rest] = _log_series_pos(a, b, zf[rest]) - zf[rest]

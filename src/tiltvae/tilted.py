@@ -165,33 +165,41 @@ def _bracketed_roots(f, x1, f1, x2, f2):
             x1, f1 = x, fx
 
 
-def _fit_priors(taus, d_z):
-    """For each tau of one d_z, its TiltedPrior, or the DomainError of a tilt
-    outside [0, _MAX_NORM] or the ConvergenceError of its fit. A d_z that is
-    not a positive integer raises.
+def _fit_priors(taus, d_z, grid=()):
+    """(fits, grid_excess): for each tau of one d_z, its TiltedPrior, or the
+    DomainError of a tilt outside [0, _MAX_NORM] or the ConvergenceError of
+    its fit; and E(m) - m at the norms of ``grid``. A d_z that is not a
+    positive integer raises.
 
     The KLD's slope is m - tau E'(m) = m h(m) with h(m) = 1 - tau E'(m)/m,
     which increases in m (see _norm_slope). So gamma = 0 where h(0) >= 0;
     elsewhere gamma is the root of h, which lies in (0, tau] because E' <= 1
-    makes h(tau) >= 0. The analytic slope and probes 1e-3 on either side then
-    certify a stationary minimum; a cell that fails gets its own error. The
-    probe KLDs stay finite up to the largest tilt, since |tau - m| <= _MAX_NORM.
+    makes h(tau) >= 0. h(0) needs no kernel call: E''(0) is _norm_slope's
+    numpy expression with the kernel's exact 0 at m = 0 (math.exp would
+    differ in the last bit for some d_z). The analytic slope and
+    probes 1e-3 on either side then certify a stationary minimum; a cell that
+    fails gets its own error. The probes and the grid share one mean-norm
+    call. The probe KLDs stay finite up to the largest tilt, since
+    |tau - m| <= _MAX_NORM.
     """
     _check_d(d_z)
     taus = np.atleast_1d(np.asarray(taus, dtype=np.float64))
     in_range = (taus >= 0.0) & (taus <= _MAX_NORM)
     t = taus[in_range]
     log_z, log_zs = _log_normalizers(t, d_z)
-    h0 = 1.0 - t * _norm_slope(d_z, 0.0)
+    h0 = 1.0 - t * (_SQRT_PI_OVER_2 * np.exp(_log_chi_coef(d_z) - math.log(d_z)))
     gamma, h = np.zeros_like(t), h0.copy()
     up = np.flatnonzero(~(h0 >= 0.0))
-    gamma[up], h[up] = t[up], 1.0 - t[up] * _norm_slope(d_z, t[up])
+    if up.size:
+        gamma[up], h[up] = t[up], 1.0 - t[up] * _norm_slope(d_z, t[up])
     br = up[h[up] > 0.0]
-    gamma[br], h[br] = _bracketed_roots(lambda x, k: 1.0 - t[br[k]] * _norm_slope(d_z, x),
-                                        np.zeros(br.size), h0[br], t[br], h[br])
+    if br.size:
+        gamma[br], h[br] = _bracketed_roots(lambda x, k: 1.0 - t[br[k]] * _norm_slope(d_z, x),
+                                            np.zeros(br.size), h0[br], t[br], h[br])
     m = np.stack([gamma, np.minimum(gamma + _PROBE, _MAX_NORM),
                   np.where(gamma >= _PROBE, gamma - _PROBE, gamma)])
-    kld = _kld_from_mean(t, log_zs, m, _mean_norms(d_z, m)[1])
+    excess = _mean_norms(d_z, np.concatenate([m.ravel(), grid]))[1]
+    kld = _kld_from_mean(t, log_zs, m, excess[:m.size].reshape(m.shape))
     ok = (np.abs(gamma * h) < _GRAD_OK) & np.all(kld[1:] >= kld[0], axis=0)
     fits = iter(TiltedPrior(tau=tc, d_z=d_z, log_z_tau=lz, gamma=g, committed_rate=rate,
                             log_z_scaled=lzs) if good
@@ -199,8 +207,8 @@ def _fit_priors(taus, d_z):
                                       final_iterate=g, gradient=g * hg)
                 for tc, lz, lzs, g, hg, rate, good
                 in zip(*(v.tolist() for v in (t, log_z, log_zs, gamma, h, kld[0], ok))))
-    return [next(fits) if ok else _norm_error("tau", tc)
-            for tc, ok in zip(taus.tolist(), in_range.tolist())]
+    return ([next(fits) if ok else _norm_error("tau", tc)
+             for tc, ok in zip(taus.tolist(), in_range.tolist())], excess[m.size:])
 
 
 @dataclass(frozen=True)
@@ -222,7 +230,7 @@ class TiltedPrior:
 
     @classmethod
     def fit(cls, tau: float, d_z: int) -> "TiltedPrior":
-        (fit,) = _fit_priors(tau, d_z)
+        (fit,), _ = _fit_priors(tau, d_z)
         if isinstance(fit, Exception):
             raise fit
         return fit
@@ -294,10 +302,11 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float) -> SweepRe
     surrogate over-penalizes across the grid. Special-function or solver
     failures are recorded per cell rather than aborting the sweep.
 
-    The tilts of one d_z are fitted in one call; an error that stops it (a bad
-    d_z) is recorded in every cell of that d_z, and a tilt the fit refuses in
-    its own cell. The mean norms over the mu grid do not depend on tau, so
-    they are evaluated once per d_z that has a successful fit.
+    The tilts of one d_z are fitted in one call, which also gives the mean
+    norms over the mu grid (they do not depend on tau); an error that stops it
+    (a bad d_z) is recorded in every cell of that d_z, and a tilt the fit
+    refuses in its own cell. The margins of a d_z's fitted cells are one
+    (cells x points) array.
     """
     if not d_grid or not w_grid:
         raise DomainError("d_grid and w_grid must be non-empty")
@@ -310,20 +319,25 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float) -> SweepRe
     cells = []
     for d in d_grid:
         try:
-            fits = _fit_priors(taus, d)
+            fits, excess = _fit_priors(taus, d, mu)
         except _CELL_ERRORS as exc:
             fits = [exc] * len(taus)
-        if any(isinstance(f, TiltedPrior) for f in fits):
-            excess = _mean_norms(d, mu)[1]
+        priors = [f for f in fits if isinstance(f, TiltedPrior)]
+        if priors:
+            t, log_zs, gamma, rate = (np.array([getattr(f, key) for f in priors])[:, None]
+                                      for key in ("tau", "log_z_scaled", "gamma",
+                                                  "committed_rate"))
+            dev = mu - gamma  # quadratic_kld's arithmetic, one row per cell
+            margins = _kld_from_mean(t, log_zs, mu, excess) - (0.5 * dev * dev + rate)
+            k = np.argmin(margins, axis=1)
+            mins = iter(zip(margins[np.arange(k.size), k].tolist(), mu[k].tolist()))
         for w, tau, prior in zip(w_grid, taus, fits):
             if isinstance(prior, Exception):
                 cells.append(SweepCell(d, w, tau, math.nan, math.nan, f"error: {prior}"))
                 continue
-            kld = _kld_from_mean(prior.tau, prior.log_z_scaled, mu, excess)
-            margins = kld - quadratic_kld(prior, mu)
-            k = int(np.argmin(margins))
-            status = "ok" if margins[k] >= -_SWEEP_TOLERANCE else "violation"
-            cells.append(SweepCell(d, w, tau, float(margins[k]), float(mu[k]), status))
+            low, at = next(mins)
+            status = "ok" if low >= -_SWEEP_TOLERANCE else "violation"
+            cells.append(SweepCell(d, w, tau, low, at, status))
     return SweepReport(cells=cells)
 
 

@@ -715,6 +715,27 @@ class TestRunFiles:
         assert main([arg.format(**inputs) for arg in argv]) == 0
         assert [str(p.relative_to(tmp_path)) for p in tmp_path.glob("?/*.manifest")] == [manifest]
 
+    @pytest.mark.parametrize("argv,outputs", [
+        (["train", "--config", "{cfg}", "--data", "idx:path=x.idx,max=3",
+          "--checkpoint", "m.ckpt", "--log", "l.csv"], ["m.ckpt", "l.csv"]),
+        (["score", "--model", "{ckpt}", "--data", "idx:path=x.idx", "--out", "s.csv"],
+         ["s.csv"]),
+    ], ids=["train", "score"])
+    def test_idx_run_replays_from_another_directory(self, tmp_path, inputs, monkeypatch,
+                                                    argv, outputs):
+        # The manifest once kept the spec's path as typed, so this replay
+        # exited 3 with "No such file or directory: 'x.idx'".
+        run_dir, other = tmp_path / "a", tmp_path / "b"
+        run_dir.mkdir()
+        other.mkdir()
+        write_idx(run_dir / "x.idx", np.arange(256, dtype=np.uint8).reshape(4, 8, 8))
+        monkeypatch.chdir(run_dir)
+        assert main([arg.format(**inputs) for arg in argv]) == 0
+        monkeypatch.chdir(other)
+        assert main(["replay", f"../a/{argv[0]}.manifest", "--out-dir", "out"]) == 0
+        for name in outputs:
+            assert (other / "out" / name).read_bytes() == (run_dir / name).read_bytes()
+
 
 def _fields_with_defaults():
     """Each field with a default, as COMMAND.key, or as train-config.key for a

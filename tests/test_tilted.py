@@ -361,9 +361,9 @@ class TestSolveGamma:
         assert prior.committed_rate == exact_kld(prior, 0.0)
 
     def test_iterations_per_cell_on_the_sweep_grid(self, monkeypatch):
-        # One column fit per d_z evaluates the slope at 0 and at tau once
-        # each, then once per iteration for all its running cells; so the
-        # calls past those two bound every cell's iteration count.
+        # One column fit per d_z evaluates the slope at tau once (h(0) is in
+        # closed form), then once per iteration for all its running cells; so
+        # the calls past that one bound every cell's iteration count.
         calls = []
         original = tiltvae.tilted._norm_slope
 
@@ -374,15 +374,15 @@ class TestSolveGamma:
         monkeypatch.setattr(tiltvae.tilted, "_norm_slope", counted)
         for d in [2, 5, 10, 25, 50, 100, 200]:
             calls.append(0)
-            fits = _fit_priors([1.2 ** w for w in range(-20, 26)], d)
+            fits, _ = _fit_priors([1.2 ** w for w in range(-20, 26)], d)
             assert all(isinstance(fit, TiltedPrior) for fit in fits)
         assert len(calls) == 7
-        assert max(calls) - 2 <= 100
+        assert max(calls) - 1 <= 100
 
     def test_one_element_fits_equal_column_fits(self):
         taus = [1.2 ** w for w in range(-20, 26)]
         for d in [2, 5, 10, 25, 50, 100, 200]:
-            for tau, fit in zip(taus, _fit_priors(taus, d)):
+            for tau, fit in zip(taus, _fit_priors(taus, d)[0]):
                 assert TiltedPrior.fit(tau, d) == fit
 
     def test_mixed_column_records_each_cell(self):
@@ -390,7 +390,7 @@ class TestSolveGamma:
         # w = 150 fails its stationarity test; each cell keeps its own outcome
         # and context.
         taus = [1.2 ** 14, 1.2 ** 20, 1.2 ** 150]
-        zero, root, failed = _fit_priors(taus, 200)
+        (zero, root, failed), _ = _fit_priors(taus, 200)
         assert zero == TiltedPrior.fit(taus[0], 200) and zero.gamma == 0.0
         assert root == TiltedPrior.fit(taus[1], 200) and root.gamma > 0.0
         assert isinstance(failed, ConvergenceError)
@@ -489,8 +489,8 @@ class TestSweep:
             assert cell.argmin_mu == mu[k]
 
     def test_one_mean_norm_evaluation_per_dimension(self, monkeypatch):
-        # The mean norm's kernel is K((d+1)/2, d/2, m^2/2); the mu grid is the
-        # only argument of 50 points.
+        # The mean norm's kernel is K((d+1)/2, d/2, m^2/2); one call per d_z
+        # takes the mu grid and the three probe norms of each fitted tilt.
         calls = []
         original = tiltvae.tilted.log_kummer_scaled
 
@@ -500,9 +500,31 @@ class TestSweep:
 
         monkeypatch.setattr(tiltvae.tilted, "log_kummer_scaled", counted)
         dims = [2, 10, 200]
-        verify_bound_sweep(dims, [-20, 5, 14, 150], 50, 80.0)
-        grid_calls = [(a, b) for a, b, size in calls if size == 50]
-        assert grid_calls == [((d + 1) / 2.0, d / 2.0) for d in dims]
+        ws = [-20, 5, 14, 150]
+        verify_bound_sweep(dims, ws, 50, 80.0)
+        means = [((d + 1) / 2.0, d / 2.0) for d in dims]
+        mean_calls = [(a, b, size) for a, b, size in calls if (a, b) in means]
+        assert mean_calls == [(a, b, 50 + 3 * len(ws)) for a, b in means]
+
+    def test_fit_makes_no_call_at_zero_or_with_no_points(self, monkeypatch):
+        # h(0) is in closed form, and h(tau) is skipped where every cell has
+        # gamma = 0; so a gamma = 0 slice makes the two normalizer calls and
+        # the mean-norm call alone.
+        calls = []
+        original = tiltvae.tilted.log_kummer_scaled
+
+        def recorded(a, b, z):
+            calls.append(np.array(z, dtype=np.float64))
+            return original(a, b, z)
+
+        monkeypatch.setattr(tiltvae.tilted, "log_kummer_scaled", recorded)
+        for d in [2, 5, 10, 25, 50, 100, 200]:
+            _fit_priors([1.2 ** w for w in range(-20, 26)], d)
+        assert calls and all(z.size and z.any() for z in calls)
+        calls.clear()
+        fits, _ = _fit_priors([1.2 ** w for w in range(-20, -14)], 10, np.linspace(0.0, 5.0, 7))
+        assert all(fit.gamma == 0.0 for fit in fits)
+        assert len(calls) == 3
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
