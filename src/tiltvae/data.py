@@ -194,17 +194,19 @@ def spec_input(spec: str):
 
 def place_spec_input(spec: str, place):
     """The spec with the file it reads (an idx: spec's path=) replaced by
-    place(path), its other items as given. A generated dataset's spec, or one
-    that spec_input refuses, is returned as given: it is refused, as typed,
-    where it is read."""
+    place(path), its other items as given. A generated dataset's spec, one
+    that spec_input refuses (refused, as typed, where it is read), or one
+    whose placed path holds a comma, which no spec can hold, is returned as
+    given."""
     try:
         path = spec_input(spec)
     except DomainError:
-        return spec
-    if path is None:
+        path = None
+    placed = path and place(path)
+    if not placed or "," in placed:
         return spec
     kind, _, rest = spec.partition(":")
-    items = [f"path={place(path)}" if item.partition("=")[0].strip() == "path" else item
+    items = [f"path={placed}" if item.partition("=")[0].strip() == "path" else item
              for item in rest.split(",")]
     return f"{kind}:{','.join(items)}"
 

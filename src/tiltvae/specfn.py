@@ -114,7 +114,7 @@ def _log_kummer_asymptotic(a: float, b: float, z, loose=_ASYMP_TAIL):
     live points; so a point's value does not depend on the other points.
     """
     z = np.asarray(z, dtype=np.float64)
-    loose = np.broadcast_to(loose, z.shape)
+    loose = np.full(z.shape, loose)
     c = np.ones(z.size)  # last term kept
     tail = np.zeros(z.size)  # sum of the terms kept after c_0 = 1
     ok = np.zeros(z.size, dtype=bool)

@@ -148,10 +148,14 @@ def _bracketed_roots(f, x1, f1, x2, f2):
             xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
             tl = (_ROOT_XATOL + _ROOT_XRTOL * np.abs(xm)) / (2.0 * np.abs(x2 - x1))
             done = (tl > 0.5) | (fm == 0.0)
-            root[k], f_root[k[done]] = xm, fm[done]
-            if done.all() or it == _ROOT_MAXITER:
+            root[k] = xm
+            if done.any():
+                f_root[k[done]] = fm[done]
+                if done.all():
+                    return root, f_root
+                k, x1, f1, x2, f2, x3, f3, tl = (v[~done] for v in (k, x1, f1, x2, f2, x3, f3, tl))
+            if it == _ROOT_MAXITER:
                 return root, f_root
-            k, x1, f1, x2, f2, x3, f3, tl = (v[~done] for v in (k, x1, f1, x2, f2, x3, f3, tl))
             # Inverse quadratic interpolation where the three points allow it,
             # else bisection (always on the first step, where x3 = x2).
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)

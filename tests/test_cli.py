@@ -736,6 +736,17 @@ class TestRunFiles:
         for name in outputs:
             assert (other / "out" / name).read_bytes() == (run_dir / name).read_bytes()
 
+    def test_idx_path_under_a_comma_directory_stays_as_typed(self, tmp_path, inputs,
+                                                              monkeypatch):
+        # A spec cannot hold a path with a comma, so the relative path is kept.
+        run_dir = tmp_path / "a,b"
+        run_dir.mkdir()
+        write_idx(run_dir / "x.idx", np.arange(256, dtype=np.uint8).reshape(4, 8, 8))
+        monkeypatch.chdir(run_dir)
+        assert main(["score", "--model", str(inputs["ckpt"]), "--data", "idx:path=x.idx",
+                     "--out", "s.csv"]) == 0
+        assert "config.data = idx:path=x.idx\n" in (run_dir / "score.manifest").read_text()
+
 
 def _fields_with_defaults():
     """Each field with a default, as COMMAND.key, or as train-config.key for a
