@@ -35,17 +35,13 @@ _BLOCK_ELEMS = 1 << 13
 # solutions and omits the other, which is about |Gamma(a)/Gamma(b-a)|
 # e^-z z^(b-2a) times smaller (0 where b - a is 0, -1, -2, ...). It is tried
 # wherever that ratio is below e^_ASYMP_LOG_OMIT, and it gives the value only
-# where its own truncation check certifies it. Up to z = _ASYMP_Z_MIN that
-# means its terms fell below 1e-17 of the sum before any term grew; above it,
-# the last term kept before growth may also be up to _ASYMP_TAIL of the sum.
-# Its terms are taken in chunks of _BLOCK_ELEMS // (live points) terms, at
-# least 8, so a call of a few points sums all _ASYMP_MAX_TERMS in one pass.
-# Every other point is summed by the series, which is overflow-safe at any
-# argument size.
+# where its terms fell below 1e-17 of the sum before any term grew, within
+# _ASYMP_MAX_TERMS terms. Its terms are taken in chunks of
+# _BLOCK_ELEMS // (live points) terms, at least 8, so a call of a few points
+# sums all _ASYMP_MAX_TERMS in one pass. Every other point is summed by the
+# series, which is overflow-safe at any argument size.
 _ASYMP_LOG_OMIT = math.log(1e-20)
-_ASYMP_Z_MIN = 700.0
 _ASYMP_MAX_TERMS = 200
-_ASYMP_TAIL = 1e-13
 
 
 def _row_slices(live, width):
@@ -97,24 +93,21 @@ def _series_chunk(shared, log_z, run, log_t, rows):
     return (steps[:, -1] < 0.0) & (log_terms[:, -1] < total - _TAIL_NATS)
 
 
-def _log_kummer_asymptotic(a: float, b: float, z, loose=_ASYMP_TAIL):
+def _log_kummer_asymptotic(a: float, b: float, z):
     """Large-z expansion M(a,b,z) ~ Gamma(b)/Gamma(a) e^z z^(a-b) sum_k c_k,
     c_k = (b-a)^(k) (1-a)^(k) / (k! z^k), for a flat array z.
 
     Returns (ok, log(e^-z M), sum_{k>=1} c_k) arrays, the last two valid
-    where ok. Terms are summed while
-    they shrink: the sum stops at a term below 1e-17 of it (certified), or
-    before the first term that does not shrink (certified when the last one
-    kept is at most ``loose``, a scalar or one value per point, of the sum).
-    ``ok`` is False where that cannot certify the accuracy; the caller then
-    falls back to the direct series there.
+    where ok. Terms are summed while they shrink; ``ok`` holds where a term
+    fell below 1e-17 of the sum before any term grew and the sum is positive.
+    Elsewhere the accuracy is not certified, and the caller falls back to the
+    direct series there.
 
     Each point's terms are one left-to-right product and its tail one
     left-to-right sum, whatever the chunk widths, which follow the number of
     live points; so a point's value does not depend on the other points.
     """
     z = np.asarray(z, dtype=np.float64)
-    loose = np.full(z.shape, loose)
     c = np.ones(z.size)  # last term kept
     tail = np.zeros(z.size)  # sum of the terms kept after c_0 = 1
     ok = np.zeros(z.size, dtype=bool)
@@ -125,19 +118,17 @@ def _log_kummer_asymptotic(a: float, b: float, z, loose=_ASYMP_TAIL):
             width = min(max(8, _BLOCK_ELEMS // live.size), _ASYMP_MAX_TERMS - k0)
             k = np.arange(k0, k0 + width, dtype=np.float64)
             ratio = (b - a + k) * (1 - a + k) / (k + 1)
-            stopped = np.concatenate([_asymptotic_chunk(ratio, z, loose, c, tail, ok, rows)
+            stopped = np.concatenate([_asymptotic_chunk(ratio, z, c, tail, ok, rows)
                                       for rows in _row_slices(live, width)])
             live = live[~stopped]
             k0 += width
         s = 1.0 + tail
-        if live.size:
-            ok[live] = np.abs(c[live]) <= loose[live] * np.abs(s[live])
         ok &= s > 0.0
         log_m = math.lgamma(b) - math.lgamma(a) + (a - b) * np.log(z) + np.log(s)
     return ok, log_m, tail
 
 
-def _asymptotic_chunk(ratio, z, loose, c, tail, ok, rows):
+def _asymptotic_chunk(ratio, z, c, tail, ok, rows):
     """Take up to ratio.size more terms for the points ``rows``, updating c,
     tail and ok in place; True where the sum stopped."""
     # Each row's carried term heads its product, and its carried tail its sum.
@@ -148,12 +139,13 @@ def _asymptotic_chunk(ratio, z, loose, c, tail, ok, rows):
     stop = grow | (np.abs(terms[:, 1:]) <= 1e-17 * np.abs(1.0 + sums[:, 1:]))
     j = stop.argmax(axis=1)
     i = np.arange(rows.size)
-    hit, grew = stop[i, j], grow[i, j]
-    # A stopped point keeps the sum before its growing term, or through its
-    # tiny one; a running point carries its last term and sum to the next chunk.
-    tail[rows] = sums[i, np.where(hit, j + 1 - grew, ratio.size)]
+    hit = stop[i, j]
+    # A stopped point keeps the sum through its tiny term (one that grew is
+    # not certified, so its sum is never read); a running point carries its
+    # last term and sum to the next chunk.
+    tail[rows] = sums[i, np.where(hit, j + 1, ratio.size)]
     c[rows] = terms[:, -1]
-    ok[rows] = hit & (~grew | (np.abs(terms[i, j]) <= loose[rows] * np.abs(1.0 + tail[rows])))
+    ok[rows] = hit & ~grow[i, j]
     return hit
 
 
@@ -166,39 +158,14 @@ def _log_omitted(a: float, b: float, z):
     return math.lgamma(a) - math.lgamma(b - a) - z + (b - 2.0 * a) * np.log(z)
 
 
-def _log_kummer_pos(a: float, b: float, z):
-    """(log(e^-z M(a, b, z)), tail) for a > 0, b > 0 and every point of an
-    array z >= 0: the asymptotic expansion where it omits a negligible solution
-    and certifies itself (strictly up to z = _ASYMP_Z_MIN, see the constants),
-    else the series; see log_kummer_scaled."""
-    z = np.asarray(z, dtype=np.float64)
-    zf = z.reshape(-1)
-    out = np.zeros(zf.size)  # M(a, b, 0) = 1
-    tail = np.full(zf.size, math.nan)
-    pending = zf > 0.0
-    cand = np.flatnonzero(pending)
-    zc = zf[cand]
-    near = _log_omitted(a, b, zc) < _ASYMP_LOG_OMIT
-    cand, zc = cand[near], zc[near]
-    if cand.size:
-        ok, log_m, cand_tail = _log_kummer_asymptotic(
-            a, b, zc, np.where(zc > _ASYMP_Z_MIN, _ASYMP_TAIL, 0.0))
-        done = cand[ok]
-        out[done] = log_m[ok]
-        tail[done] = cand_tail[ok]
-        pending[done] = False
-    rest = np.flatnonzero(pending)
-    if rest.size:
-        out[rest] = _log_series_pos(a, b, zf[rest]) - zf[rest]
-    return out.reshape(z.shape), tail.reshape(z.shape)
-
-
 def log_kummer_scaled(a: float, b: float, z):
     """(log(e^-z M(a, b, z)), tail), arrays of z's shape, for a > 0, b > 0 and
     finite z >= 0; M(a,b,z) = sum_n a^(n) z^n / (b^(n) n!) is Kummer's function.
 
     Every term is positive here, so the log carries no cancellation error.
-    Where the large-z expansion e^-z M = Gamma(b)/Gamma(a) z^(a-b) (1 + tail)
+    The large-z expansion gives the value where the solution it omits is
+    negligible and it certifies itself (see the constants), the series
+    elsewhere. Where the expansion e^-z M = Gamma(b)/Gamma(a) z^(a-b) (1 + tail)
     gave the value, ``tail`` is its sum past the leading 1; elsewhere it is
     NaN. Any other argument is a DomainError.
     """
@@ -209,4 +176,19 @@ def log_kummer_scaled(a: float, b: float, z):
     if bad.any():
         raise DomainError(
             f"log_kummer_scaled is only supported for finite z >= 0, got z={float(za[bad][0])}")
-    return _log_kummer_pos(a, b, za)
+    zf = za.reshape(-1)
+    out = np.zeros(zf.size)  # M(a, b, 0) = 1
+    tail = np.full(zf.size, math.nan)
+    pending = zf > 0.0
+    cand = np.flatnonzero(pending)
+    cand = cand[_log_omitted(a, b, zf[cand]) < _ASYMP_LOG_OMIT]
+    if cand.size:
+        ok, log_m, cand_tail = _log_kummer_asymptotic(a, b, zf[cand])
+        done = cand[ok]
+        out[done] = log_m[ok]
+        tail[done] = cand_tail[ok]
+        pending[done] = False
+    rest = np.flatnonzero(pending)
+    if rest.size:
+        out[rest] = _log_series_pos(a, b, zf[rest]) - zf[rest]
+    return out.reshape(za.shape), tail.reshape(za.shape)

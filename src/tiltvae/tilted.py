@@ -109,6 +109,7 @@ def _mean_norms(d_z, m):
 def mean_norm(d_z: int, mu_norm):
     """E[||z||] for z ~ N(mu, I) on R^d_z with ||mu|| = mu_norm; a float for a
     scalar norm, an array for an array of norms."""
+    _check_d(d_z)
     mean = _mean_norms(d_z, _norms(mu_norm))[0]
     return float(mean) if np.ndim(mu_norm) == 0 else mean
 
@@ -260,9 +261,12 @@ def quadratic_kld(prior: TiltedPrior, mu_norm):
     surrogate has curvature exactly one, the surrogate never falls below the
     exact value: using it as the training penalty keeps the training
     objective a valid lower bound on the log-likelihood.
+
+    Takes and refuses norms as exact_kld does.
     """
-    d = mu_norm - prior.gamma
-    return 0.5 * d * d + prior.committed_rate
+    d = _norms(mu_norm) - prior.gamma
+    kld = 0.5 * d * d + prior.committed_rate
+    return float(kld) if np.ndim(mu_norm) == 0 else kld
 
 
 @dataclass(frozen=True)
@@ -354,5 +358,5 @@ def _tilt(w):
 
 
 def _check_d(d_z):
-    if int(d_z) != d_z or d_z < 1:
+    if not (d_z >= 1 and float(d_z).is_integer()):
         raise DomainError(f"d_z must be a positive integer, got {d_z}")

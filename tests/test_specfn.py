@@ -142,9 +142,9 @@ class TestLogKummerM:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 50, 100, 200])
     def test_library_families_against_high_precision(self, d):
-        # The four (a, b) the library calls, over z on both sides of where the
-        # expansion starts to certify itself (from z = 0.5 to 700 and beyond,
-        # depending on the family), against mpmath at 40 digits.
+        # The four (a, b) the library calls, over z from 0.5 to 800, on both
+        # sides of where the expansion starts to certify itself (which depends
+        # on the family), against mpmath at 40 digits.
         z = np.unique(np.concatenate([np.geomspace(0.5, 800.0, 120), [699.9, 700.0, 700.1]]))
         for a, b in [(d / 2, 0.5), ((d + 1) / 2, 1.5), ((d + 1) / 2, d / 2),
                      ((d + 1) / 2, d / 2 + 1)]:
@@ -153,7 +153,6 @@ class TestLogKummerM:
                 ref = mpmath.hyp1f1(a, b, zi) * mpmath.exp(-mpmath.mpf(zi))
                 assert math.exp(v) == pytest.approx(float(ref), rel=1e-12), (a, b, zi)
             assert [log_kummer_scaled(a, b, float(zi))[0] for zi in z] == values.tolist()
-
 
     @pytest.mark.parametrize("d", [1, 2, 10, 200])
     def test_library_families_are_chunk_invariant(self, d, monkeypatch):
@@ -180,6 +179,35 @@ class TestLogKummerM:
             for zi, v in zip(z[~np.isnan(tail)], values[~np.isnan(tail)]):
                 ref = mpmath.hyp1f1(a, b, zi) * mpmath.exp(-mpmath.mpf(zi))
                 assert math.exp(v) == pytest.approx(float(ref), rel=1e-12), (a, b, zi)
+
+
+class TestLogKummerScaled:
+    """Where the kernel's large-z expansion certifies itself, and where the
+    series takes over."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 50, 100, 200])
+    def test_library_families_expansion_at_large_z(self, d):
+        # Out to z = 2e4, where the sweep's mu grid reaches; every point the
+        # expansion gives (a finite tail) against mpmath at 40 digits.
+        z = np.array([1e3, 2e3, 5e3, 1e4, 2e4])
+        for a, b in [(d / 2, 0.5), ((d + 1) / 2, 1.5), ((d + 1) / 2, d / 2),
+                     ((d + 1) / 2, d / 2 + 1)]:
+            values, tail = log_kummer_scaled(a, b, z)
+            for zi, v in zip(z[~np.isnan(tail)], values[~np.isnan(tail)]):
+                ref = mpmath.hyp1f1(a, b, zi) * mpmath.exp(-mpmath.mpf(zi))
+                assert float(mpmath.exp(v) / ref) == pytest.approx(1.0, rel=1e-12), (a, b, zi)
+
+    def test_uncertified_expansion_falls_back_to_the_series(self):
+        # At d_z = 2000 the mean norm's expansion near z = a still has terms
+        # above 1e-17 of the sum after all 200, so it is not certified and
+        # the series gives the value there (NaN tail), to 40-digit mpmath.
+        a, b = 1000.5, 1000.0
+        z = np.linspace(1000.4, 1037.0, 7)
+        values, tail = log_kummer_scaled(a, b, z)
+        assert np.isnan(tail).all()
+        for zi, v in zip(z, values):
+            ref = mpmath.hyp1f1(a, b, zi) * mpmath.exp(-mpmath.mpf(zi))
+            assert float(mpmath.exp(v) / ref) == pytest.approx(1.0, rel=1e-12), zi
 
 
 class TestMeanNormAtZero:
@@ -212,6 +240,11 @@ class TestMeanNormAtZero:
     def test_domain(self):
         with pytest.raises(DomainError):
             mean_norm(0, 0.0)
+
+    @pytest.mark.parametrize("d", [2.5, 0.5, 0, -3, math.nan, math.inf])
+    def test_dimension_must_be_a_positive_integer(self, d):
+        with pytest.raises(DomainError, match="d_z"):
+            mean_norm(d, 1.0)
 
 
 class TestLaguerreHalf:
@@ -278,8 +311,8 @@ class TestLaguerreHalf:
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 4.0, 49.0, 99.0])
     def test_array_against_high_precision(self, alpha):
-        # one array call across the series/asymptotic crossover, and across
-        # -x = 700, past which the expansion's acceptance is looser
+        # one array call across the series/asymptotic crossover, out to
+        # -x = 20000
         x = np.array([0.0, -1e-3, -0.5, -10.0, -100.0, -699.9, -700.1, -2000.0, -20000.0])
         values = laguerre_half(alpha, x)
         binom = mpmath.gamma(alpha + 1.5) / (mpmath.gamma(1.5) * mpmath.gamma(alpha + 1))

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-import tiltvae.specfn
 import tiltvae.tilted
 from tiltvae.errors import ConvergenceError, DomainError
 from tiltvae.tilted import (
@@ -207,7 +206,7 @@ class TestExactKld:
         def no_series(*args):
             raise AssertionError("a series ran on an invalid norm")
 
-        monkeypatch.setattr(tiltvae.specfn, "_log_kummer_pos", no_series)
+        monkeypatch.setattr(tiltvae.tilted, "log_kummer_scaled", no_series)
         with pytest.raises(DomainError):
             exact_kld(prior_10_10, bad)
         with pytest.raises(DomainError):
@@ -243,6 +242,18 @@ class TestQuadraticKld:
             delta + 0.5, rel=1e-12
         )
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, 1e200])
+    def test_refuses_the_norms_exact_kld_refuses(self, prior_10_10, bad):
+        for mu in (bad, np.array([1.0, bad])):
+            with pytest.raises(DomainError):
+                exact_kld(prior_10_10, mu)
+            with pytest.raises(DomainError):
+                quadratic_kld(prior_10_10, mu)
+
+    def test_scalar_norm_gives_a_float(self, prior_10_10):
+        assert type(quadratic_kld(prior_10_10, 3.0)) is float
+        assert quadratic_kld(prior_10_10, np.array([3.0])).shape == (1,)
+
     def test_tangent_from_above(self, prior_15_10):
         # The surrogate touches the exact divergence at gamma and never falls
         # below it anywhere on the grid.
@@ -265,7 +276,7 @@ class TestSolveGamma:
     def test_analytic_slope_matches_central_difference(self, prior_10_10):
         # The solver's KLD slope m - tau E'(m) against a fourth-order central
         # difference of exact_kld, on both sides of the series/asymptotic
-        # crossover (m^2/2 = 700).
+        # crossover.
         prior = prior_10_10
         h = 1e-2
         f = lambda m: exact_kld(prior, m)
@@ -276,8 +287,8 @@ class TestSolveGamma:
 
     @pytest.mark.parametrize("d", [1, 2, 10, 50, 100, 200])
     def test_mean_norm_derivative_against_high_precision(self, d):
-        # E'(m) = m * E'(m)/m against mpmath's derivative of E at 40 digits;
-        # past m^2/2 = 700 (m = 37.417) the expansion's acceptance is looser.
+        # E'(m) = m * E'(m)/m against mpmath's derivative of E at 40 digits,
+        # at norms the series gives and norms the expansion gives.
         b = mpmath.mpf(d) / 2
         coef = mpmath.sqrt(mpmath.pi / 2) * mpmath.gamma(b + 0.5) / (
             mpmath.gamma(1.5) * mpmath.gamma(b))
@@ -289,8 +300,8 @@ class TestSolveGamma:
     @pytest.mark.parametrize("d", [1, 2, 10, 50, 200])
     def test_mean_norm_and_slope_against_high_precision_up_to_max_norm(self, d):
         # E(m) = c M(-1/2, d/2, -m^2/2) and E'(m)/m = c/d M(1/2, d/2 + 1, -m^2/2)
-        # at mpmath's 40 digits, over every norm _norms accepts; m = 37 and 38
-        # straddle m^2/2 = 700, past which the expansion's acceptance is looser.
+        # at mpmath's 40 digits, over every norm _norms accepts, from the
+        # series' small norms to the expansion's large ones.
         b = mpmath.mpf(d) / 2
         coef = mpmath.sqrt(mpmath.pi / 2) * mpmath.gamma(b + 0.5) / (
             mpmath.gamma(1.5) * mpmath.gamma(b))
@@ -304,7 +315,7 @@ class TestSolveGamma:
 
     @pytest.mark.parametrize("d", [2, 10, 50, 200])
     def test_mean_norm_excess_against_high_precision(self, d):
-        # E(m) - m past m^2/2 = 700, where it is about (d - 1) / (2m) and
+        # E(m) - m from m = 38 up, where it is about (d - 1) / (2m) and
         # comes from the expansion's tail without cancellation; mpmath needs
         # 2 log10(m) digits beyond 40 to resolve it.
         m = np.array([38.0, 60.0, 1e2, 1e4, 1e9, 1e50, 1e150, tiltvae.tilted._MAX_NORM])
@@ -470,7 +481,7 @@ class TestSweep:
         assert len(report.errors) == 1
 
     def test_margins_equal_per_cell_recomputation(self):
-        # mu reaches 80, past the z = m^2/2 = 700 series/asymptotic crossover;
+        # mu reaches 80 (z = m^2/2 = 3200), past the series/asymptotic crossover;
         # (200, 14) has gamma = 0, and w = 150 fails its fit because its root
         # cannot be resolved finely enough to pass the stationarity test.
         mu = np.linspace(0.0, 80.0, 200)
