@@ -337,8 +337,7 @@ class SampleCommand(Command):
             latents = sample_tilted_prior_batch(rng, prior, config["n"])
         save_latents_csv(config["out"], latents)
         if model is not None:
-            decoded = np.clip(decode(model, latents), 0.0, 1.0)
-            save_latents_csv(config["decoded"], decoded)
+            save_latents_csv(config["decoded"], decode(model, latents))
         print(f"wrote {config['n']} draws ({config['sampler']} sampler)")
         return 0
 

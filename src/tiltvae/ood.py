@@ -1,10 +1,11 @@
 """Out-of-distribution scoring and ROC/AUROC evaluation.
 
-The score of a sample is its plain l2 reconstruction error plus the quadratic
-divergence term (||z|| - gamma)^2 / 2 evaluated at the deterministic encoder
-mean; higher scores mean more out-of-distribution. Gaussian-prior baselines
-use their closed-form divergence as the second term instead. The ROC sweeps
-the one-sided rule "flag when score > threshold".
+The score of a sample is the plain l2 distance from it to its decoded pixels
+(``vae.decode`` clamps them to [0, 1]) plus the quadratic divergence term
+(||z|| - gamma)^2 / 2 evaluated at the deterministic encoder mean; higher
+scores mean more out-of-distribution. Gaussian-prior baselines use their
+closed-form divergence as the second term instead. The ROC sweeps the
+one-sided rule "flag when score > threshold".
 """
 
 import csv
@@ -16,34 +17,30 @@ import numpy as np
 
 from ._csvfloat import format_blocks, write_rows
 from .errors import DomainError
-from .vae import VaeModel, _as_batch, decode, encode, kld_rows, reparameterize
-
-# score_arrays walks the rows this many at a time: it encodes a chunk, then
-# draws that chunk's noise, so the draw order is fixed by this constant.
-_SCORE_ROWS = 1024
+from .vae import _INFER_ROWS, VaeModel, _as_batch, decode, encode, kld_rows, reparameterize
 
 
 def score_arrays(model: VaeModel, x, draws: int = 0, rng: "np.random.Generator | None" = None):
     """(recon, kld) float64 vectors for an (n, d_x) batch; a row's score is
     recon + kld.
 
-    With draws = 0 the reconstruction decodes the deterministic encoder mean.
-    With draws >= 1 it is averaged over that many reparameterized latents
-    from rng, one (chunk, d_z) normal block per draw after each chunk's
-    encoding. The kld term always uses the mean, and the decoder output is
-    clamped to [0, 1] at scoring time only.
+    recon is the l2 distance from a row to decode's pixels (clamped to
+    [0, 1]) of the deterministic encoder mean when draws = 0, else the mean
+    of that distance over draws reparameterized latents from rng, one
+    (chunk, d_z) normal block per draw after each _INFER_ROWS-row chunk is
+    encoded. The kld term always uses the encoder mean.
     """
     x = _as_batch(x, model.d_x)
     if draws < 0 or (draws and rng is None):
         raise DomainError(f"draws must be >= 0, and averaging needs an rng; got draws={draws}")
     recon, kld = np.empty(x.shape[0]), np.empty(x.shape[0])
-    for i in range(0, x.shape[0], _SCORE_ROWS):
-        rows = slice(i, i + _SCORE_ROWS)
+    for i in range(0, x.shape[0], _INFER_ROWS):
+        rows = slice(i, i + _INFER_ROWS)
         xc = x[rows]
         mu, log_sigma = encode(model, xc)
         kld[rows] = kld_rows(model, mu, log_sigma)
         latents = (reparameterize(rng, mu, log_sigma) for _ in range(draws)) if draws else (mu,)
-        norms = (np.linalg.norm(np.clip(decode(model, z), 0.0, 1.0) - xc, axis=1) for z in latents)
+        norms = (np.linalg.norm(decode(model, z) - xc, axis=1) for z in latents)
         recon[rows] = sum(norms) / max(draws, 1)
     return recon, kld
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._csvfloat import write_rows
 from .errors import ConvergenceError, DomainError
-from .tilted import TiltedPrior
+from .tilted import TiltedPrior, _check_count
 
 _MIN_ACCEPT_RATE = 1e-3
 _WARMUP_PROPOSALS = 20_000
@@ -36,9 +36,9 @@ def _on_sphere(rng, radii, d_z):
 def sample_model_latents(rng: "np.random.Generator", z_bar: float, d_z: int, n: int) -> np.ndarray:
     """n aggregated-posterior draws, shape (n, d_z): each a radius from
     N(z_bar, 1), redrawn until positive, times a uniform direction."""
-    if not (math.isfinite(z_bar) and z_bar > 0.0 and d_z >= 1 and n >= 1):
-        raise DomainError("posterior sampler needs a finite z_bar > 0, d_z >= 1 and n >= 1, "
-                          f"got z_bar={z_bar!r}, d_z={d_z}, n={n}")
+    d_z, n = _check_count(d_z), _check_count(n, "n")
+    if not (math.isfinite(z_bar) and z_bar > 0.0):
+        raise DomainError(f"posterior sampler needs a finite z_bar > 0, got z_bar={z_bar!r}")
     radii = np.empty(n)
     filled = 0
     while filled < n:
@@ -63,8 +63,7 @@ def sample_tilted_prior_batch(rng: "np.random.Generator", prior: TiltedPrior, n:
     (d-1) log(x/mode) + (tau - mode)(x - mode) is exact and peaks at the mode,
     so accepted radii follow the target law with no approximation.
     """
-    if n < 1:
-        raise DomainError(f"prior sampler needs n >= 1, got n={n}")
+    n = _check_count(n, "n")
     mode = tilted_radial_mode(prior)
     c = prior.d_z - 1
     radii = np.empty(n)

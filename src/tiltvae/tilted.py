@@ -53,7 +53,7 @@ def log_normalizer(tau, d_z: int):
     Both terms are positive and combined as logs, so no intermediate can
     overflow a double even though Z_tau itself scales like exp(tau^2 / 2).
     """
-    _check_d(d_z)
+    d_z = _check_count(d_z)
     log_z = _log_normalizers(np.atleast_1d(_norms(tau, "tau")), d_z)[0]
     return float(log_z[0]) if np.ndim(tau) == 0 else log_z
 
@@ -64,14 +64,10 @@ def _log_normalizers(t, d_z):
     so it keeps its own relative accuracy where log Z_tau is about z."""
     half_t2 = 0.5 * t * t
     even = log_kummer_scaled(d_z / 2.0, 0.5, half_t2)[0]
-    log_z, log_zs = half_t2 + even, even.copy()
-    pos = t > 0.0
-    coef = (np.log(t[pos] * math.sqrt(2.0))
-            + (math.lgamma((d_z + 1) / 2.0) - math.lgamma(d_z / 2.0)))
-    odd = log_kummer_scaled((d_z + 1) / 2.0, 1.5, half_t2[pos])[0]
-    log_z[pos] = np.logaddexp(log_z[pos], coef + (half_t2[pos] + odd))
-    log_zs[pos] = np.logaddexp(log_zs[pos], coef + odd)
-    return log_z, log_zs
+    odd = log_kummer_scaled((d_z + 1) / 2.0, 1.5, half_t2)[0]
+    with np.errstate(divide="ignore"):  # -inf at tau = 0, where the odd term adds nothing
+        coef = np.log(t * math.sqrt(2.0)) + (math.lgamma((d_z + 1) / 2.0) - math.lgamma(d_z / 2.0))
+    return np.logaddexp(half_t2 + even, coef + (half_t2 + odd)), np.logaddexp(even, coef + odd)
 
 
 def _norms(mu_norm, name="mu_norm"):
@@ -109,7 +105,7 @@ def _mean_norms(d_z, m):
 def mean_norm(d_z: int, mu_norm):
     """E[||z||] for z ~ N(mu, I) on R^d_z with ||mu|| = mu_norm; a float for a
     scalar norm, an array for an array of norms."""
-    _check_d(d_z)
+    d_z = _check_count(d_z)
     mean = _mean_norms(d_z, _norms(mu_norm))[0]
     return float(mean) if np.ndim(mu_norm) == 0 else mean
 
@@ -187,7 +183,7 @@ def _fit_priors(taus, d_z, grid=()):
     call. The probe KLDs stay finite up to the largest tilt, since
     |tau - m| <= _MAX_NORM.
     """
-    _check_d(d_z)
+    d_z = _check_count(d_z)
     taus = np.atleast_1d(np.asarray(taus, dtype=np.float64))
     in_range = (taus >= 0.0) & (taus <= _MAX_NORM)
     t = taus[in_range]
@@ -357,6 +353,8 @@ def _tilt(w):
         return math.inf
 
 
-def _check_d(d_z):
-    if not (d_z >= 1 and float(d_z).is_integer()):
-        raise DomainError(f"d_z must be a positive integer, got {d_z}")
+def _check_count(value, name="d_z"):
+    """value as an int; a DomainError naming it unless it is a whole number >= 1."""
+    if not (value >= 1 and float(value).is_integer()):
+        raise DomainError(f"expected an integer {name} >= 1, got {name}={value}")
+    return int(value)

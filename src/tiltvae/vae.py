@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConvergenceError, DomainError, NumericalError
-from .tilted import TiltedPrior
+from .tilted import TiltedPrior, _check_count
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -27,8 +27,8 @@ _WEIGHT_STD = 0.2
 # The Gaussian head exponentiates its output twice over; clamping keeps a
 # freshly initialized network finite without touching trained-scale values.
 _LOG_SIGMA_CLAMP = 15.0
-# encode/decode run the network on this many rows at a time, so inference
-# holds one chunk's activations however many rows it is given.
+# Inference (encode, decode and ood.score_arrays, whose draw order it fixes) runs
+# the network on this many rows at a time, so it holds one chunk's activations.
 _INFER_ROWS = 1024
 _CHECKPOINT_MAGIC = b"TVAE"
 _CHECKPOINT_VERSION = 1
@@ -106,6 +106,8 @@ class VaeModel:
 def build_model(rng: "np.random.Generator", d_x: int, d_z: int, prior,
                 hidden=(256, 128), weight_std=_WEIGHT_STD) -> VaeModel:
     """Encoder (d_x, *hidden, d_z or 2 d_z), decoder mirrored."""
+    d_x, d_z = _check_count(d_x, "d_x"), _check_count(d_z)
+    hidden = [_check_count(h, f"hidden[{i}]") for i, h in enumerate(hidden)]
     enc_out = d_z if isinstance(prior, TiltedPrior) else 2 * d_z
     encoder = MlpParams.init(rng, (d_x, *hidden, enc_out), weight_std)
     decoder = MlpParams.init(rng, (d_z, *reversed(hidden), d_x), weight_std)
@@ -197,8 +199,9 @@ def encode(model: VaeModel, x):
 
 
 def decode(model: VaeModel, z):
-    """Deterministic decoder pass over an (n, d_z) batch."""
-    return _infer(model.decoder, _as_batch(z, model.d_z), "decoder")
+    """Pixels of an (n, d_z) batch: the decoder's output, clamped in place to [0, 1]."""
+    out = _infer(model.decoder, _as_batch(z, model.d_z), "decoder")
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def reparameterize(rng: "np.random.Generator", mu, log_sigma=None):
@@ -263,8 +266,12 @@ class TrainConfig:
     grad_clip: float = 100.0
 
     def __post_init__(self):
-        if not (min(self.epochs, self.batch_size) >= 1
-                and 0 < self.learning_rate < math.inf and 0 < self.grad_clip < math.inf):
+        try:
+            for key in ("epochs", "batch_size"):
+                object.__setattr__(self, key, _check_count(getattr(self, key), key))
+        except DomainError as exc:
+            raise DomainError(f"invalid training config {self}: {exc}") from None
+        if not (0 < self.learning_rate < math.inf and 0 < self.grad_clip < math.inf):
             raise DomainError(f"invalid training config {self}")
 
 

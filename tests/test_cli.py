@@ -17,6 +17,7 @@ from tiltvae._fields import REQUIRED, VAL
 from tiltvae.cli import COMMANDS, _flag, _parse_kv_file, build_parser, main
 from tiltvae.data import _SPEC_FIELDS
 from tiltvae.sampler import rng_stream
+from tiltvae.vae import StandardGaussian, build_model, save_checkpoint
 
 from idx_files import write_idx
 
@@ -323,6 +324,15 @@ class TestScoreRocSampleBench:
 
     def test_sample_needs_model_or_dz(self, tmp_path):
         assert main(["sample", "--n", "5", "--out", str(tmp_path / "l.csv")]) == 1
+
+    def test_posterior_sample_needs_a_stored_or_given_zbar(self, tmp_path, capsys):
+        ckpt = tmp_path / "untrained.ckpt"
+        save_checkpoint(build_model(rng_stream(0), 4, 3, StandardGaussian(), hidden=(2,)), ckpt)
+        lat = tmp_path / "l.csv"
+        assert main(["sample", "--model", str(ckpt), "--n", "5", "--out", str(lat)]) == 1
+        assert capsys.readouterr().err == (
+            "error: posterior sampler needs --zbar (or a checkpoint that stores it)\n")
+        assert not lat.exists()
 
     @pytest.mark.parametrize("options,expected", [
         (["--dz", "2", "--zbar", "nan", "--n", "3"],

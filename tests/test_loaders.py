@@ -211,9 +211,13 @@ class TestCheckpointFuzz:
         (6, 3, (4, 0), "encoder hidden layer 2 has width 0"),
     ])
     def test_zero_dimension_is_domain_error(self, tmp_path, capsys, d_x, d_z, hidden, refusal):
-        # train never writes these; loaded, they scored and sampled with exit 0.
+        # train never writes these, and build_model refuses them; loaded,
+        # they scored and sampled with exit 0.
         path = tmp_path / "zero.ckpt"
-        model = V.build_model(rng_stream(31), d_x, d_z, V.StandardGaussian(), hidden=hidden)
+        gen = rng_stream(31)
+        model = V.VaeModel(V.MlpParams.init(gen, (d_x, *hidden, 2 * d_z)),
+                           V.MlpParams.init(gen, (d_z, *reversed(hidden), d_x)),
+                           V.StandardGaussian(), d_x=d_x, d_z=d_z)
         model.z_bar = 2.5
         V.save_checkpoint(model, path)
         with pytest.raises(DomainError) as err:

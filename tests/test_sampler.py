@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, kstest, norm
 
-from tiltvae.errors import DomainError
+from tiltvae.errors import ConvergenceError, DomainError
 from tiltvae.sampler import (
     _on_sphere,
     rng_stream,
@@ -91,6 +91,14 @@ class TestPosteriorRadius:
                 sample_model_latents(rng_stream(0), z_bar, d_z, n)
 
 
+@pytest.mark.parametrize("d_z,n,name", [
+    (2.5, 5, "d_z"), (0, 5, "d_z"), (3, 2.5, "n"), (3, 0, "n"), (3, math.inf, "n"),
+])
+def test_posterior_sampler_counts_must_be_integers(d_z, n, name):
+    with pytest.raises(DomainError, match=f"expected an integer {name} >= 1"):
+        sample_model_latents(rng_stream(0), 1.0, d_z, n)
+
+
 class TestModelLatent:
     def test_radial_law_ks(self):
         z = sample_model_latents(rng_stream(10), 10.15, 10, 10**5)
@@ -116,6 +124,14 @@ class TestTiltedRejection:
         z = sample_tilted_prior_batch(rng_stream(14), prior, 10**5)
         assert np.all(np.abs(z.mean(axis=0)) < 0.01)
         assert np.all(np.abs(z.var(axis=0) - 1.0) < 0.02)
+
+    def test_one_dimension_at_zero_tilt_is_half_normal_in_magnitude(self):
+        # At d_z = 1 the radii are N(tau, 1) truncated to > 0, so at tau = 0
+        # |z| is half-normal with mean sqrt(2/pi) and sd sqrt(1 - 2/pi).
+        z = sample_tilted_prior_batch(rng_stream(16), TiltedPrior.fit(0.0, 1), 10**5)
+        assert z.shape == (10**5, 1)
+        assert abs(np.abs(z).mean() - math.sqrt(2.0 / math.pi)) < 5 * 0.603 / math.sqrt(10**5)
+        assert abs((z > 0.0).mean() - 0.5) < 0.01
 
     def test_empirical_mode_matches_radial_argmax(self, prior_10_10):
         z = sample_tilted_prior_batch(rng_stream(15), prior_10_10, 10**5)
@@ -190,10 +206,23 @@ def test_save_latents_csv_matches_float_repr(tmp_path):
 
 
 class TestPriorSamplerInputs:
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("n", [0, -3, 2.5, math.nan])
     def test_count_below_one_is_domain_error(self, prior_10_10, n):
         with pytest.raises(DomainError, match=f"n >= 1, got n={n}"):
             sample_tilted_prior_batch(rng_stream(1), prior_10_10, n)
+
+    def test_low_acceptance_rate_is_convergence_error(self, prior_10_10):
+        class NonPositiveProposals:
+            def normal(self, loc, scale, size):
+                return np.full(size, -1.0)
+
+            def random(self, size):
+                return np.full(size, 0.5)
+
+        with pytest.raises(ConvergenceError, match="acceptance rate") as err:
+            sample_tilted_prior_batch(NonPositiveProposals(), prior_10_10, 5)
+        assert err.value.context["rate"] == 0.0
+        assert err.value.context["d_z"] == 10
 
     def test_radial_mode_of_the_largest_tilt_is_finite(self):
         # tau^2 overflows above 1.34e154; the largest accepted tau is 1.9e154.

@@ -220,6 +220,19 @@ class TestMeanNormAtZero:
             chi = math.sqrt(2.0) * math.exp(math.lgamma((d + 1) / 2) - math.lgamma(d / 2))
             assert mean_norm(d, 0.0) == pytest.approx(chi, rel=1e-12)
 
+    def test_value_at_zero_alpha4(self):
+        # Gamma(5.5) / (Gamma(1.5) Gamma(5)) = 315/128
+        assert laguerre_half(4.0, 0.0) == pytest.approx(2.4609375, rel=1e-12)
+
+    def test_value_at_zero_alpha0(self):
+        assert laguerre_half(0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+
+    def test_zero_matches_gamma_ratio_identity(self):
+        for alpha in [0.0, 0.5, 4.0, 49.0]:
+            log_ratio = math.lgamma(alpha + 1.5) - math.lgamma(alpha + 1.0)
+            expected = math.exp(log_ratio) / math.gamma(1.5)
+            assert laguerre_half(alpha, 0.0) == pytest.approx(expected, rel=1e-12)
+
     def test_monte_carlo_d10(self):
         rng = np.random.default_rng(101)
         total = 0.0
@@ -249,19 +262,6 @@ class TestMeanNormAtZero:
 
 class TestLaguerreHalf:
     """L_{1/2}^(alpha) at alpha = d/2 - 1, through mean_norm and _norm_slope."""
-
-    def test_value_at_zero_alpha4(self):
-        # Gamma(5.5) / (Gamma(1.5) Gamma(5)) = 315/128
-        assert laguerre_half(4.0, 0.0) == pytest.approx(2.4609375, rel=1e-12)
-
-    def test_value_at_zero_alpha0(self):
-        assert laguerre_half(0.0, 0.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_zero_matches_gamma_ratio_identity(self):
-        for alpha in [0.0, 0.5, 4.0, 49.0]:
-            log_ratio = math.lgamma(alpha + 1.5) - math.lgamma(alpha + 1.0)
-            expected = math.exp(log_ratio) / math.gamma(1.5)
-            assert laguerre_half(alpha, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_noncentral_chi_mean_monte_carlo(self):
         # sqrt(pi/2) L_{1/2}^(4)(-50) is the mean norm of N(mu, I_10),

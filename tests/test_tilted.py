@@ -480,6 +480,14 @@ class TestSweep:
         assert statuses[0] == "error"
         assert len(report.errors) == 1
 
+    def test_a_bad_dimension_fails_every_cell_of_its_column(self):
+        report = verify_bound_sweep([0, 2], [0, 5], 50, 10.0)
+        bad, good = report.cells[:2], report.cells[2:]
+        assert all(c.d_z == 0 and c.status == "error: expected an integer d_z >= 1, got d_z=0"
+                   for c in bad)
+        assert all(c.d_z == 2 and c.status in ("ok", "violation") for c in good)
+        assert report.errors == bad
+
     def test_margins_equal_per_cell_recomputation(self):
         # mu reaches 80 (z = m^2/2 = 3200), past the series/asymptotic crossover;
         # (200, 14) has gamma = 0, and w = 150 fails its fit because its root

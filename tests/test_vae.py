@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tiltvae.vae as V
-from tiltvae.data import gen_blobs, gen_noise, blob_preset
+from tiltvae.data import Dataset, gen_blobs, gen_noise, blob_preset
 from tiltvae.errors import DomainError, NumericalError
 from tiltvae.sampler import rng_stream
 from tiltvae.tilted import TiltedPrior, exact_kld, quadratic_kld
@@ -71,6 +71,15 @@ class TestEncodeDecode:
         model = V.build_model(rng_stream(1), 6, 10, tilted_prior)
         with pytest.raises(DomainError, match=re.escape(f"expected {expected}")):
             getattr(V, fn)(model, np.zeros(shape))
+
+    def test_decode_clamps_to_pixels(self, tilted_prior):
+        model = V.build_model(rng_stream(3), 6, 10, tilted_prior, hidden=(8,))
+        z = 20.0 * rng_stream(4).standard_normal((50, 10))
+        raw = V._mlp_forward(model.decoder, z, "decoder")
+        assert raw.min() < 0.0 and raw.max() > 1.0
+        xhat = V.decode(model, z)
+        assert xhat.min() == 0.0 and xhat.max() == 1.0
+        assert np.array_equal(xhat, np.clip(raw, 0.0, 1.0))
 
     def test_non_finite_activations_name_the_layer(self, tilted_prior):
         model = V.build_model(rng_stream(1), 6, 10, tilted_prior)
@@ -150,8 +159,9 @@ class TestChunkedInference:
         xhat = V.decode(model, z)
         xhat_ref = np.concatenate([V.decode(model, z[i:i + 1024]) for i in blocks])
         assert np.allclose(xhat, xhat_ref, rtol=1e-12, atol=0.0)
-        # The training-time forward pass takes the whole batch at once.
-        assert np.allclose(xhat, V._mlp_forward(model.decoder, z, "decoder"),
+        # The training-time forward pass takes the whole batch at once;
+        # decode clamps it to pixels.
+        assert np.allclose(xhat, np.clip(V._mlp_forward(model.decoder, z, "decoder"), 0, 1),
                            rtol=1e-12, atol=0.0)
 
     def test_non_finite_in_late_chunk_names_the_layer(self, tilted_prior):
@@ -310,7 +320,40 @@ def test_train_config_refuses_non_finite_and_non_positive(bad):
         V.TrainConfig(**{"epochs": 1, **bad})
 
 
+@pytest.mark.parametrize("bad,name", [
+    ({"epochs": 1.5}, "epochs"), ({"batch_size": 2.5}, "batch_size"),
+    ({"epochs": math.inf}, "epochs"), ({"batch_size": math.nan}, "batch_size"),
+])
+def test_train_config_refuses_counts_that_are_not_integers(bad, name):
+    with pytest.raises(DomainError, match=f"invalid training config .*: expected an integer {name}"):
+        V.TrainConfig(**{"epochs": 1, **bad})
+
+
+@pytest.mark.parametrize("d_x,d_z,hidden,name", [
+    (0, 10, (4,), "d_x"), (6, 2.5, (4,), "d_z"), (6, 10, (0,), "hidden[0]"),
+    (6, 10, (4, 1.5), "hidden[1]"), (6, 10, (math.nan,), "hidden[0]"),
+])
+def test_build_model_refuses_counts_the_cli_refuses(tilted_prior, d_x, d_z, hidden, name):
+    with pytest.raises(DomainError, match=re.escape(f"expected an integer {name} >= 1")):
+        V.build_model(rng_stream(0), d_x, d_z, tilted_prior, hidden=hidden)
+
+
+def test_whole_float_counts_are_handed_on_as_ints(tilted_prior):
+    model = V.build_model(rng_stream(0), 6.0, 10.0, tilted_prior, hidden=(4.0,))
+    config = V.TrainConfig(epochs=2.0, batch_size=8.0)
+    assert (model.d_x, model.d_z, model.encoder.weights[0].shape) == (6, 10, (6, 4))
+    assert type(model.d_x) is type(model.d_z) is type(config.epochs) is type(config.batch_size) is int
+
+
 class TestTrain:
+    @pytest.mark.parametrize("samples,message", [
+        (np.zeros((0, 6)), "dataset is empty"), (np.zeros((5, 7)), "d_x=7 but model expects 6"),
+    ], ids=["empty", "d_x"])
+    def test_refuses_data_it_cannot_train_on(self, tilted_prior, samples, message):
+        model = V.build_model(rng_stream(14), 6, 10, tilted_prior, hidden=(4,))
+        with pytest.raises(DomainError, match=message):
+            V.train(model, Dataset(samples, "x"), V.TrainConfig(epochs=1), rng_stream(14, 1))
+
     def test_objective_decreases_on_blobs(self, tilted_prior):
         ds = gen_blobs(rng_stream(14, 101), 200, 8, 8, blob_preset("two", 8, 8))
         model = V.build_model(rng_stream(14), 64, 10, tilted_prior, hidden=(32, 16))
@@ -493,6 +536,10 @@ class TestStrictCheckpointHeader:
 
     def test_trailing_bytes(self, tmp_path, raw):
         assert "trailing" in self._load(tmp_path, raw + b"\x00")
+
+    def test_unknown_version(self, tmp_path, raw):
+        raw[4:8] = struct.pack("<I", 2)
+        assert "unsupported checkpoint version 2" in self._load(tmp_path, raw)
 
     def test_unknown_prior_tag(self, tmp_path, raw):
         raw[16] = 7
