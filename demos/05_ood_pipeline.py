@@ -16,8 +16,9 @@ import numpy as np
 import tiltvae.vae as V
 from tiltvae import TiltedPrior
 from tiltvae.data import blob_preset, gen_blobs, gen_noise
-from tiltvae.ood import roc, score_arrays, write_scores_csv
+from tiltvae.ood import roc, write_scores_csv
 from tiltvae.sampler import rng_stream
+from tiltvae.vae import score_arrays
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT, exist_ok=True)

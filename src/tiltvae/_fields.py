@@ -1,5 +1,6 @@
 """Typed `key = value` settings: one parser for command-line options,
-replayed manifests, training configs and data specs."""
+replayed manifests, training configs and data specs; and the count rule
+that the library's entry points apply to the counts they are passed."""
 
 import math
 from collections import namedtuple
@@ -58,6 +59,13 @@ non_negative_int = checked(int, lambda v: v >= 0, "must be >= 0")
 grid_points = checked(int, lambda v: v >= 2, "must be >= 2")
 positive = checked(float, lambda v: 0.0 < v < math.inf, "must be finite and > 0")
 non_negative = checked(float, lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
+
+
+def check_count(value, name, lowest=1):
+    """value as an int; a DomainError naming it unless it is a whole number >= lowest."""
+    if not (value >= lowest and float(value).is_integer()):
+        raise DomainError(f"expected an integer {name} >= {lowest}, got {name}={value}")
+    return int(value)
 
 
 def counts(text):

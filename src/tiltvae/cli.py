@@ -28,7 +28,7 @@ from ._fields import (IN_PATH, OUT_PATH, REQUIRED, VAL, Field, choice, count, co
                       positive)
 from .data import parse_spec, place_spec_input, spec_input
 from .errors import ConvergenceError, DomainError, NumericalError
-from .ood import read_scores_csv, roc, score_arrays, write_scores_csv
+from .ood import read_scores_csv, roc, write_scores_csv
 from .sampler import (
     rng_stream,
     sample_model_latents,
@@ -48,6 +48,7 @@ from .vae import (
     decode,
     load_checkpoint,
     save_checkpoint,
+    score_arrays,
     train,
 )
 
@@ -211,6 +212,13 @@ class TrainCommand(Command):
         Field("log", default="train_log.csv", kind=OUT_PATH, help="per-epoch CSV log"),
     )
     outputs = {"checkpoint": "checkpoint", "log": "log"}
+
+    def config(self, strings, where, place):
+        """Refuses a tilt that the Gaussian prior would ignore."""
+        config = super().config(strings, where, place)
+        if config["prior"] == "gaussian" and config["tau"]:
+            raise DomainError(f"{where('tau')}: not used with --prior gaussian")
+        return config
 
     def run(self, config):
         dataset = parse_spec(config["data"], rng_stream(config["seed"], 101))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import Field, choice, count, non_negative, parse_fields
+from ._fields import Field, check_count, choice, count, non_negative, parse_fields
 from .errors import DomainError
 
 
@@ -87,16 +87,14 @@ def load_idx(path) -> np.ndarray:
 
 def gen_noise(rng: "np.random.Generator", n: int, h: int, w: int, c: int = 1) -> Dataset:
     """Every pixel an independent uniform draw over the 256 8-bit levels."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n, h, w, c = map(check_count, (n, h, w, c), "nhwc")
     levels = rng.integers(0, 256, size=(n, h * w * c))
     return Dataset(levels / 255.0, tag="noise")
 
 
 def gen_constant(rng: "np.random.Generator", n: int, h: int, w: int, c: int = 1) -> Dataset:
     """Each image is one uniform 8-bit level repeated over all pixels."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    n, h, w, c = map(check_count, (n, h, w, c), "nhwc")
     levels = rng.integers(0, 256, size=(n, 1))
     samples = np.repeat(levels / 255.0, h * w * c, axis=1)
     return Dataset(samples, tag="constant")
@@ -110,6 +108,7 @@ def gen_blobs(rng: "np.random.Generator", n: int, h: int, w: int, modes,
     Gaussian falloff of the given radius (a single-pixel bump when the radius
     is zero), plus i.i.d. pixel noise, clamped to [0, 1].
     """
+    n, h, w = map(check_count, (n, h, w), "nhw")
     if not modes:
         raise DomainError("modes must be non-empty")
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)

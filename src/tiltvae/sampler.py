@@ -12,8 +12,9 @@ import math
 import numpy as np
 
 from ._csvfloat import write_rows
+from ._fields import check_count
 from .errors import ConvergenceError, DomainError
-from .tilted import TiltedPrior, _check_count
+from .tilted import TiltedPrior
 
 _MIN_ACCEPT_RATE = 1e-3
 _WARMUP_PROPOSALS = 20_000
@@ -36,7 +37,7 @@ def _on_sphere(rng, radii, d_z):
 def sample_model_latents(rng: "np.random.Generator", z_bar: float, d_z: int, n: int) -> np.ndarray:
     """n aggregated-posterior draws, shape (n, d_z): each a radius from
     N(z_bar, 1), redrawn until positive, times a uniform direction."""
-    d_z, n = _check_count(d_z), _check_count(n, "n")
+    d_z, n = check_count(d_z, "d_z"), check_count(n, "n")
     if not (math.isfinite(z_bar) and z_bar > 0.0):
         raise DomainError(f"posterior sampler needs a finite z_bar > 0, got z_bar={z_bar!r}")
     radii = np.empty(n)
@@ -63,7 +64,7 @@ def sample_tilted_prior_batch(rng: "np.random.Generator", prior: TiltedPrior, n:
     (d-1) log(x/mode) + (tau - mode)(x - mode) is exact and peaks at the mode,
     so accepted radii follow the target law with no approximation.
     """
-    n = _check_count(n, "n")
+    n = check_count(n, "n")
     mode = tilted_radial_mode(prior)
     c = prior.d_z - 1
     radii = np.empty(n)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import check_count
 from .errors import ConvergenceError, DomainError
 from .specfn import log_kummer_scaled
 
@@ -53,7 +54,7 @@ def log_normalizer(tau, d_z: int):
     Both terms are positive and combined as logs, so no intermediate can
     overflow a double even though Z_tau itself scales like exp(tau^2 / 2).
     """
-    d_z = _check_count(d_z)
+    d_z = check_count(d_z, "d_z")
     log_z = _log_normalizers(np.atleast_1d(_norms(tau, "tau")), d_z)[0]
     return float(log_z[0]) if np.ndim(tau) == 0 else log_z
 
@@ -105,7 +106,7 @@ def _mean_norms(d_z, m):
 def mean_norm(d_z: int, mu_norm):
     """E[||z||] for z ~ N(mu, I) on R^d_z with ||mu|| = mu_norm; a float for a
     scalar norm, an array for an array of norms."""
-    d_z = _check_count(d_z)
+    d_z = check_count(d_z, "d_z")
     mean = _mean_norms(d_z, _norms(mu_norm))[0]
     return float(mean) if np.ndim(mu_norm) == 0 else mean
 
@@ -183,7 +184,7 @@ def _fit_priors(taus, d_z, grid=()):
     call. The probe KLDs stay finite up to the largest tilt, since
     |tau - m| <= _MAX_NORM.
     """
-    d_z = _check_count(d_z)
+    d_z = check_count(d_z, "d_z")
     taus = np.atleast_1d(np.asarray(taus, dtype=np.float64))
     in_range = (taus >= 0.0) & (taus <= _MAX_NORM)
     t = taus[in_range]
@@ -314,8 +315,7 @@ def verify_bound_sweep(d_grid, w_grid, mu_points: int, mu_max: float) -> SweepRe
     """
     if not d_grid or not w_grid:
         raise DomainError("d_grid and w_grid must be non-empty")
-    if mu_points < 2:
-        raise DomainError(f"mu_points must be >= 2, got {mu_points}")
+    mu_points = check_count(mu_points, "mu_points", lowest=2)
     if not 0.0 < mu_max <= _MAX_NORM:
         raise DomainError(f"mu_max must be in (0, {_MAX_NORM:.6g}], got {mu_max}")
     mu = np.linspace(0.0, mu_max, mu_points)
@@ -351,10 +351,3 @@ def _tilt(w):
         return 1.2 ** w
     except OverflowError:
         return math.inf
-
-
-def _check_count(value, name="d_z"):
-    """value as an int; a DomainError naming it unless it is a whole number >= 1."""
-    if not (value >= 1 and float(value).is_integer()):
-        raise DomainError(f"expected an integer {name} >= 1, got {name}={value}")
-    return int(value)

@@ -6,8 +6,12 @@ the tilted prior (unit posterior covariance, quadratic KLD penalty on the
 posterior-mean norm) and a standard Gaussian prior with a learned diagonal
 posterior scale.
 
-Reconstruction conventions: training and the ELBO terms use the squared l2
-error (differentiable least squares); the OOD score uses the plain l2 norm.
+Inference (encode, decode to pixels in [0, 1], and score_arrays) runs on
+row chunks. The out-of-distribution score of a sample is the plain l2
+distance from it to its decoded pixels plus the divergence term at the
+encoder mean: (||mu|| - gamma)^2 / 2 for the tilted prior, the closed-form
+KLD for the Gaussian one. Training and the ELBO terms use the squared l2
+error instead (differentiable least squares).
 """
 
 import math
@@ -16,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from ._fields import check_count
 from .errors import ConvergenceError, DomainError, NumericalError
-from .tilted import TiltedPrior, _check_count
+from .tilted import TiltedPrior
 
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -27,7 +31,7 @@ _WEIGHT_STD = 0.2
 # The Gaussian head exponentiates its output twice over; clamping keeps a
 # freshly initialized network finite without touching trained-scale values.
 _LOG_SIGMA_CLAMP = 15.0
-# Inference (encode, decode and ood.score_arrays, whose draw order it fixes) runs
+# Inference (encode, decode and score_arrays, whose draw order it fixes) runs
 # the network on this many rows at a time, so it holds one chunk's activations.
 _INFER_ROWS = 1024
 _CHECKPOINT_MAGIC = b"TVAE"
@@ -106,8 +110,8 @@ class VaeModel:
 def build_model(rng: "np.random.Generator", d_x: int, d_z: int, prior,
                 hidden=(256, 128), weight_std=_WEIGHT_STD) -> VaeModel:
     """Encoder (d_x, *hidden, d_z or 2 d_z), decoder mirrored."""
-    d_x, d_z = _check_count(d_x, "d_x"), _check_count(d_z)
-    hidden = [_check_count(h, f"hidden[{i}]") for i, h in enumerate(hidden)]
+    d_x, d_z = check_count(d_x, "d_x"), check_count(d_z, "d_z")
+    hidden = [check_count(h, f"hidden[{i}]") for i, h in enumerate(hidden)]
     enc_out = d_z if isinstance(prior, TiltedPrior) else 2 * d_z
     encoder = MlpParams.init(rng, (d_x, *hidden, enc_out), weight_std)
     decoder = MlpParams.init(rng, (d_z, *reversed(hidden), d_x), weight_std)
@@ -214,7 +218,7 @@ def reparameterize(rng: "np.random.Generator", mu, log_sigma=None):
 
 
 @np.errstate(over="ignore")
-def kld_rows(model, mu, log_sigma):
+def _kld_rows(model, mu, log_sigma):
     """Per-row divergence term: (||mu|| - gamma)^2 / 2 for the tilted prior,
     without the constant committed rate, else the closed-form Gaussian KLD. A
     term too large for a double is inf, without a warning."""
@@ -223,11 +227,37 @@ def kld_rows(model, mu, log_sigma):
     return 0.5 * np.sum(np.exp(2.0 * log_sigma) + mu * mu - 1.0 - 2.0 * log_sigma, axis=1)
 
 
+def score_arrays(model: VaeModel, x, draws: int = 0, rng: "np.random.Generator | None" = None):
+    """(recon, kld) float64 vectors for an (n, d_x) batch; a row's OOD score is
+    recon + kld.
+
+    recon is the l2 distance from a row to decode's pixels (clamped to
+    [0, 1]) of the deterministic encoder mean when draws = 0, else the mean
+    of that distance over draws reparameterized latents from rng, one
+    (chunk, d_z) normal block per draw after each _INFER_ROWS-row chunk is
+    encoded. The kld term always uses the encoder mean.
+    """
+    x = _as_batch(x, model.d_x)
+    draws = check_count(draws, "draws", lowest=0)
+    if draws and rng is None:
+        raise DomainError(f"averaging needs an rng; got draws={draws}")
+    recon, kld = np.empty(x.shape[0]), np.empty(x.shape[0])
+    for i in range(0, x.shape[0], _INFER_ROWS):
+        rows = slice(i, i + _INFER_ROWS)
+        xc = x[rows]
+        mu, log_sigma = encode(model, xc)
+        kld[rows] = _kld_rows(model, mu, log_sigma)
+        latents = (reparameterize(rng, mu, log_sigma) for _ in range(draws)) if draws else (mu,)
+        norms = (np.linalg.norm(decode(model, z) - xc, axis=1) for z in latents)
+        recon[rows] = sum(norms) / max(draws, 1)
+    return recon, kld
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _elbo_forward_backward(model, x, eps):
     """Mean (recon, kld) over a batch with fixed noise, plus the parameter
     gradients as a flat buffer laid out like model.params. The KLD per row is
-    kld_rows plus the committed rate.
+    _kld_rows plus the committed rate.
 
     Keeping the noise an explicit argument makes the function a deterministic
     map of (parameters, batch, noise), which is what both the optimizer step
@@ -240,7 +270,7 @@ def _elbo_forward_backward(model, x, eps):
     xhat = _mlp_forward(model.decoder, mu + eps * sigma, "decoder", dec_caches)
     diff = xhat - x
     recon = np.sum(diff * diff, axis=1)
-    kld = kld_rows(model, mu, log_sigma) + model.prior.committed_rate
+    kld = _kld_rows(model, mu, log_sigma) + model.prior.committed_rate
 
     grads = np.empty_like(model.params)
     enc_grads, dec_grads = _carve(grads, (model.encoder, model.decoder))
@@ -268,7 +298,7 @@ class TrainConfig:
     def __post_init__(self):
         try:
             for key in ("epochs", "batch_size"):
-                object.__setattr__(self, key, _check_count(getattr(self, key), key))
+                object.__setattr__(self, key, check_count(getattr(self, key), key))
         except DomainError as exc:
             raise DomainError(f"invalid training config {self}: {exc}") from None
         if not (0 < self.learning_rate < math.inf and 0 < self.grad_clip < math.inf):
@@ -327,15 +357,9 @@ def grad_step(model: VaeModel, opt: AdamState, rng: "np.random.Generator", batch
     return recon, kld
 
 
-def encode_norms(model: VaeModel, dataset: Dataset) -> np.ndarray:
-    """||mu(x)|| over a dataset."""
-    mu, _ = encode(model, dataset.samples)
-    return np.linalg.norm(mu, axis=1)
-
-
-def train(model: VaeModel, dataset: Dataset, config: TrainConfig,
-          rng: "np.random.Generator") -> list:
-    """Shuffled minibatch training, with each epoch's order and each step's noise from rng.
+def train(model: VaeModel, dataset, config: TrainConfig, rng: "np.random.Generator") -> list:
+    """Shuffled minibatch training on a data.Dataset, with each epoch's order
+    and each step's noise from rng.
 
     Trains the model in place and sets its z_bar, the mean norm of the
     encoded data after training. Returns the per-epoch (recon, kld) log.
@@ -359,7 +383,7 @@ def train(model: VaeModel, dataset: Dataset, config: TrainConfig,
             recon_sum += recon * idx.size
             kld_sum += kld * idx.size
         history.append((recon_sum / dataset.n, kld_sum / dataset.n))
-    model.z_bar = float(encode_norms(model, dataset).mean())
+    model.z_bar = float(np.linalg.norm(encode(model, dataset.samples)[0], axis=1).mean())
     return history
 
 

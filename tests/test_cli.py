@@ -983,6 +983,17 @@ class TestRefusals:
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("items,source", [
+        (("prior=gaussian", "tau=5"), "--tau"), (("prior=gaussian",), "{cfg}:3"),
+    ], ids=["flag", "file"])
+    def test_train_tilt_it_would_ignore(self, tmp_path, train_cfg, capsys, items, source):
+        # Once trained the standard Gaussian while the manifest said tau = 5.
+        assert _train(tmp_path, train_cfg, *items) == 1
+        source = source.format(cfg=train_cfg)
+        assert capsys.readouterr().err == f"error: {source}: not used with --prior gaussian\n"
+        assert not any(p.name != "train.cfg" for p in tmp_path.iterdir())
+        assert _train(tmp_path, train_cfg, "prior=gaussian", "tau=0") == 0
+
     def test_non_finite_loss_names_its_batch(self, tmp_path, train_cfg):
         proc = _run_python(["-m", "tiltvae.cli", "train", "--config", str(train_cfg),
                             "--weight-std", "1e30", "--learning-rate", "1e6",

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import tiltvae.vae as V
 from tiltvae.data import gen_blobs, blob_preset
 from tiltvae.errors import DomainError
-from tiltvae.ood import read_scores_csv, roc, score_arrays, write_scores_csv
+from tiltvae.ood import read_scores_csv, roc, write_scores_csv
 from tiltvae.sampler import rng_stream
 from tiltvae.tilted import TiltedPrior
+from tiltvae.vae import score_arrays
 
 
 _SCORES_HEADER = "sample_index,recon_term,kld_term,score,dataset_tag"

@@ -121,25 +121,6 @@ class TestLogKummerM:
         values = log_kummer_m(3.5, 1.5, z)
         assert [log_kummer_m(3.5, 1.5, float(zi)) for zi in z] == values.tolist()
 
-    @pytest.mark.parametrize("a,b", [(1.5, 1.0), (5.5, 5.0), (100.5, 101.0), (3.0, 0.5)])
-    def test_tail_is_the_expansion_past_its_leading_term(self, a, b):
-        # e^-z M = Gamma(b)/Gamma(a) z^(a-b) (1 + tail) where the expansion
-        # gave the value, against mpmath at 60 digits; NaN exactly where the
-        # series gave it. The expansion certifies itself here from z = 100.
-        z = np.array([0.0, 1.0, 100.0, 300.0, 699.9, 700.1, 2000.0, 1e5, 1e12])
-        values, tail = log_kummer_scaled(a, b, z)
-        series = np.isnan(tail)
-        assert series.tolist() == [True, True] + [False] * 7
-        assert values[0] == 0.0
-        assert values[1:][series[1:]].tolist() == (
-            _log_series_pos(a, b, z[1:][series[1:]]) - z[1:][series[1:]]).tolist()
-        with mpmath.workdps(60):
-            for zi, t in zip(z[~series], tail[~series]):
-                zm = mpmath.mpf(zi)
-                ref = (mpmath.hyp1f1(a, b, zm) * mpmath.exp(-zm) * mpmath.gamma(a)
-                       / mpmath.gamma(b) * zm ** (b - a) - 1)
-                assert t == pytest.approx(float(ref), rel=1e-12)
-
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 50, 100, 200])
     def test_library_families_against_high_precision(self, d):
         # The four (a, b) the library calls, over z from 0.5 to 800, on both
@@ -184,6 +165,25 @@ class TestLogKummerM:
 class TestLogKummerScaled:
     """Where the kernel's large-z expansion certifies itself, and where the
     series takes over."""
+
+    @pytest.mark.parametrize("a,b", [(1.5, 1.0), (5.5, 5.0), (100.5, 101.0), (3.0, 0.5)])
+    def test_tail_is_the_expansion_past_its_leading_term(self, a, b):
+        # e^-z M = Gamma(b)/Gamma(a) z^(a-b) (1 + tail) where the expansion
+        # gave the value, against mpmath at 60 digits; NaN exactly where the
+        # series gave it. The expansion certifies itself here from z = 100.
+        z = np.array([0.0, 1.0, 100.0, 300.0, 699.9, 700.1, 2000.0, 1e5, 1e12])
+        values, tail = log_kummer_scaled(a, b, z)
+        series = np.isnan(tail)
+        assert series.tolist() == [True, True] + [False] * 7
+        assert values[0] == 0.0
+        assert values[1:][series[1:]].tolist() == (
+            _log_series_pos(a, b, z[1:][series[1:]]) - z[1:][series[1:]]).tolist()
+        with mpmath.workdps(60):
+            for zi, t in zip(z[~series], tail[~series]):
+                zm = mpmath.mpf(zi)
+                ref = (mpmath.hyp1f1(a, b, zm) * mpmath.exp(-zm) * mpmath.gamma(a)
+                       / mpmath.gamma(b) * zm ** (b - a) - 1)
+                assert t == pytest.approx(float(ref), rel=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 50, 100, 200])
     def test_library_families_expansion_at_large_z(self, d):

@@ -361,7 +361,19 @@ class TestTrain:
         history = V.train(model, ds, V.TrainConfig(epochs=10, learning_rate=1e-3),
                           rng_stream(14, 1))
         assert sum(history[-1]) < sum(history[0])
-        assert model.z_bar == float(V.encode_norms(model, ds).mean()) > 0.0
+        norms = np.linalg.norm(V.encode(model, ds.samples)[0], axis=1)
+        assert model.z_bar == float(norms.mean()) > 0.0
+
+    def test_non_finite_loss_names_its_epoch_and_batch(self, tilted_prior):
+        # The squared error of a 1e200 decoder output overflows on the first step.
+        ds = gen_noise(rng_stream(19, 101), 8, 2, 3)
+        model = V.build_model(rng_stream(19), 6, 10, tilted_prior, hidden=(4,))
+        model.decoder.biases[-1][:] = 1e200
+        with pytest.raises(NumericalError, match=r"^non-finite loss \(") as exc:
+            V.train(model, ds, V.TrainConfig(epochs=2, batch_size=4), rng_stream(19, 1))
+        context = exc.value.context
+        assert (context["epoch"], context["batch_start"], context["recon"]) == (0, 0, math.inf)
+        assert math.isfinite(context["kld"])
 
     def test_gaussian_kld_collapses_on_uninformative_data(self):
         ds = gen_noise(rng_stream(15, 101), 200, 8, 8)
@@ -440,7 +452,8 @@ class TestExactElbo:
         model = V.build_model(rng_stream(20), 64, 10, tilted_prior, hidden=(16, 8))
         V.train(model, ds, V.TrainConfig(epochs=3, learning_rate=1e-3), rng_stream(20, 1))
         klds = _exact_klds(model, ds.samples)
-        quads = quadratic_kld(tilted_prior, V.encode_norms(model, ds))
+        norms = np.linalg.norm(V.encode(model, ds.samples)[0], axis=1)
+        quads = quadratic_kld(tilted_prior, norms)
         assert np.all(klds <= quads + 1e-9)
         assert np.all(klds >= tilted_prior.committed_rate - 1e-12)
 
@@ -456,7 +469,7 @@ class TestExactElbo:
         model = V.build_model(rng_stream(21), 9, 4, prior0, hidden=(6,))
         ds = gen_noise(rng_stream(21, 101), 20, 3, 3)
         klds = _exact_klds(model, ds.samples)
-        norms = V.encode_norms(model, ds)
+        norms = np.linalg.norm(V.encode(model, ds.samples)[0], axis=1)
         assert klds == pytest.approx(0.5 * norms**2, rel=1e-10)
 
 
