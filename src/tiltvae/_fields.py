@@ -3,6 +3,7 @@ replayed manifests, training configs and data specs; and the count rule
 that the library's entry points apply to the counts they are passed."""
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import DomainError
@@ -54,18 +55,22 @@ def choice(*options):
     return checked(str, lambda v: v in options, f"must be one of {', '.join(options)}")
 
 
-count = checked(int, lambda v: v >= 1, "must be >= 1")
-non_negative_int = checked(int, lambda v: v >= 0, "must be >= 0")
-grid_points = checked(int, lambda v: v >= 2, "must be >= 2")
+_int = checked(int, lambda v: v <= sys.float_info.max, "too large for a double")
+count = checked(_int, lambda v: v >= 1, "must be >= 1")
+non_negative_int = checked(_int, lambda v: v >= 0, "must be >= 0")
+grid_points = checked(_int, lambda v: v >= 2, "must be >= 2")
 positive = checked(float, lambda v: 0.0 < v < math.inf, "must be finite and > 0")
 non_negative = checked(float, lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
 
 
 def check_count(value, name, lowest=1):
-    """value as an int; a DomainError naming it unless it is a whole number >= lowest."""
-    if not (value >= lowest and float(value).is_integer()):
-        raise DomainError(f"expected an integer {name} >= {lowest}, got {name}={value}")
-    return int(value)
+    """value as an int; a DomainError naming it unless a double holds it, whole and >= lowest."""
+    try:
+        if value >= lowest and float(value).is_integer():
+            return int(value)
+    except OverflowError:
+        raise DomainError(f"{name} is too large for a double") from None
+    raise DomainError(f"expected an integer {name} >= {lowest}, got {name}={value}")
 
 
 def counts(text):

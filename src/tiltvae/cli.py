@@ -53,12 +53,15 @@ from .vae import (
 )
 
 class Command:
-    """One subcommand: its option fields plus a runner over resolved config."""
+    """One subcommand: its option fields plus a runner over resolved config.
+    A run writes the files that its OUT_PATH fields name (see written). Where
+    when(config) holds for an ``ignored`` entry (key, other option, when), a
+    value of key other than its default is refused: the run would not use it."""
 
     name = ""
     help = ""
     fields = ()
-    outputs = {}  # {path field key: output name} of every file a run may write
+    ignored = ()
 
     def add_arguments(self, sub):
         # Each option appends, so that main can refuse one given twice.
@@ -71,10 +74,14 @@ class Command:
         return p
 
     def config(self, strings, where, place):
-        """Config from {key: raw text} through parse_fields; place(kind, path)
-        settles each input and output path, defaults included, and the file
-        a --data spec reads."""
+        """Config from {key: raw text} through parse_fields and the ``ignored``
+        table; place(kind, path) settles each input and output path, defaults
+        included, and the file a --data spec reads."""
         config = parse_fields(self.fields, strings, where)
+        defaults = {f.key: f.default for f in self.fields}
+        for key, other, when in self.ignored:
+            if when(config) and config[key] != defaults[key]:
+                raise DomainError(f"{where(key)}: not used with {other}")
         for f in self.fields:
             if f.kind != VAL and config[f.key] is not None:
                 config[f.key] = place(f.kind, config[f.key])
@@ -87,8 +94,8 @@ class Command:
                 for f in self.fields}
 
     def written(self, config):
-        """The part of ``outputs`` that this run writes."""
-        return self.outputs
+        """The keys of the output paths that this run writes, in field order."""
+        return [f.key for f in self.fields if f.kind == OUT_PATH]
 
     def run(self, config):
         """Execute; returns the exit code."""
@@ -107,7 +114,6 @@ class GammaCommand(Command):
         Field("dz", count, help="latent dimension"),
         Field("out", default="gamma.csv", kind=OUT_PATH, help="output CSV"),
     )
-    outputs = {"out": "table"}
 
     def run(self, config):
         prior = TiltedPrior.fit(config["tau"], config["dz"])
@@ -133,7 +139,6 @@ class KldTableCommand(Command):
         Field("points", grid_points, 200, help="grid size"),
         Field("out", default="kld_table.csv", kind=OUT_PATH, help="output CSV"),
     )
-    outputs = {"out": "table"}
 
     def run(self, config):
         prior = TiltedPrior.fit(config["tau"], config["dz"])
@@ -157,7 +162,6 @@ class SweepCommand(Command):
         Field("mu_max", positive, 200.0, repr, help="largest posterior-mean norm"),
         Field("out", default="sweep.csv", kind=OUT_PATH, help="output CSV"),
     )
-    outputs = {"out": "report"}
 
     def run(self, config):
         report = verify_bound_sweep(
@@ -211,14 +215,7 @@ class TrainCommand(Command):
         Field("checkpoint", default="model.ckpt", kind=OUT_PATH, help="checkpoint output"),
         Field("log", default="train_log.csv", kind=OUT_PATH, help="per-epoch CSV log"),
     )
-    outputs = {"checkpoint": "checkpoint", "log": "log"}
-
-    def config(self, strings, where, place):
-        """Refuses a tilt that the Gaussian prior would ignore."""
-        config = super().config(strings, where, place)
-        if config["prior"] == "gaussian" and config["tau"]:
-            raise DomainError(f"{where('tau')}: not used with --prior gaussian")
-        return config
+    ignored = (("tau", "--prior gaussian", lambda config: config["prior"] == "gaussian"),)
 
     def run(self, config):
         dataset = parse_spec(config["data"], rng_stream(config["seed"], 101))
@@ -253,7 +250,6 @@ class ScoreCommand(Command):
         Field("seed", int, 0, help="seed for dataset generation and sampling"),
         Field("out", default="scores.csv", kind=OUT_PATH, help="output CSV"),
     )
-    outputs = {"out": "scores"}
 
     def run(self, config):
         model = load_checkpoint(config["model"])
@@ -279,7 +275,6 @@ class RocCommand(Command):
         Field("out", default="roc.csv", kind=OUT_PATH, help="ROC points CSV"),
         Field("summary", default="roc_summary.json", kind=OUT_PATH, help="one-line AUROC JSON"),
     )
-    outputs = {"out": "roc", "summary": "summary"}
 
     def run(self, config):
         in_s = read_scores_csv(config["in_scores"])
@@ -309,21 +304,13 @@ class SampleCommand(Command):
         Field("decoded", default="samples.csv", kind=OUT_PATH,
               help="decoded CSV (model runs only)"),
     )
-    outputs = {"out": "latents", "decoded": "decoded"}
-
-    def config(self, strings, where, place):
-        """Refuses an option that the run would ignore."""
-        config = super().config(strings, where, place)
-        model, prior = config["model"] is not None, config["sampler"] == "prior"
-        for key, other, ignored in (("tau", "--model", model), ("dz", "--model", model),
-                                    ("zbar", "--sampler prior", prior),
-                                    ("tau", "--sampler posterior", not prior)):
-            if ignored and config[key] is not None:
-                raise DomainError(f"{where(key)}: not used with {other}")
-        return config
+    ignored = (("tau", "--model", lambda config: config["model"] is not None),
+               ("dz", "--model", lambda config: config["model"] is not None),
+               ("zbar", "--sampler prior", lambda config: config["sampler"] == "prior"),
+               ("tau", "--sampler posterior", lambda config: config["sampler"] == "posterior"))
 
     def written(self, config):
-        return self.outputs if config["model"] is not None else {"out": "latents"}
+        return super().written(config) if config["model"] is not None else ["out"]
 
     def run(self, config):
         model = None
@@ -361,7 +348,6 @@ class BenchCommand(Command):
         Field("seed", int, 0, help="seed"),
         Field("out", default="bench.csv", kind=OUT_PATH, help="timings CSV"),
     )
-    outputs = {"out": "timings"}
 
     def run(self, config):
         model = load_checkpoint(config["model"])
@@ -425,8 +411,8 @@ def _execute(command, config, manifest_path):
     stdout that cannot be written to still leaves a complete, replayable run."""
     written = command.written(config)
     if manifest_path is None:
-        first = min(written, key=written.get)  # the output whose name sorts first
-        manifest_path = os.path.join(os.path.dirname(config[first]), f"{command.name}.manifest")
+        manifest_path = os.path.join(os.path.dirname(config[min(written)]),
+                                     f"{command.name}.manifest")
     _refuse_overwrites(command, config, written, manifest_path)
     for path in [manifest_path, *(config[key] for key in written)]:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -436,7 +422,7 @@ def _execute(command, config, manifest_path):
         exit_code = command.run(config)
     duration = time.perf_counter() - t0
     entries = {f"config.{key}": value for key, value in command.format_config(config).items()}
-    entries.update((f"output.{name}", config[key]) for key, name in written.items())
+    entries.update((f"output.{key}", config[key]) for key in written)
     with open(manifest_path, "w") as fh:
         fh.write(f"command = {command.name}\nversion = {__version__}\n"
                  f"seed = {config.get('seed', '')}\nduration_s = {duration:.6f}\n")

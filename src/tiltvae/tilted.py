@@ -41,7 +41,7 @@ _MAX_NORM = math.sqrt(2.0) * math.sqrt(sys.float_info.max)
 _SWEEP_TOLERANCE = 1e-9
 
 # Failures a sweep records in a cell instead of aborting.
-_CELL_ERRORS = (ConvergenceError, DomainError, OverflowError)
+_CELL_ERRORS = (ConvergenceError, DomainError)
 
 
 def log_normalizer(tau, d_z: int):
@@ -71,8 +71,16 @@ def _log_normalizers(t, d_z):
     return np.logaddexp(half_t2 + even, coef + (half_t2 + odd)), np.logaddexp(even, coef + odd)
 
 
+def _doubles(values, name):
+    """values as a float64 array; a DomainError naming them if one overflows a double."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise DomainError(f"{name} is too large for a double") from None
+
+
 def _norms(mu_norm, name="mu_norm"):
-    m = np.asarray(mu_norm, dtype=np.float64)
+    m = _doubles(mu_norm, name)
     bad = ~((m >= 0.0) & (m <= _MAX_NORM))
     if bad.any():
         raise _norm_error(name, float(m[bad][0]))
@@ -185,7 +193,7 @@ def _fit_priors(taus, d_z, grid=()):
     |tau - m| <= _MAX_NORM.
     """
     d_z = check_count(d_z, "d_z")
-    taus = np.atleast_1d(np.asarray(taus, dtype=np.float64))
+    taus = np.atleast_1d(_doubles(taus, "tau"))
     in_range = (taus >= 0.0) & (taus <= _MAX_NORM)
     t = taus[in_range]
     log_z, log_zs = _log_normalizers(t, d_z)

@@ -483,7 +483,7 @@ class TestManifestAndReplay:
         assert "version = " in manifest
         assert "duration_s = " in manifest
         assert "config.tau = 1.0" in manifest
-        assert f"output.table = {out}" in manifest
+        assert f"output.out = {out}" in manifest
 
     @pytest.mark.parametrize("argv,outputs", [
         (["gamma", "--tau", "2", "--dz", "4"], ["gamma.csv"]),
@@ -591,7 +591,7 @@ class TestManifestAndReplay:
         assert main(["gamma", "--tau", "10", "--dz", "10", "--out", "g.csv",
                      "--manifest", "m/gamma.manifest"]) == 0
         manifest = tmp_path / "m" / "gamma.manifest"
-        assert _parse_kv_file(manifest)[0]["output.table"] == str(tmp_path / "g.csv")
+        assert _parse_kv_file(manifest)[0]["output.out"] == str(tmp_path / "g.csv")
         replay_dir = tmp_path / "replayed"
         assert main(["replay", str(manifest), "--out-dir", str(replay_dir)]) == 0
         assert (replay_dir / "g.csv").read_bytes() == (tmp_path / "g.csv").read_bytes()
@@ -781,6 +781,18 @@ class TestFields:
             for f in command.fields:
                 parsers.setdefault(f.key, set()).add(f.parse)
         assert {key: p for key, p in parsers.items() if len(p) > 1} == {}
+
+    def test_ignored_table_names_the_commands_own_options(self):
+        # Each entry refuses one of the command's options, in favour of
+        # another option of the same command.
+        found = []
+        for command in COMMANDS.values():
+            flags = {_flag(f.key) for f in command.fields}
+            for key, other, _ in command.ignored:
+                named = re.findall(r"--[\w-]+", other)
+                if _flag(key) not in flags or not named or not set(named) <= flags:
+                    found.append((command.name, key, other))
+        assert found == []
 
     def test_error_names_source_key_and_text(self, tmp_path, capsys):
         assert main(["gamma", "--tau", "x", "--dz", "2", "--out", str(tmp_path / "g.csv")]) == 1
@@ -982,6 +994,28 @@ class TestRefusals:
         assert main(["sample", *options, "--n", "3", "--out", "out/l.csv"]) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,source", [
+        (["gamma", "--tau", "1", "--dz", "{big}"], "--dz: dz"),
+        (["kld-table", "--tau", "1", "--dz", "{big}"], "--dz: dz"),
+        (["sample", "--dz", "{big}", "--zbar", "1"], "--dz: dz"),
+        (["sample", "--dz", "2", "--zbar", "1", "--n", "{big}"], "--n: n"),
+        (["train", "--config", "{cfg}", "--epochs", "{big}"], "--epochs: epochs"),
+        (["train", "--config", "{cfg}", "--data", "noise:n={big},h=2,w=2"],
+         "data spec 'noise:n={big},h=2,w=2': n"),
+        (["score", "--model", "m.ckpt", "--data", "noise:n=2,h=2,w=2", "--draws", "{big}"],
+         "--draws: draws"),
+    ], ids=["gamma-dz", "kld-table-dz", "sample-dz", "sample-n", "train-epochs", "train-data-n",
+            "score-draws"])
+    def test_count_too_large_for_a_double(self, tmp_path, train_cfg, capsys, monkeypatch,
+                                          argv, source):
+        # Each once ended in a traceback: OverflowError: int too large to convert to float.
+        monkeypatch.chdir(tmp_path)
+        big = "1" + "0" * 400
+        assert main([arg.format(big=big, cfg=train_cfg) for arg in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {source.format(big=big)} = '{big}': too large for a double\n")
+        assert not any(p.name != "train.cfg" for p in tmp_path.iterdir())
 
     @pytest.mark.parametrize("items,source", [
         (("prior=gaussian", "tau=5"), "--tau"), (("prior=gaussian",), "{cfg}:3"),

@@ -135,32 +135,6 @@ class TestLogKummerM:
                 assert math.exp(v) == pytest.approx(float(ref), rel=1e-12), (a, b, zi)
             assert [log_kummer_scaled(a, b, float(zi))[0] for zi in z] == values.tolist()
 
-    @pytest.mark.parametrize("d", [1, 2, 10, 200])
-    def test_library_families_are_chunk_invariant(self, d, monkeypatch):
-        # Over 1,024 points take the expansion, so the array call sums it 8
-        # terms at a time and a scalar call all 200 at once; the values agree
-        # bit for bit, and the expansion's against mpmath at 40 digits.
-        widths = []
-        original = tiltvae.specfn._asymptotic_chunk
-
-        def recorded(ratio, *args):
-            widths.append(ratio.size)
-            return original(ratio, *args)
-
-        monkeypatch.setattr(tiltvae.specfn, "_asymptotic_chunk", recorded)
-        z = np.geomspace(0.5, 2e4, 2048)
-        for a, b in [(d / 2, 0.5), ((d + 1) / 2, 1.5), ((d + 1) / 2, d / 2),
-                     ((d + 1) / 2, d / 2 + 1)]:
-            widths.clear()
-            values, tail = log_kummer_scaled(a, b, z)
-            assert widths[0] == 8
-            widths.clear()
-            assert [log_kummer_scaled(a, b, float(zi))[0] for zi in z] == values.tolist()
-            assert set(widths) == {200}
-            for zi, v in zip(z[~np.isnan(tail)], values[~np.isnan(tail)]):
-                ref = mpmath.hyp1f1(a, b, zi) * mpmath.exp(-mpmath.mpf(zi))
-                assert math.exp(v) == pytest.approx(float(ref), rel=1e-12), (a, b, zi)
-
 
 class TestLogKummerScaled:
     """Where the kernel's large-z expansion certifies itself, and where the
@@ -196,6 +170,32 @@ class TestLogKummerScaled:
             for zi, v in zip(z[~np.isnan(tail)], values[~np.isnan(tail)]):
                 ref = mpmath.hyp1f1(a, b, zi) * mpmath.exp(-mpmath.mpf(zi))
                 assert float(mpmath.exp(v) / ref) == pytest.approx(1.0, rel=1e-12), (a, b, zi)
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 200])
+    def test_library_families_are_chunk_invariant(self, d, monkeypatch):
+        # Over 1,024 points take the expansion, so the array call sums it 8
+        # terms at a time and a scalar call all 200 at once; the values agree
+        # bit for bit, and the expansion's against mpmath at 40 digits.
+        widths = []
+        original = tiltvae.specfn._asymptotic_chunk
+
+        def recorded(ratio, *args):
+            widths.append(ratio.size)
+            return original(ratio, *args)
+
+        monkeypatch.setattr(tiltvae.specfn, "_asymptotic_chunk", recorded)
+        z = np.geomspace(0.5, 2e4, 2048)
+        for a, b in [(d / 2, 0.5), ((d + 1) / 2, 1.5), ((d + 1) / 2, d / 2),
+                     ((d + 1) / 2, d / 2 + 1)]:
+            widths.clear()
+            values, tail = log_kummer_scaled(a, b, z)
+            assert widths[0] == 8
+            widths.clear()
+            assert [log_kummer_scaled(a, b, float(zi))[0] for zi in z] == values.tolist()
+            assert set(widths) == {200}
+            for zi, v in zip(z[~np.isnan(tail)], values[~np.isnan(tail)]):
+                ref = mpmath.hyp1f1(a, b, zi) * mpmath.exp(-mpmath.mpf(zi))
+                assert math.exp(v) == pytest.approx(float(ref), rel=1e-12), (a, b, zi)
 
     def test_uncertified_expansion_falls_back_to_the_series(self):
         # At d_z = 2000 the mean norm's expansion near z = a still has terms

@@ -105,6 +105,18 @@ class TestLogNormalizer:
             log_normalizer(taus, 10)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda: TiltedPrior.fit(10**400, 2), "tau"),
+    (lambda: TiltedPrior.fit(2.0, 10**400), "d_z"),
+    (lambda: exact_kld(TiltedPrior.fit(2.0, 2), 10**400), "mu_norm"),
+    (lambda: log_normalizer(10**400, 2), "tau"),
+], ids=["fit-tau", "fit-d_z", "exact_kld", "log_normalizer"])
+def test_number_too_large_for_a_double_is_a_domain_error(call, name):
+    # Each once raised OverflowError: int too large to convert to float.
+    with pytest.raises(DomainError, match=f"^{name} is too large for a double$"):
+        call()
+
+
 def _log_density(prior, z):
     """The tilted prior's log density at the rows of z, from its formula
     tau r - r^2/2 - d/2 log 2 pi - log Z_tau with r = ||z||."""
@@ -487,6 +499,11 @@ class TestSweep:
                    for c in bad)
         assert all(c.d_z == 2 and c.status in ("ok", "violation") for c in good)
         assert report.errors == bad
+
+    def test_a_dimension_too_large_for_a_double_is_a_cell_error(self):
+        # The cell once recorded the OverflowError "int too large to convert to float".
+        (cell,) = verify_bound_sweep([10**400], [0], 2, 1.0).cells
+        assert cell.status == "error: d_z is too large for a double"
 
     def test_margins_equal_per_cell_recomputation(self):
         # mu reaches 80 (z = m^2/2 = 3200), past the series/asymptotic crossover;
